@@ -84,7 +84,10 @@ def maximum_matching(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
                 chosen.pop()
         dfs(avail ^ (1 << v), count, chosen)
 
-    dfs(full, 0, [])
+    try:
+        dfs(full, 0, [])
+    finally:
+        del dfs  # dfs reaches itself through its cell; break that cycle
     return tuple(sorted(h.edges[i] for i in best_edges))
 
 
@@ -166,10 +169,13 @@ def _cover_by_branching(h: Hypergraph) -> tuple[int, ...]:
             v <<= 1
         return None
 
-    for budget in range(greedy_disjoint(edge_masks), h.n + 1):
-        got = attempt(budget, edge_masks, [])
-        if got is not None:
-            return tuple(sorted(got))
+    try:
+        for budget in range(greedy_disjoint(edge_masks), h.n + 1):
+            got = attempt(budget, edge_masks, [])
+            if got is not None:
+                return tuple(sorted(got))
+    finally:
+        del attempt  # attempt reaches itself through its cell; break that cycle
     raise AssertionError("cover search must terminate by budget n")
 
 

@@ -5,23 +5,29 @@ row i, x >= 0, where each column is a set of row indices (an edge viewed as
 its incident vertices).  This is the fractional matching LP; the dual read
 off the final basis is a fractional vertex cover of the same value.
 
-Everything is computed over ``fractions.Fraction``.  Floats appear in one
-place only: a pricing prefilter that proposes candidate entering columns.
-Every candidate is confirmed exactly before entering, and when the
-prefilter proposes nothing the solver falls back to a full exact pricing
-pass, so no decision ever rests on a float.
+Nothing is rounded anywhere.  The basis inverse, the basic solution and
+the duals y are ``fractions.Fraction``; pricing is done in integers.  Once
+per pivot the duals are scaled by their common denominator D to integers
+Y = D*y, and a column enters iff  D - sum(Y[r] for r in column) > 0, a
+slack i iff  Y[i] < 0.  These are the exact signs of the reduced costs.
+
+Only the rows that some column touches enter the tableau.  A row that no
+column touches keeps a basic slack, a zero dual and an untouched row of
+B^-1 throughout, so leaving it out changes nothing; the dual is expanded
+back to all rows with zeros.
 
 Pivoting uses Bland's rule (smallest variable id enters, smallest basis
-variable leaves among the minimum ratios), which makes the optimal basis,
-hence both certificates, deterministic.  Because the prefilter may visit
-ids out of order, a long run of pivots degrades to pure exact Bland
-pricing, restoring the termination guarantee unconditionally.
+variable leaves among the minimum ratios), which terminates and makes the
+optimal basis, hence both certificates, deterministic.  The touched rows
+are relabelled in increasing order, so slack ids keep their order and the
+rule's choices are those on the full row set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 __all__ = ["PackingResult", "solve_unit_packing"]
@@ -47,17 +53,24 @@ def solve_unit_packing(
     0..n_rows-1).  Returns exact optimal primal and dual vectors; with no
     columns the optimum is 0 with an all-zero dual.
     """
-    m = n_rows
     ncols = len(columns)
     cols = [tuple(col) for col in columns]
     for col in cols:
         for r in col:
-            if not (0 <= r < m):
-                raise ValueError(f"row index {r} out of range 0..{m - 1}")
+            if not (0 <= r < n_rows):
+                raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
         if len(set(col)) != len(col):
             raise ValueError(f"column {col} repeats a row")
-    if ncols == 0 or m == 0:
-        return PackingResult(_ZERO, (_ZERO,) * ncols, (_ZERO,) * m, 0)
+    if ncols == 0 or n_rows == 0:
+        return PackingResult(_ZERO, (_ZERO,) * ncols, (_ZERO,) * n_rows, 0)
+
+    # The tableau holds only the rows some column touches, relabelled in
+    # increasing order so that slack ids keep their order.  An untouched
+    # row's slack would stay basic with a zero dual throughout.
+    touched = sorted({r for col in cols for r in col})
+    label = {r: i for i, r in enumerate(touched)}
+    cols = [tuple(label[r] for r in col) for col in cols]
+    m = len(touched)
 
     # Variable ids: 0..ncols-1 are structural columns, ncols..ncols+m-1 are
     # slacks.  The initial basis is the slack identity (b = 1 is feasible).
@@ -65,35 +78,34 @@ def solve_unit_packing(
     xb = [_ONE] * m
     basis = [ncols + i for i in range(m)]
 
+    # Duals y = c_B B^-1, zero for the slack basis.
+    y = [_ZERO] * m
     pivots = 0
-    fast_pivot_budget = 2000 + 20 * (m + 1)
     while True:
-        in_basis = set(basis)
-        y = [_ZERO] * m
-        for r in range(m):
-            if basis[r] < ncols:
-                row = binv[r]
-                for i in range(m):
-                    if row[i]:
-                        y[i] += row[i]
-
-        entering = _price(cols, y, in_basis, ncols, pivots < fast_pivot_budget)
+        # Bland pricing in integers: Y = D*y with D the common denominator.
+        # A basic variable has reduced cost exactly 0, so it never enters.
+        denom = 1
+        for v in y:
+            denom = denom // gcd(denom, v.denominator) * v.denominator
+        ys = [v.numerator * (denom // v.denominator) for v in y]
+        get = ys.__getitem__
+        entering = next(
+            (j for j, col in enumerate(cols) if denom - sum(map(get, col)) > 0), -1
+        )
         if entering < 0:
-            # Exact slack pricing: slack i improves iff y[i] < 0.
-            for i in range(m):
-                if ncols + i not in in_basis and y[i] < 0:
-                    entering = ncols + i
-                    break
+            entering = next((ncols + i for i in range(m) if ys[i] < 0), -1)
         if entering < 0:
-            break  # optimal, certified by the exact pricing passes
+            break  # optimal: no variable has positive reduced cost
 
-        # Direction d = B^-1 * A_entering.
+        # Direction d = B^-1 * A_entering, and the entering reduced cost.
         if entering < ncols:
             col = cols[entering]
             d = [sum((binv[r][i] for i in col), _ZERO) for r in range(m)]
+            cost = Fraction(denom - sum(map(get, col)), denom)
         else:
             i = entering - ncols
             d = [binv[r][i] for r in range(m)]
+            cost = -y[i]
 
         leaving_row = -1
         best_ratio: Fraction | None = None
@@ -125,6 +137,11 @@ def solve_unit_packing(
                     if prow[i]:
                         row[i] -= f * prow[i]
                 xb[r] -= f * pxb
+        # The new duals are the old ones plus the entering reduced cost times
+        # the pivot row of the new B^-1.
+        for i in range(m):
+            if prow[i]:
+                y[i] += cost * prow[i]
         basis[leaving_row] = entering
         pivots += 1
 
@@ -134,38 +151,7 @@ def solve_unit_packing(
         if basis[r] < ncols:
             primal[basis[r]] = xb[r]
             value += xb[r]
-    for i in range(m):
-        if y[i] < 0:
-            raise ArithmeticError("negative dual at optimality")
-    return PackingResult(value, tuple(primal), tuple(y), pivots)
-
-
-def _price(
-    cols: list[tuple[int, ...]],
-    y: list[Fraction],
-    in_basis: set[int],
-    ncols: int,
-    use_prefilter: bool,
-) -> int:
-    """Smallest structural id with exactly positive reduced cost, else -1."""
-    if use_prefilter:
-        yf = [float(v) for v in y]
-        skipped_any = False
-        for j in range(ncols):
-            if j in in_basis:
-                continue
-            if 1.0 - sum(yf[r] for r in cols[j]) <= -1e-9:
-                skipped_any = True
-                continue
-            if _ONE - sum((y[r] for r in cols[j]), _ZERO) > 0:
-                return j
-        if not skipped_any:
-            return -1
-        # The prefilter rejected candidates on float evidence alone; make
-        # the final word exact before concluding anything.
-    for j in range(ncols):
-        if j in in_basis:
-            continue
-        if _ONE - sum((y[r] for r in cols[j]), _ZERO) > 0:
-            return j
-    return -1
+    dual = [_ZERO] * n_rows
+    for r, v in zip(touched, y):
+        dual[r] = v
+    return PackingResult(value, tuple(primal), tuple(dual), pivots)

@@ -1,5 +1,6 @@
 """Matching and cover optima against independent brute-force oracles."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from hypermatch.hypercore import Hypergraph
 from hypermatch.optmatch import (
+    _cover_by_branching,
     DualityReport,
     cover_number,
     fractional_matching,
@@ -105,6 +107,19 @@ class TestIntegralOptima:
     )
     def test_has_perfect_matching(self, h, expected):
         assert has_perfect_matching(h) is expected
+
+    @pytest.mark.parametrize("search", [maximum_matching, _cover_by_branching])
+    def test_searches_leave_no_reference_cycle(self, search):
+        # A recursive closure left in its cell would keep the search tables
+        # alive until the cyclic collector happened to run.
+        h = Hypergraph.complete(3, 9)
+        gc.collect()
+        gc.disable()
+        try:
+            search(h)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFractionalOptima:

@@ -1,0 +1,169 @@
+"""The exact unit-packing simplex against a pinned corpus and a float oracle.
+
+Bland's rule makes the optimal basis deterministic, so value, primal, dual
+and pivot count are pinned exactly: any difference from the recorded
+fingerprints is a change of the solver's path, not rounding.
+"""
+
+import hashlib
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from hypermatch.hypercore import Hypergraph
+from hypermatch.randcons import RoundOnePlan, sample_rounds
+from hypermatch.simplex import PackingResult, solve_unit_packing
+
+
+def fingerprint(result: PackingResult) -> str:
+    """sha256 over value, primal, dual and pivots, rationals as p/q text."""
+    text = "|".join(
+        (
+            str(result.value),
+            ",".join(map(str, result.primal)),
+            ",".join(map(str, result.dual)),
+            str(result.pivots),
+        )
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def small_corpus():
+    """Fifty seeded k-graphs with n <= 14; vertices outside `active` are isolated."""
+    rng = random.Random(1107)
+    for i in range(50):
+        k = rng.choice((2, 3, 4))
+        n = rng.randint(k + 1, 14)
+        active = sorted(rng.sample(range(n), rng.randint(k, n)))
+        density = rng.choice((0.2, 0.5, 0.8))
+        edges = [e for e in itertools.combinations(active, k) if rng.random() < density]
+        yield i, n, edges
+
+
+def round_columns(index: int) -> list[tuple[int, ...]]:
+    """Edges of K_60^3 induced on round `index` of the criterion-9 plan."""
+    base = Hypergraph.complete(3, 60)
+    subset = frozenset(sample_rounds(RoundOnePlan(base, rounds=40, p=0.5, d=1, seed=7)).subsets[index])
+    return [e for e in base.edges if subset.issuperset(e)]
+
+
+# (columns, value, pivots, fingerprint), recorded from the solver as first
+# written (float prefilter, exact confirmation).
+ROUNDS = {
+    0: (1771, Fraction(23, 3), 231, '5e2d965b677cf6f9'),
+    1: (7770, Fraction(37, 3), 631, '4b5d040596d7e6f6'),
+    2: (4960, Fraction(32, 3), 465, 'eaaf2cc762a54e30'),
+    3: (5456, Fraction(11, 1), 500, 'c40edc7c5ebacb32'),
+}
+
+# index -> (value, pivots, fingerprint), recorded as ROUNDS was.
+SMALL = {
+    0: ('7/4', 11, 'b7d23ff5fd4b18d7'),
+    1: ('8/3', 22, '83ee54d816ff06c8'),
+    2: ('7/4', 12, 'eb47bf01e4b539d3'),
+    3: ('11/4', 40, '6470c13173fdfe3a'),
+    4: ('0', 0, '9800dfcfc675e119'),
+    5: ('2', 8, '11a85c6403d5948c'),
+    6: ('1', 2, '6486f54a35a1c69a'),
+    7: ('0', 0, 'c0abdcc359d0ee70'),
+    8: ('1', 3, '341620203a37b5de'),
+    9: ('2', 6, 'a9d8928159144f77'),
+    10: ('9/4', 21, '5c670d870d8a1715'),
+    11: ('7/4', 16, '5e01234f56da4562'),
+    12: ('3/2', 5, '9c4fa0ae87f30c3d'),
+    13: ('11/3', 35, '8fd853de3e4973cf'),
+    14: ('3/2', 6, '6d3b7c9ea9766c64'),
+    15: ('1', 2, 'e24794d1aa5f6853'),
+    16: ('1', 1, 'a445e47cfd8a52d4'),
+    17: ('3', 28, '6a64e932992b22dc'),
+    18: ('1', 1, 'bfd12fc6776f3fb6'),
+    19: ('3/2', 3, 'f26ad378b3381ff8'),
+    20: ('5/2', 26, 'a2efbb6d53a77f2e'),
+    21: ('9/4', 19, '3d6c6ebd0a815766'),
+    22: ('6', 15, 'c28c656c5a84bde2'),
+    23: ('2', 5, 'f06ddcf2d4a3e715'),
+    24: ('1', 1, 'e46c99123523d965'),
+    25: ('7/3', 13, '38a364b9fda1a2ab'),
+    26: ('1', 2, '535e722208f96ef9'),
+    27: ('11/4', 36, '80ef3cc79b4d9855'),
+    28: ('1', 2, '900e20b6c5e44b6f'),
+    29: ('1', 2, '9a77b44c90d3976f'),
+    30: ('0', 0, 'a3c0cb667362b37b'),
+    31: ('3/2', 10, 'c57ab3a73c44d0de'),
+    32: ('2', 12, '2f78d1b346fa96fc'),
+    33: ('3', 7, 'f269d0c866f1ee9c'),
+    34: ('3', 24, 'e3622fc747680df3'),
+    35: ('0', 0, '93215e62beaa42ae'),
+    36: ('2', 5, '38f859b4cb0ad369'),
+    37: ('2', 8, '90a344428b7299ea'),
+    38: ('7/4', 16, '1518e9269a480045'),
+    39: ('7/2', 93, '862807144dc832ea'),
+    40: ('5', 21, '77c98995c90f16bc'),
+    41: ('9/2', 20, '4cfd9fd82354c332'),
+    42: ('4', 15, 'f3613cf184ffaf2e'),
+    43: ('4', 19, 'cb983d319f1ef6d1'),
+    44: ('1', 2, '43982a1ce9e08dd1'),
+    45: ('1', 1, 'bfd12fc6776f3fb6'),
+    46: ('3/2', 5, 'a6df3f713930ee92'),
+    47: ('2', 4, '544370b650dbd3a4'),
+    48: ('7/3', 18, 'ad86aa12b93eed01'),
+    49: ('4/3', 4, '336ab914027d09ca'),
+}
+
+
+@pytest.mark.parametrize("index", sorted(ROUNDS))
+def test_criterion_9_rounds_are_pinned(index):
+    columns = round_columns(index)
+    ncols, value, pivots, digest = ROUNDS[index]
+    result = solve_unit_packing(60, columns)
+    assert len(columns) == ncols
+    assert (result.value, result.pivots) == (value, pivots)
+    assert fingerprint(result) == digest
+
+
+@pytest.mark.parametrize("index, n, edges", list(small_corpus()), ids=[f"k-graph-{i}" for i in range(50)])
+def test_small_k_graphs_are_pinned(index, n, edges):
+    result = solve_unit_packing(n, edges)
+    value, pivots, digest = SMALL[index]
+    assert (str(result.value), result.pivots) == (value, pivots)
+    assert fingerprint(result) == digest
+    touched = {v for e in edges for v in e}
+    assert all(result.dual[v] == 0 for v in range(n) if v not in touched)
+
+
+def test_no_columns():
+    assert solve_unit_packing(4, []) == PackingResult(Fraction(0), (), (Fraction(0),) * 4, 0)
+
+
+def test_no_rows():
+    assert solve_unit_packing(0, []) == PackingResult(Fraction(0), (), (), 0)
+
+
+def test_rows_missed_by_every_column_have_zero_dual():
+    # A triangle on rows 1, 3, 5 of seven: nu* = 3/2 with every weight 1/2.
+    result = solve_unit_packing(7, [(1, 3), (3, 5), (1, 5)])
+    half = Fraction(1, 2)
+    assert result.value == Fraction(3, 2)
+    assert result.primal == (half, half, half)
+    assert result.dual == (0, half, 0, half, 0, half, 0)
+
+
+@pytest.mark.parametrize("columns", [[(0, 4)], [(-1, 2)], [(1, 1)], [(0, 2, 0)]])
+def test_bad_rows_are_rejected(columns):
+    with pytest.raises(ValueError):
+        solve_unit_packing(4, columns)
+
+
+def test_highs_agrees_on_nu_star():
+    optimize = pytest.importorskip("scipy.optimize")
+    for _, n, edges in small_corpus():
+        if not edges:
+            continue
+        incidence = [[1 if v in e else 0 for e in edges] for v in range(n)]
+        res = optimize.linprog(
+            [-1] * len(edges), A_ub=incidence, b_ub=[1] * n, bounds=(0, None), method="highs"
+        )
+        assert res.status == 0
+        assert abs(-res.fun - float(solve_unit_packing(n, edges).value)) <= 1e-9
