@@ -28,6 +28,7 @@ import numpy as np
 
 from .hypercore import EdgeWeighting, Hypergraph
 from .optmatch import fractional_matching
+from .parallel import pool_size
 
 __all__ = [
     "RoundOnePlan",
@@ -278,15 +279,16 @@ def compute_round_matchings(
 
     A matching is kept only when its value is exactly |R|/k; rounds whose
     induced subhypergraph falls short are recorded in skipped_rounds with
-    a None entry.  Solves shard across processes when jobs > 1; the
-    result is independent of jobs.
+    a None entry.  Solves shard across up to ``jobs`` processes, no more
+    than the rounds or the CPUs; the result is independent of jobs.
     """
+    workers = pool_size(jobs, len(outcome.subsets))
     base = outcome.plan.base
     payloads = [
         (base.k, base.n, _induced_edges(base, r)) for r in outcome.subsets
     ]
-    if jobs > 1 and len(payloads) > 1:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             solved = pool.map(_solve_round, payloads)
     else:
         solved = [_solve_round(p) for p in payloads]

@@ -1,15 +1,23 @@
-"""Exact revised simplex for unit packing programs.
+"""Exact fraction-free revised simplex for unit packing programs.
 
 Solves   max sum(x_j)  subject to  sum_{j: i in col_j} x_j <= 1 for every
 row i, x >= 0, where each column is a set of row indices (an edge viewed as
 its incident vertices).  This is the fractional matching LP; the dual read
 off the final basis is a fractional vertex cover of the same value.
 
-Nothing is rounded anywhere.  The basis inverse, the basic solution and
-the duals y are ``fractions.Fraction``; pricing is done in integers.  Once
-per pivot the duals are scaled by their common denominator D to integers
-Y = D*y, and a column enters iff  D - sum(Y[r] for r in column) > 0, a
-slack i iff  Y[i] < 0.  These are the exact signs of the reduced costs.
+Nothing is rounded anywhere, and the basis is kept in integers.  With one
+shared denominator D > 0 the state is  B^-1 = M/D,  x_B = X/D  and
+y = c_B B^-1 = Y/D,  with M, X and Y integer; initially D = 1 and M = I.
+With d = M a for the entering column a, a pivot on p = d[leaving row]
+keeps the pivot rows of M and X, replaces every other row r by
+(p*row - d[r]*pivot row) // D,  the duals by
+(p*Y + c*M[leaving row]) // D  with c = D times the entering reduced cost,
+and then sets D = p.  By Sylvester's identity every such division is exact
+(Edmonds 1967; Bareiss 1968): D stays |det B|, so M = D*B^-1 is the adjugate
+up to sign, and as the pivot is positive D never changes sign.  Pricing
+reads the exact signs of the reduced costs from Y and D: a column enters iff
+D - sum(Y[r] for r in column) > 0, a slack i iff Y[i] < 0.  Rationals are
+formed once, from the final X, Y and D.
 
 Only the rows that some column touches enter the tableau.  A row that no
 column touches keeps a basic slack, a zero dual and an untouched row of
@@ -27,13 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 __all__ = ["PackingResult", "solve_unit_packing"]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -50,12 +56,14 @@ def solve_unit_packing(
     """Maximise the total column weight under unit row capacities.
 
     ``columns[j]`` lists the rows column j hits (distinct indices in
-    0..n_rows-1).  Returns exact optimal primal and dual vectors; with no
-    columns the optimum is 0 with an all-zero dual.
+    0..n_rows-1, at least one).  Returns exact optimal primal and dual
+    vectors; with no columns the optimum is 0 with an all-zero dual.
     """
     ncols = len(columns)
     cols = [tuple(col) for col in columns]
     for col in cols:
+        if not col:
+            raise ValueError("a column must hit at least one row")
         for r in col:
             if not (0 <= r < n_rows):
                 raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
@@ -73,21 +81,17 @@ def solve_unit_packing(
     m = len(touched)
 
     # Variable ids: 0..ncols-1 are structural columns, ncols..ncols+m-1 are
-    # slacks.  The initial basis is the slack identity (b = 1 is feasible).
-    binv = [[_ONE if i == j else _ZERO for j in range(m)] for i in range(m)]
-    xb = [_ONE] * m
+    # slacks.  The initial basis is the slack identity (b = 1 is feasible),
+    # with zero duals.
+    denom = 1
+    mat = [[int(i == j) for j in range(m)] for i in range(m)]
+    xs = [1] * m
+    ys = [0] * m
     basis = [ncols + i for i in range(m)]
-
-    # Duals y = c_B B^-1, zero for the slack basis.
-    y = [_ZERO] * m
     pivots = 0
     while True:
-        # Bland pricing in integers: Y = D*y with D the common denominator.
-        # A basic variable has reduced cost exactly 0, so it never enters.
-        denom = 1
-        for v in y:
-            denom = denom // gcd(denom, v.denominator) * v.denominator
-        ys = [v.numerator * (denom // v.denominator) for v in y]
+        # Bland pricing.  A basic variable has reduced cost exactly 0, so it
+        # never enters.
         get = ys.__getitem__
         entering = next(
             (j for j, col in enumerate(cols) if denom - sum(map(get, col)) > 0), -1
@@ -97,61 +101,48 @@ def solve_unit_packing(
         if entering < 0:
             break  # optimal: no variable has positive reduced cost
 
-        # Direction d = B^-1 * A_entering, and the entering reduced cost.
+        # d = M * A_entering = D * B^-1 * A_entering, and c = D * reduced cost.
         if entering < ncols:
             col = cols[entering]
-            d = [sum((binv[r][i] for i in col), _ZERO) for r in range(m)]
-            cost = Fraction(denom - sum(map(get, col)), denom)
+            d = [sum(map(row.__getitem__, col)) for row in mat]
+            cost = denom - sum(map(get, col))
         else:
             i = entering - ncols
-            d = [binv[r][i] for r in range(m)]
-            cost = -y[i]
+            d = [row[i] for row in mat]
+            cost = -ys[i]
 
-        leaving_row = -1
-        best_ratio: Fraction | None = None
+        # Ratio test on X[r] / d[r], which is x_B[r] / (B^-1 a)[r] with D
+        # cancelled, compared cross-multiplied.
+        lr = -1
         for r in range(m):
-            if d[r] > 0:
-                ratio = xb[r] / d[r]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving_row])
-                ):
-                    best_ratio = ratio
-                    leaving_row = r
-        if leaving_row < 0:
+            if d[r] > 0 and (
+                lr < 0
+                or xs[r] * d[lr] < xs[lr] * d[r]
+                or (xs[r] * d[lr] == xs[lr] * d[r] and basis[r] < basis[lr])
+            ):
+                lr = r
+        if lr < 0:
             raise ArithmeticError("unit packing LP cannot be unbounded")
 
-        piv = d[leaving_row]
-        if piv != 1:
-            inv = 1 / piv
-            binv[leaving_row] = [v * inv for v in binv[leaving_row]]
-            xb[leaving_row] *= inv
-        prow = binv[leaving_row]
-        pxb = xb[leaving_row]
+        p = d[lr]
+        prow = mat[lr]
+        px = xs[lr]
         for r in range(m):
-            if r != leaving_row and d[r]:
+            if r != lr:
                 f = d[r]
-                row = binv[r]
-                for i in range(m):
-                    if prow[i]:
-                        row[i] -= f * prow[i]
-                xb[r] -= f * pxb
-        # The new duals are the old ones plus the entering reduced cost times
-        # the pivot row of the new B^-1.
-        for i in range(m):
-            if prow[i]:
-                y[i] += cost * prow[i]
-        basis[leaving_row] = entering
+                mat[r] = [(p * a - f * b) // denom for a, b in zip(mat[r], prow)]
+                xs[r] = (p * xs[r] - f * px) // denom
+        ys = [(p * v + cost * b) // denom for v, b in zip(ys, prow)]
+        denom = p
+        basis[lr] = entering
         pivots += 1
 
     primal = [_ZERO] * ncols
-    value = _ZERO
     for r in range(m):
         if basis[r] < ncols:
-            primal[basis[r]] = xb[r]
-            value += xb[r]
+            primal[basis[r]] = Fraction(xs[r], denom)
+    value = Fraction(sum(xs[r] for r in range(m) if basis[r] < ncols), denom)
     dual = [_ZERO] * n_rows
-    for r, v in zip(touched, y):
-        dual[r] = v
+    for r, v in zip(touched, ys):
+        dual[r] = Fraction(v, denom)
     return PackingResult(value, tuple(primal), tuple(dual), pivots)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hypercore import VertexWeighting
+from .parallel import pool_size
 from .thresholds import SearchBudget, ThresholdQuery, brute_force_threshold
 
 __all__ = [
@@ -196,24 +197,22 @@ def optimize_grid(
         raise GridBudgetError(
             f"{space} grid points exceed the limit of {max_points}"
         )
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
     firsts = [
         first
         for first in range(min(q, total), -1, -1)
         if total - first <= q * (n - 1)
     ]
+    workers = pool_size(jobs, len(firsts))
     if n == 1:
         parts = [(_phi_on_grid((total,), r, q), (total,))]
-    elif jobs == 1 or len(firsts) < 2:
+    elif workers == 1:
         parts = [
             _scan_grid_shard((n, r, q, first, total - first))
             for first in firsts
         ]
     else:
         payloads = [(n, r, q, first, total - first) for first in firsts]
-        with multiprocessing.get_context("fork").Pool(min(jobs, len(firsts))) as pool:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             parts = pool.map(_scan_grid_shard, payloads)
 
     best, best_amounts = -1, None

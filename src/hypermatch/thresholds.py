@@ -28,6 +28,7 @@ from fractions import Fraction
 from .extremal import construct_clique_plus_isolated, construct_h0, construct_h1
 from .hypercore import Hypergraph, VertexWeighting, link, min_d_degree, threshold_hypergraph
 from .optmatch import fractional_matching, matching_number
+from .parallel import pool_size
 from .simplex import solve_unit_packing
 
 __all__ = [
@@ -235,8 +236,9 @@ def brute_force_threshold(
 
     Requires binom(n, k) <= 24 so the edge-set space fits a bitmask scan.
     ``jobs`` > 1 shards the mask range into contiguous blocks handled by
-    worker processes; the merged result is independent of the shard count
-    because ties between shards resolve to the smallest witness mask.
+    worker processes, no more than the CPUs; the merged result is
+    independent of the shard count because ties between shards resolve to
+    the smallest witness mask.
     The result is memoised per query (it is a pure function of it).
     """
     num_edges = math.comb(query.n, query.k)
@@ -247,8 +249,7 @@ def brute_force_threshold(
     space = 1 << num_edges
     if space > budget.max_edge_sets:
         raise BudgetExceededError(query, space, budget)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = pool_size(jobs, space)
 
     key = (query.mode, query.k, query.n, query.d, query.s)
     cached = _memo.get(key)
@@ -256,12 +257,12 @@ def brute_force_threshold(
         return cached
 
     started = time.perf_counter()
-    if jobs == 1 or space < (1 << 12):
+    if workers == 1 or space < (1 << 12):
         best, best_mask, _ = _scan_range(
             query.k, query.n, query.d, query.mode, query.s, 0, space
         )
     else:
-        bounds = [space * i // jobs for i in range(jobs + 1)]
+        bounds = [space * i // workers for i in range(workers + 1)]
         payloads = [
             (
                 query.k,
@@ -273,9 +274,9 @@ def brute_force_threshold(
                 bounds[i],
                 bounds[i + 1],
             )
-            for i in range(jobs)
+            for i in range(workers)
         ]
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             parts = pool.map(_scan_shard, payloads)
         best, best_mask = -1, -1
         for delta, mask, _ in parts:

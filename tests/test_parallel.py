@@ -1,0 +1,28 @@
+"""The worker count shared by the sharded thresholds, grids and rounds."""
+
+import pytest
+
+from hypermatch import parallel
+from hypermatch.parallel import pool_size
+
+
+@pytest.mark.parametrize(
+    "jobs, shards, cpus, expected",
+    [
+        (1, 10, 8, 1),
+        (4, 10, 8, 4),
+        (10**6, 10, 8, 8),  # bounded by the CPUs; no process is started
+        (10**6, 3, 8, 3),  # bounded by the tasks
+        (4, 0, 8, 1),
+        (4, 10, None, 1),  # os.cpu_count() may not know
+    ],
+)
+def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch, jobs, shards, cpus, expected):
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+    assert pool_size(jobs, shards) == expected
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_pool_size_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError):
+        pool_size(jobs, 10)

@@ -91,6 +91,11 @@ class TestRoundMatchings:
         assert solved.skipped_rounds == (0,)
         assert solved.matchings == (None,)
 
+    def test_jobs_below_one_are_rejected(self):
+        outcome = RoundOneOutcome(RoundOnePlan(TWO_TRIPLES, 1, 0.5, 1), subsets=((0, 1, 2),), checks=())
+        with pytest.raises(ValueError):
+            compute_round_matchings(outcome, jobs=0)
+
     def test_jobs_do_not_change_anything(self):
         plan = RoundOnePlan(Hypergraph.complete(3, 9), 4, 0.7, 1, seed=5)
         solo = sample_rounds(plan, with_matchings=True, jobs=1)

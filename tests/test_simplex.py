@@ -30,16 +30,21 @@ def fingerprint(result: PackingResult) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def k_graph(rng: random.Random) -> tuple[int, list[tuple[int, ...]]]:
+    """A k-graph with n <= 14; vertices outside `active` are isolated."""
+    k = rng.choice((2, 3, 4))
+    n = rng.randint(k + 1, 14)
+    active = sorted(rng.sample(range(n), rng.randint(k, n)))
+    density = rng.choice((0.2, 0.5, 0.8))
+    edges = [e for e in itertools.combinations(active, k) if rng.random() < density]
+    return n, edges
+
+
 def small_corpus():
-    """Fifty seeded k-graphs with n <= 14; vertices outside `active` are isolated."""
+    """Fifty seeded k-graphs drawn in turn from one generator."""
     rng = random.Random(1107)
     for i in range(50):
-        k = rng.choice((2, 3, 4))
-        n = rng.randint(k + 1, 14)
-        active = sorted(rng.sample(range(n), rng.randint(k, n)))
-        density = rng.choice((0.2, 0.5, 0.8))
-        edges = [e for e in itertools.combinations(active, k) if rng.random() < density]
-        yield i, n, edges
+        yield (i, *k_graph(rng))
 
 
 def round_columns(index: int) -> list[tuple[int, ...]]:
@@ -112,6 +117,19 @@ SMALL = {
     49: ('4/3', 4, '336ab914027d09ca'),
 }
 
+# seed -> (value, pivots, fingerprint) of k_graph(random.Random(seed)),
+# recorded from the solver with a Fraction basis inverse, before the basis
+# was kept in integers.  These exist for the slack-entering branch of
+# Bland's rule: each solve pivots a slack back into the basis (seed 1846
+# twice), which no round above and no graph of the small corpus does.
+SLACK_ENTERING = {
+    60: ('2', 7, '1effc535ffa62bd0'),
+    290: ('3/2', 6, '1c78aacd4bd8634d'),
+    1701: ('3', 11, 'a7e1f5a431cbb57d'),
+    1846: ('29/10', 12, '7efaa9224caea077'),
+    2307: ('3', 16, 'ae9cffeaef8bca63'),
+}
+
 
 @pytest.mark.parametrize("index", sorted(ROUNDS))
 def test_criterion_9_rounds_are_pinned(index):
@@ -133,6 +151,15 @@ def test_small_k_graphs_are_pinned(index, n, edges):
     assert all(result.dual[v] == 0 for v in range(n) if v not in touched)
 
 
+@pytest.mark.parametrize("seed", sorted(SLACK_ENTERING))
+def test_slack_entering_solves_are_pinned(seed):
+    n, edges = k_graph(random.Random(seed))
+    result = solve_unit_packing(n, edges)
+    value, pivots, digest = SLACK_ENTERING[seed]
+    assert (str(result.value), result.pivots) == (value, pivots)
+    assert fingerprint(result) == digest
+
+
 def test_no_columns():
     assert solve_unit_packing(4, []) == PackingResult(Fraction(0), (), (Fraction(0),) * 4, 0)
 
@@ -150,10 +177,13 @@ def test_rows_missed_by_every_column_have_zero_dual():
     assert result.dual == (0, half, 0, half, 0, half, 0)
 
 
-@pytest.mark.parametrize("columns", [[(0, 4)], [(-1, 2)], [(1, 1)], [(0, 2, 0)]])
+@pytest.mark.parametrize("columns", [[(0, 4)], [(-1, 2)], [(1, 1)], [(0, 2, 0)], [()]])
 def test_bad_rows_are_rejected(columns):
-    with pytest.raises(ValueError):
-        solve_unit_packing(4, columns)
+    # A column that hits no row would be unbounded; it is rejected even
+    # with no rows at all, before the early return for that case.
+    for n_rows in (0, 2, 4):
+        with pytest.raises(ValueError):
+            solve_unit_packing(n_rows, columns)
 
 
 def test_highs_agrees_on_nu_star():
