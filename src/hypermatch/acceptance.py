@@ -17,7 +17,13 @@ from fractions import Fraction
 import numpy as np
 
 from .extremal import construct_h0, construct_h1, conjecture_values
-from .hypercore import Hypergraph, VertexWeighting, min_d_degree, threshold_hypergraph
+from .hypercore import (
+    Hypergraph,
+    VertexWeighting,
+    incidence,
+    min_d_degree,
+    threshold_hypergraph,
+)
 from .optmatch import fractional_matching, fractional_optimum, has_perfect_matching
 from .randcons import RoundOnePlan, build_sparse_subgraph, sample_rounds
 from .samuels import (
@@ -241,36 +247,20 @@ def _criterion_9(jobs: int) -> tuple[bool, str]:
         return False, f"rounds without perfect fractional matching: {outcome.skipped_rounds}"
 
     n = base.n
-    coverage = [0] * n
-    for r in outcome.subsets:
-        for v in r:
-            coverage[v] += 1
-    pair_coverage: dict[tuple[int, int], int] = {}
-    for r in outcome.subsets:
-        for pair in itertools.combinations(r, 2):
-            pair_coverage[pair] = pair_coverage.get(pair, 0) + 1
-
-    variance_v = [Fraction(0)] * n
-    variance_uv: dict[tuple[int, int], Fraction] = {}
-    for matching in outcome.matchings:
-        for e, w in zip(matching.hypergraph.edges, matching.weights):
-            if w == 0:
-                continue
-            term = w * (1 - w)
-            for v in e:
-                variance_v[v] += term
-            for pair in itertools.combinations(e, 2):
-                variance_uv[pair] = variance_uv.get(pair, Fraction(0)) + term
+    coverage, pair_coverage = incidence(outcome.subsets, n)
+    support = [(e, w) for matching in outcome.matchings for e, w in matching.support()]
+    variance_v, variance_uv = incidence(
+        (e for e, w in support), n, (w * (1 - w) for e, w in support)
+    )
 
     reps = 200
-    degree_sum = [0] * n
-    codegree_sum: dict[tuple[int, int], int] = {}
-    for rep in range(reps):
-        sparse = build_sparse_subgraph(outcome, seed=rep)
-        for v, deg in enumerate(sparse.degrees):
-            degree_sum[v] += deg
-        for pair, c in sparse.codegrees.items():
-            codegree_sum[pair] = codegree_sum.get(pair, 0) + c
+    selected = [
+        e
+        for rep in range(reps)
+        for kept in build_sparse_subgraph(outcome, seed=rep).per_round_selected
+        for e in kept
+    ]
+    degree_sum, codegree_sum = incidence(selected, n)
 
     vertex_hits = 0
     for v in range(n):

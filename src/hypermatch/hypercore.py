@@ -19,6 +19,8 @@ __all__ = [
     "Hypergraph",
     "VertexWeighting",
     "EdgeWeighting",
+    "incidence",
+    "vertex_masks",
     "degree",
     "min_d_degree",
     "link",
@@ -147,15 +149,16 @@ class EdgeWeighting:
             raise ValueError(
                 f"{len(ws)} weights for {hypergraph.num_edges} edges"
             )
-        loads = [Fraction(0)] * hypergraph.n
-        for e, w in zip(hypergraph.edges, ws):
-            for v in e:
-                loads[v] += w
+        support = tuple((e, w) for e, w in zip(hypergraph.edges, ws) if w != 0)
+        loads, _ = incidence(
+            (e for e, w in support), hypergraph.n, (w for e, w in support), pairs=False
+        )
         for v, load in enumerate(loads):
             if load > 1:
                 raise ValueError(f"vertex {v} carries load {load} > 1")
         object.__setattr__(self, "hypergraph", hypergraph)
         object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "_support", support)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -168,9 +171,45 @@ class EdgeWeighting:
 
     def support(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """The (edge, weight) pairs with nonzero weight, in edge order."""
-        return tuple(
-            (e, w) for e, w in zip(self.hypergraph.edges, self.weights) if w != 0
-        )
+        return self._support
+
+
+def incidence(
+    sets: Iterable[Sequence[int]],
+    n: int,
+    weights: Iterable | None = None,
+    *,
+    pairs: bool = True,
+) -> tuple[list, dict[tuple[int, int], Fraction | int]]:
+    """Per-vertex and per-pair sums over a family of sorted vertex tuples.
+
+    Each set adds its weight (1 when ``weights`` is None) to every vertex
+    of 0..n-1 it contains and, unless ``pairs`` is False, to every pair
+    (u, v), u < v, of them.  Returns (vertex sums as a list, pair sums as
+    a dict); a pair that no set contains is absent from the dict.
+    """
+    if weights is None:
+        weights = itertools.repeat(1)
+    vertex = [0] * n
+    pair: dict[tuple[int, int], Fraction | int] = {}
+    for s, w in zip(sets, weights):
+        for v in s:
+            vertex[v] += w
+        if pairs:
+            for uv in itertools.combinations(s, 2):
+                pair[uv] = pair.get(uv, 0) + w
+    return vertex, pair
+
+
+def vertex_masks(sets: Iterable[Iterable[int]]) -> list[int]:
+    """The bitmask (bit v set for vertex v) of each vertex set, in order."""
+    out = []
+    for s in sets:
+        m = 0
+        for v in s:
+            m |= 1 << v
+        out.append(m)
+    return out
 
 
 def degree(h: Hypergraph, s: Iterable[int]) -> int:

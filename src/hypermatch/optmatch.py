@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting
+from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, vertex_masks
 from .simplex import solve_unit_packing
 
 __all__ = [
@@ -31,16 +31,6 @@ __all__ = [
 _COVER_DP_LIMIT = 20  # 2^n table; beyond this fall back to branching search
 
 
-def _edge_bitmasks(h: Hypergraph) -> list[int]:
-    out = []
-    for e in h.edges:
-        m = 0
-        for v in e:
-            m |= 1 << v
-        out.append(m)
-    return out
-
-
 def maximum_matching(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
     """A maximum set of pairwise disjoint edges, deterministically chosen.
 
@@ -50,7 +40,7 @@ def maximum_matching(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
     and a visited-state table keyed by the availability mask prunes
     re-entries that cannot beat an earlier visit.
     """
-    edge_masks = _edge_bitmasks(h)
+    edge_masks = vertex_masks(h.edges)
     by_vertex: list[list[int]] = [[] for _ in range(h.n)]
     for idx, mask in enumerate(edge_masks):
         for v in h.edges[idx]:
@@ -118,7 +108,7 @@ def minimum_cover(h: Hypergraph) -> tuple[int, ...]:
 def _cover_by_complement(h: Hypergraph) -> tuple[int, ...]:
     size = 1 << h.n
     spans_edge = bytearray(size)
-    for em in _edge_bitmasks(h):
+    for em in vertex_masks(h.edges):
         spans_edge[em] = 1
     full = size - 1
     best_mask = 0
@@ -139,7 +129,7 @@ def _cover_by_complement(h: Hypergraph) -> tuple[int, ...]:
 
 
 def _cover_by_branching(h: Hypergraph) -> tuple[int, ...]:
-    edge_masks = _edge_bitmasks(h)
+    edge_masks = vertex_masks(h.edges)
 
     def greedy_disjoint(masks: list[int]) -> int:
         used = 0

@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .hypercore import EdgeWeighting, Hypergraph
+from .hypercore import EdgeWeighting, Hypergraph, incidence, vertex_masks
 from .optmatch import fractional_matching
-from .parallel import pool_size
+from .parallel import parallel_map, pool_size
 
 __all__ = [
     "RoundOnePlan",
@@ -139,10 +138,7 @@ def _check_vertex_coverage(
     target = plan.rounds * plan.p
     low = (1 - config.vertex_tolerance) * target
     high = (1 + config.vertex_tolerance) * target
-    counts = [0] * plan.base.n
-    for r in subsets:
-        for v in r:
-            counts[v] += 1
+    counts, _ = incidence(subsets, plan.base.n, pairs=False)
     bad = [(v, c) for v, c in enumerate(counts) if not low <= c <= high]
     return CheckResult(
         name="vertex_coverage",
@@ -157,10 +153,7 @@ def _check_vertex_coverage(
 def _check_pair_coverage(
     plan: RoundOnePlan, subsets, config: CheckConfig
 ) -> CheckResult:
-    counts: dict[tuple[int, int], int] = {}
-    for r in subsets:
-        for pair in itertools.combinations(r, 2):
-            counts[pair] = counts.get(pair, 0) + 1
+    _, counts = incidence(subsets, plan.base.n)
     bad = sorted(
         (pair, c) for pair, c in counts.items() if c > config.pair_cap
     )
@@ -174,17 +167,9 @@ def _check_pair_coverage(
 
 
 def _check_edge_multiplicity(plan: RoundOnePlan, subsets) -> CheckResult:
-    masks = [0] * len(subsets)
-    for i, r in enumerate(subsets):
-        m = 0
-        for v in r:
-            m |= 1 << v
-        masks[i] = m
+    masks = vertex_masks(subsets)
     bad = []
-    for e in plan.base.edges:
-        em = 0
-        for v in e:
-            em |= 1 << v
+    for e, em in zip(plan.base.edges, vertex_masks(plan.base.edges)):
         hits = sum(1 for m in masks if em & ~m == 0)
         if hits > 1:
             bad.append((e, hits))
@@ -227,20 +212,12 @@ def _check_induced_degrees(
     and every round.
     """
     k, d = plan.base.k, plan.d
-    edge_bits = []
-    for e in plan.base.edges:
-        em = 0
-        for v in e:
-            em |= 1 << v
-        edge_bits.append(em)
+    edge_bits = vertex_masks(plan.base.edges)
     dsets = list(itertools.combinations(range(plan.base.n), d))
-    dset_bits = {s: sum(1 << v for v in s) for s in dsets}
+    dset_bits = dict(zip(dsets, vertex_masks(dsets)))
 
     bad = []
-    for i, r in enumerate(subsets):
-        rmask = 0
-        for v in r:
-            rmask |= 1 << v
+    for i, (r, rmask) in enumerate(zip(subsets, vertex_masks(subsets))):
         need = config.degree_fraction * math.comb(max(len(r) - d, 0), k - d)
         deg = dict.fromkeys(dsets, 0)
         for e, em in zip(plan.base.edges, edge_bits):
@@ -265,11 +242,10 @@ def _induced_edges(base: Hypergraph, subset) -> list[tuple[int, ...]]:
     return [e for e in base.edges if inside.issuperset(e)]
 
 
-def _solve_round(payload: tuple):
+def _solve_round(payload: tuple) -> tuple[Fraction, EdgeWeighting]:
     k, n, edges = payload
-    induced = Hypergraph(k, n, edges)
-    value, matching, _ = fractional_matching(induced)
-    return value, matching.weights
+    value, matching, _ = fractional_matching(Hypergraph(k, n, edges))
+    return value, matching
 
 
 def compute_round_matchings(
@@ -287,19 +263,13 @@ def compute_round_matchings(
     payloads = [
         (base.k, base.n, _induced_edges(base, r)) for r in outcome.subsets
     ]
-    if workers > 1:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            solved = pool.map(_solve_round, payloads)
-    else:
-        solved = [_solve_round(p) for p in payloads]
+    solved = parallel_map(_solve_round, payloads, workers)
 
     matchings: list[EdgeWeighting | None] = []
     skipped = []
-    for i, ((value, weights), (_, _, edges)) in enumerate(zip(solved, payloads)):
+    for i, (value, matching) in enumerate(solved):
         if value == Fraction(len(outcome.subsets[i]), base.k):
-            matchings.append(
-                EdgeWeighting(Hypergraph(base.k, base.n, edges), weights)
-            )
+            matchings.append(matching)
         else:
             matchings.append(None)
             skipped.append(i)
@@ -383,32 +353,17 @@ def build_sparse_subgraph(
     base = outcome.plan.base
     n = base.n
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    degrees = [0] * n
-    codegrees: dict[tuple[int, int], int] = {}
     selected_all = []
-    kept_edges = set()
     for matching in outcome.matchings:
-        selected = []
-        if matching is not None:
-            for e, w in zip(matching.hypergraph.edges, matching.weights):
-                if w == 0:
-                    continue
-                if w != 1 and not rng.random() < w:
-                    continue
-                selected.append(e)
-                kept_edges.add(e)
-                for v in e:
-                    degrees[v] += 1
-                for pair in itertools.combinations(e, 2):
-                    codegrees[pair] = codegrees.get(pair, 0) + 1
-        selected_all.append(tuple(selected))
-
-    coverage = [0] * n
-    for r in outcome.subsets:
-        for v in r:
-            coverage[v] += 1
+        support = () if matching is None else matching.support()
+        selected_all.append(
+            tuple(e for e, w in support if w == 1 or rng.random() < w)
+        )
+    kept = [e for selected in selected_all for e in selected]
+    degrees, codegrees = incidence(kept, n)
+    coverage, _ = incidence(outcome.subsets, n, pairs=False)
     return SparseSubgraph(
-        hypergraph=Hypergraph(base.k, n, sorted(kept_edges)),
+        hypergraph=Hypergraph(base.k, n, kept),
         degrees=tuple(degrees),
         codegrees=codegrees,
         coverage=tuple(coverage),
@@ -447,13 +402,7 @@ def check_near_regularity(
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
     low = (1 - tolerance) * target_degree
     high = (1 + tolerance) * target_degree
-    degs = [0] * h.n
-    codeg: dict[tuple[int, int], int] = {}
-    for e in h.edges:
-        for v in e:
-            degs[v] += 1
-        for pair in itertools.combinations(e, 2):
-            codeg[pair] = codeg.get(pair, 0) + 1
+    degs, codeg = incidence(h.edges, h.n)
     violators = tuple(
         (v, c) for v, c in enumerate(degs) if not low < c < high
     )

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .hypercore import VertexWeighting
-from .parallel import pool_size
+from .parallel import parallel_map, pool_size
 from .thresholds import SearchBudget, ThresholdQuery, brute_force_threshold
 
 __all__ = [
@@ -205,15 +204,9 @@ def optimize_grid(
     workers = pool_size(jobs, len(firsts))
     if n == 1:
         parts = [(_phi_on_grid((total,), r, q), (total,))]
-    elif workers == 1:
-        parts = [
-            _scan_grid_shard((n, r, q, first, total - first))
-            for first in firsts
-        ]
     else:
         payloads = [(n, r, q, first, total - first) for first in firsts]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_scan_grid_shard, payloads)
+        parts = parallel_map(_scan_grid_shard, payloads, workers)
 
     best, best_amounts = -1, None
     for value, amounts in parts:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +27,7 @@ from fractions import Fraction
 from .extremal import construct_clique_plus_isolated, construct_h0, construct_h1
 from .hypercore import Hypergraph, VertexWeighting, link, min_d_degree, threshold_hypergraph
 from .optmatch import fractional_matching, matching_number
-from .parallel import pool_size
+from .parallel import parallel_map, pool_size
 from .simplex import solve_unit_packing
 
 __all__ = [
@@ -257,32 +256,27 @@ def brute_force_threshold(
         return cached
 
     started = time.perf_counter()
-    if workers == 1 or space < (1 << 12):
-        best, best_mask, _ = _scan_range(
-            query.k, query.n, query.d, query.mode, query.s, 0, space
+    if space < (1 << 12):
+        workers = 1  # a fork costs more than scanning so few masks
+    bounds = [space * i // workers for i in range(workers + 1)]
+    payloads = [
+        (
+            query.k,
+            query.n,
+            query.d,
+            query.mode,
+            query.s.numerator,
+            query.s.denominator,
+            bounds[i],
+            bounds[i + 1],
         )
-    else:
-        bounds = [space * i // workers for i in range(workers + 1)]
-        payloads = [
-            (
-                query.k,
-                query.n,
-                query.d,
-                query.mode,
-                query.s.numerator,
-                query.s.denominator,
-                bounds[i],
-                bounds[i + 1],
-            )
-            for i in range(workers)
-        ]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_scan_shard, payloads)
-        best, best_mask = -1, -1
-        for delta, mask, _ in parts:
-            if delta > best or (delta == best and 0 <= mask < best_mask):
-                best = delta
-                best_mask = mask
+        for i in range(workers)
+    ]
+    best, best_mask = -1, -1
+    for delta, mask, _ in parallel_map(_scan_shard, payloads, workers):
+        if delta > best or (delta == best and 0 <= mask < best_mask):
+            best = delta
+            best_mask = mask
 
     if best < 0 or best_mask < 0:
         raise AssertionError("the empty edge set always qualifies")

@@ -1,6 +1,7 @@
 """Core types: construction rules, degrees, links, threshold graphs, I/O."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,14 @@ from hypermatch.hypercore import (
     degree,
     format_rational,
     hypergraph_to_text,
+    incidence,
     link,
     min_d_degree,
     parse_rational,
     read_hypergraph,
     read_weighting,
     threshold_hypergraph,
+    vertex_masks,
     write_hypergraph,
     write_weighting,
 )
@@ -114,6 +117,50 @@ class TestWeightings:
             ((1, 2, 3), Fraction(1, 2)),
         )
         assert ew.total() == 1
+
+    def test_overload_is_rejected_whatever_the_zeros(self):
+        with pytest.raises(ValueError, match="vertex 1 carries load 3/2"):
+            EdgeWeighting(K4, [Fraction(1, 2), Fraction(1, 2), 0, Fraction(1, 2)])
+
+    def test_support_leaves_out_zero_weights(self):
+        ew = EdgeWeighting(K4, [0, 1, 0, 0])
+        assert ew.support() == (((0, 1, 3), Fraction(1)),)
+        assert EdgeWeighting(K4, [0] * 4).support() == ()
+
+    def test_pickle_round_trip(self):
+        ew = EdgeWeighting(K4, [Fraction(1, 3)] * 4)
+        back = pickle.loads(pickle.dumps(ew))
+        assert back == ew
+        assert back.support() == ew.support()
+
+
+class TestIncidence:
+    def test_plain_counts(self):
+        vertex, pair = incidence(K4.edges, 5)
+        assert vertex == [3, 3, 3, 3, 0]
+        assert pair == {(u, v): 2 for u in range(4) for v in range(u + 1, 4)}
+
+    def test_fraction_weights(self):
+        vertex, pair = incidence(
+            [(0, 1, 2), (1, 2, 3)], 4, [Fraction(1, 3), Fraction(1, 2)]
+        )
+        assert vertex == [Fraction(1, 3), Fraction(5, 6), Fraction(5, 6), Fraction(1, 2)]
+        assert pair[(1, 2)] == Fraction(5, 6)
+        assert pair[(0, 1)] == Fraction(1, 3)
+
+    def test_empty_family(self):
+        assert incidence([], 3) == ([0, 0, 0], {})
+
+    def test_uncovered_pair_is_absent(self):
+        _, pair = incidence([(0, 1), (2, 3)], 4)
+        assert (0, 2) not in pair
+        assert pair == {(0, 1): 1, (2, 3): 1}
+
+    def test_vertices_only(self):
+        assert incidence(K4.edges, 4, pairs=False) == ([3, 3, 3, 3], {})
+
+    def test_vertex_masks(self):
+        assert vertex_masks([(0, 2), (), (1, 3, 4)]) == [0b101, 0, 0b11010]
 
 
 class TestDegrees:

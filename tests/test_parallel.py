@@ -1,9 +1,11 @@
-"""The worker count shared by the sharded thresholds, grids and rounds."""
+"""The worker count and process pool shared by the sharded thresholds, grids and rounds."""
+
+import os
 
 import pytest
 
 from hypermatch import parallel
-from hypermatch.parallel import pool_size
+from hypermatch.parallel import parallel_map, pool_size
 
 
 @pytest.mark.parametrize(
@@ -26,3 +28,21 @@ def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch, jobs, shards, cpus,
 def test_pool_size_rejects_jobs_below_one(jobs):
     with pytest.raises(ValueError):
         pool_size(jobs, 10)
+
+
+def _square_with_pid(x):
+    return x * x, os.getpid()
+
+
+def test_parallel_map_runs_one_worker_in_process():
+    assert parallel_map(_square_with_pid, [1, 2, 3], 1) == [
+        (1, os.getpid()),
+        (4, os.getpid()),
+        (9, os.getpid()),
+    ]
+
+
+def test_parallel_map_forks_and_keeps_payload_order():
+    got = parallel_map(_square_with_pid, list(range(6)), 2)
+    assert [square for square, _ in got] == [x * x for x in range(6)]
+    assert os.getpid() not in {pid for _, pid in got}

@@ -1,5 +1,6 @@
 """Randomised two-round construction: sampling, checks, build, tail bounds."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -130,6 +131,30 @@ class TestBuild:
         a = build_sparse_subgraph(outcome, seed=11)
         b = build_sparse_subgraph(outcome, seed=11)
         assert a == b
+
+    def test_builds_match_pinned_digest(self):
+        # Every round of this plan carries strictly fractional weights, so the
+        # builds consume draws; the digest pins the draw order, the selections
+        # and the degree accounting across seeds.
+        plan = RoundOnePlan(Hypergraph.complete(3, 9), 4, 0.7, 1, seed=5)
+        outcome = sample_rounds(plan, with_matchings=True)
+        assert all(
+            any(0 < w < 1 for w in m.weights) for m in outcome.matchings
+        )
+        digest = hashlib.sha256()
+        for seed in range(4):
+            s = build_sparse_subgraph(outcome, seed=seed)
+            record = (
+                s.per_round_selected,
+                s.degrees,
+                sorted(s.codegrees.items()),
+                s.coverage,
+                s.hypergraph.edges,
+            )
+            digest.update(repr(record).encode())
+        assert digest.hexdigest() == (
+            "6b317ee8cd84966b39ea57f4430ee220c4897f9527a2151dac83026e9fee70a7"
+        )
 
     def test_degrees_decompose_over_rounds(self):
         plan = RoundOnePlan(Hypergraph.complete(3, 9), 5, 0.7, 1, seed=2)
