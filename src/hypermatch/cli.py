@@ -267,6 +267,7 @@ def _cmd_threshold(args) -> None:
             "witness_file": out,
             "witness": result.witness,
             "instances_examined": result.instances_examined,
+            "lp_calls": result.lp_calls,
             "runtime_seconds": result.runtime_seconds,
         },
     )

@@ -100,10 +100,10 @@ class Hypergraph:
         return tuple(sorted(edge)) in set(self.edges)
 
 
-def _check_weights(weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _check_weights(weights: Iterable[Fraction | int | str]) -> tuple[Fraction, ...]:
     out = []
     for w in weights:
-        f = Fraction(w)
+        f = w if type(w) is Fraction else Fraction(w)
         if f < 0 or f > 1:
             raise ValueError(f"weight {f} outside [0, 1]")
         out.append(f)
@@ -117,7 +117,7 @@ class VertexWeighting:
     weights: tuple[Fraction, ...]
 
     def __init__(self, weights: Iterable[Fraction | int | str]):
-        object.__setattr__(self, "weights", _check_weights([Fraction(w) for w in weights]))
+        object.__setattr__(self, "weights", _check_weights(weights))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -144,7 +144,7 @@ class EdgeWeighting:
     weights: tuple[Fraction, ...]
 
     def __init__(self, hypergraph: Hypergraph, weights: Iterable[Fraction | int | str]):
-        ws = _check_weights([Fraction(w) for w in weights])
+        ws = _check_weights(weights)
         if len(ws) != hypergraph.num_edges:
             raise ValueError(
                 f"{len(ws)} weights for {hypergraph.num_edges} edges"

@@ -139,23 +139,23 @@ def _phi_on_grid(amounts: tuple[int, ...], r: int, q: int) -> int:
 
 
 def _compositions_desc(length: int, total: int, cap: int):
-    """Tuples in {0..cap}^length summing to total, descending lex order."""
+    """Non-increasing tuples of parts <= cap summing to total, descending lex."""
     if length == 1:
         if 0 <= total <= cap:
             yield (total,)
         return
     for first in range(min(cap, total), -1, -1):
         rest_total = total - first
-        if rest_total > cap * (length - 1):
+        if rest_total > first * (length - 1):
             break
-        for rest in _compositions_desc(length - 1, rest_total, cap):
+        for rest in _compositions_desc(length - 1, rest_total, first):
             yield (first,) + rest
 
 
 def _scan_grid_shard(payload: tuple) -> tuple[int, tuple[int, ...] | None]:
     n, r, q, first, rest_total = payload
     best, best_amounts = -1, None
-    for rest in _compositions_desc(n - 1, rest_total, q):
+    for rest in _compositions_desc(n - 1, rest_total, first):
         amounts = (first,) + rest
         value = _phi_on_grid(amounts, r, q)
         if value > best:
@@ -174,11 +174,14 @@ def optimize_grid(
     """Maximise phi over allocations with entries in {0, 1/q, ..., 1}.
 
     The budget is spent fully (phi never decreases when any entry grows,
-    so slack cannot help).  Compositions are visited in descending
-    lexicographic order and only strict improvements replace the
-    incumbent, so ties resolve to the lexicographically largest
-    maximiser.  Sharding by first coordinate preserves that order, hence
-    the result is independent of ``jobs``.
+    so slack cannot help).  phi does not change when the entries are
+    permuted, so the lexicographically largest maximiser is non-increasing,
+    and only the non-increasing compositions are visited, in descending
+    lexicographic order; only strict improvements replace the incumbent,
+    so ties resolve to the lexicographically largest maximiser over all
+    compositions.  Sharding by first coordinate preserves that order,
+    hence the result is independent of ``jobs``.  ``max_points`` bounds
+    the count of all compositions, not just the sorted ones visited.
     """
     if q is None:
         q = 2 * r
@@ -199,7 +202,7 @@ def optimize_grid(
     firsts = [
         first
         for first in range(min(q, total), -1, -1)
-        if total - first <= q * (n - 1)
+        if total - first <= first * (n - 1)
     ]
     workers = pool_size(jobs, len(firsts))
     if n == 1:

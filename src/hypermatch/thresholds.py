@@ -9,8 +9,9 @@ is found by enumerating all 2^binom(n, k) edge sets.
 
 The enumeration walks edge-set bitmasks in increasing numeric order (edges
 indexed lexicographically), so results and witnesses are reproducible and
-shards over mask ranges merge deterministically.  Two prunes keep it fast:
-the min d-degree is computed first and the expensive feasibility check is
+shards over mask ranges merge deterministically.  Masks are held in uint32
+numpy blocks and decided by exact integer bit arithmetic.  Two prunes keep
+it fast: the min d-degree is computed first and the feasibility check is
 skipped unless it beats the best so far, and an integral matching of size
 ceil(s) is searched before any LP is solved, because finding one already
 rules the edge set out.
@@ -23,6 +24,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .extremal import construct_clique_plus_isolated, construct_h0, construct_h1
 from .hypercore import Hypergraph, VertexWeighting, link, min_d_degree, threshold_hypergraph
@@ -111,11 +114,19 @@ class ReductionInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class ThresholdResult:
+    """Threshold value with its witness and what the scan did.
+
+    ``lp_calls`` counts the LPs solved over all shards.  Each shard starts
+    its own best-so-far from nothing, so the count depends on the sharding
+    (``jobs``), while value and witness do not.
+    """
+
     query: ThresholdQuery
     value: int
     witness: Hypergraph
     instances_examined: int
     runtime_seconds: float
+    lp_calls: int
 
 
 def _edge_universe(k: int, n: int) -> list[tuple[int, ...]]:
@@ -148,21 +159,26 @@ def _disjointness_masks(edges: list[tuple[int, ...]]) -> list[int]:
     return out
 
 
-def _has_matching_of_size(mask: int, need: int, disj: list[int]) -> bool:
-    """Does the edge set of ``mask`` contain ``need`` pairwise disjoint edges?"""
-    if need <= 0:
-        return True
-    if mask.bit_count() < need:
-        return False
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        i = b.bit_length() - 1
-        rest = mask & disj[i] & ~((b << 1) - 1)
-        if _has_matching_of_size(rest, need - 1, disj):
-            return True
-    return False
+# Masks decided per numpy call: enough to amortise its overhead, while each
+# block array stays at 256 KB.
+_BLOCK = 1 << 16
+
+
+def _edge_matchings(need: int, disj: list[int], num_edges: int) -> list[int]:
+    """Every set of ``need`` pairwise disjoint edges, as edge-index bitmasks."""
+    out = []
+
+    def extend(chosen: int, allowed: int, left: int) -> None:
+        if left == 0:
+            out.append(chosen)
+            return
+        while allowed:
+            b = allowed & -allowed
+            allowed ^= b
+            extend(chosen | b, allowed & disj[b.bit_length() - 1], left - 1)
+
+    extend(0, (1 << num_edges) - 1, need)
+    return out
 
 
 def _scan_range(
@@ -178,43 +194,70 @@ def _scan_range(
 
     Witness is the smallest mask in the range attaining the returned delta
     among qualifying edge sets; delta is -1 if nothing in range qualifies.
+    Masks are decided in blocks of ``_BLOCK`` as uint32 arrays, in exact
+    integer bit arithmetic; a mask is checked only if its min d-degree beats
+    the best so far, and the LPs run one by one in mask order, so the LP
+    count is that of a mask-by-mask walk of the range.
     """
     edges = _edge_universe(k, n)
-    dmasks = _dset_edge_masks(edges, n, d)
+    dmasks = np.array(_dset_edge_masks(edges, n, d), dtype=np.uint32)
     disj = _disjointness_masks(edges)
-    s_ceil = math.ceil(s)
+    # Indexed by trailing-zero count; entry 32 (an empty mask) stays empty.
+    disj_tz = np.zeros(33, dtype=np.uint32)
+    disj_tz[: len(disj)] = disj
     integral = mode == "integral"
-    s_int = int(s) if integral else 0
+    need = int(s) if integral else math.ceil(s)
+    matchings: list[int] | None = None
 
     best = -1
     best_mask = -1
     lp_calls = 0
-    bit_count = int.bit_count
-    for mask in range(start, stop):
-        delta = 1 << 30
-        for sm in dmasks:
-            c = bit_count(mask & sm)
-            if c < delta:
-                delta = c
-                if delta <= best:
-                    break
-        if delta <= best:
+    for lo in range(start, stop, _BLOCK):
+        masks = np.arange(lo, min(lo + _BLOCK, stop), dtype=np.uint32)
+        delta = np.bitwise_count(masks & dmasks[0])
+        for sm in dmasks[1:]:
+            np.minimum(delta, np.bitwise_count(masks & sm), out=delta)
+        cand = np.flatnonzero(delta > best)
+        if cand.size == 0:
+            continue
+        cand_masks = masks[cand]
+        # Greedy: keep the lowest edge and only what is disjoint from it; an
+        # edge left after need - 1 steps completes a matching.  A mask the
+        # greedy pass fails on may still have one.
+        rest = cand_masks
+        for _ in range(need - 1):
+            rest = rest & disj_tz[np.bitwise_count((rest & -rest) - np.uint32(1))]
+        has = rest != 0
+        open_ = np.flatnonzero(~has & (np.bitwise_count(cand_masks) >= need))
+        if open_.size:
+            if matchings is None:
+                matchings = _edge_matchings(need, disj, len(edges))
+            open_masks = cand_masks[open_]
+            found = np.zeros(open_.size, dtype=bool)
+            for m in matchings:
+                found |= (open_masks & np.uint32(m)) == m
+            has[open_] = found
+        free = cand[~has]
+        if free.size == 0:
             continue
         if integral:
-            qualifies = not _has_matching_of_size(mask, s_int, disj)
-        elif _has_matching_of_size(mask, s_ceil, disj):
-            qualifies = False  # nu >= ceil(s) forces nu* >= s
-        else:
+            free_delta = delta[free]
+            top = int(free_delta.max())
+            if top > best:
+                best = top
+                best_mask = lo + int(free[np.argmax(free_delta == top)])
+            continue
+        while free.size:
+            i = int(free[0])
             lp_calls += 1
-            columns = [
-                edges[i]
-                for i in range(len(edges))
-                if mask >> i & 1
-            ]
-            qualifies = solve_unit_packing(n, columns).value < s
-        if qualifies:
-            best = delta
-            best_mask = mask
+            mask = lo + i
+            columns = [edges[j] for j in range(len(edges)) if mask >> j & 1]
+            if solve_unit_packing(n, columns).value < s:
+                best = int(delta[i])
+                best_mask = mask
+                free = free[delta[free] > best]
+            else:
+                free = free[1:]
     return best, best_mask, lp_calls
 
 
@@ -235,7 +278,8 @@ def brute_force_threshold(
 
     Requires binom(n, k) <= 24 so the edge-set space fits a bitmask scan.
     ``jobs`` > 1 shards the mask range into contiguous blocks handled by
-    worker processes, no more than the CPUs; the merged result is
+    worker processes, no more than the CPUs, once the space reaches 2^22
+    masks (smaller ones scan faster in-process); the merged result is
     independent of the shard count because ties between shards resolve to
     the smallest witness mask.
     The result is memoised per query (it is a pure function of it).
@@ -256,8 +300,10 @@ def brute_force_threshold(
         return cached
 
     started = time.perf_counter()
-    if space < (1 << 12):
-        workers = 1  # a fork costs more than scanning so few masks
+    if space < (1 << 22):
+        # Up to 2^21 masks, the block scan takes a few milliseconds, less
+        # than starting a pool of workers.
+        workers = 1
     bounds = [space * i // workers for i in range(workers + 1)]
     payloads = [
         (
@@ -272,8 +318,9 @@ def brute_force_threshold(
         )
         for i in range(workers)
     ]
-    best, best_mask = -1, -1
-    for delta, mask, _ in parallel_map(_scan_shard, payloads, workers):
+    best, best_mask, lp_calls = -1, -1, 0
+    for delta, mask, shard_lp_calls in parallel_map(_scan_shard, payloads, workers):
+        lp_calls += shard_lp_calls
         if delta > best or (delta == best and 0 <= mask < best_mask):
             best = delta
             best_mask = mask
@@ -293,6 +340,7 @@ def brute_force_threshold(
         witness=witness,
         instances_examined=space,
         runtime_seconds=time.perf_counter() - started,
+        lp_calls=lp_calls,
     )
     _memo[key] = result
     return result

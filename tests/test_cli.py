@@ -136,6 +136,16 @@ class TestThreshold:
         h = read_hypergraph(str(witness))
         assert h.num_edges == doc["payload"]["witness"]["num_edges"]
 
+    def test_envelope_counts_lp_calls(self, capsys, tmp_path):
+        code, doc = run_json(
+            capsys,
+            "threshold", "--mode", "fractional",
+            "--k", "3", "--n", "6", "--d", "2", "--s", "2",
+            "--witness-out", str(tmp_path / "w.hg"),
+        )
+        assert code == 0
+        assert doc["payload"]["lp_calls"] == 14
+
     def test_budget_exhaustion_is_a_computational_error(self, capsys, tmp_path):
         code, doc = run_json(
             capsys,

@@ -127,6 +127,18 @@ class TestWeightings:
         assert ew.support() == (((0, 1, 3), Fraction(1)),)
         assert EdgeWeighting(K4, [0] * 4).support() == ()
 
+    def test_weights_become_fractions_from_any_input(self):
+        class Half(Fraction):
+            pass
+
+        raw = [1, "1/3", Half(1, 2), 0.25, Fraction(0)]
+        w = VertexWeighting(raw)
+        assert w.weights == (1, Fraction(1, 3), Fraction(1, 2), Fraction(1, 4), 0)
+        assert all(type(x) is Fraction for x in w.weights)
+        ew = EdgeWeighting(K4, (x for x in ["1/3", 0, Half(1, 3), 1 / 4]))
+        assert ew.weights == (Fraction(1, 3), 0, Fraction(1, 3), Fraction(1, 4))
+        assert all(type(x) is Fraction for x in ew.weights)
+
     def test_pickle_round_trip(self):
         ew = EdgeWeighting(K4, [Fraction(1, 3)] * 4)
         back = pickle.loads(pickle.dumps(ew))

@@ -16,6 +16,8 @@ from hypermatch.storage import (
     sandwich,
 )
 
+import oracles
+
 
 def uniform_allocation(value, n, r, budget):
     return Allocation(VertexWeighting((Fraction(value),) * n), r, budget)
@@ -121,6 +123,38 @@ class TestOptimizeGrid:
             optimize_grid(4, 2, 5)
         assert optimize_grid(4, 2, 0).phi == 0
         assert optimize_grid(4, 2, 4).phi == math.comb(4, 2)
+
+
+class TestGridAgainstOracle:
+    def test_sorted_walk_matches_every_composition(self):
+        # The all-compositions walk it replaced, on every small grid.
+        for n in range(1, 7):
+            for q in range(1, 5):
+                for r in range(1, n + 1):
+                    for budget in range(n + 1):
+                        best, amounts = oracles.optimize_grid(n, r, budget, q)
+                        report = optimize_grid(n, r, budget, q)
+                        assert report.phi == best, (n, r, budget, q)
+                        assert report.allocation.x.weights == tuple(
+                            Fraction(a, q) for a in amounts
+                        ), (n, r, budget, q)
+
+    def test_only_sorted_points_are_visited(self, monkeypatch):
+        from hypermatch import storage
+
+        seen = []
+        phi_on_grid = storage._phi_on_grid
+
+        def record(amounts, r, q):
+            seen.append(amounts)
+            return phi_on_grid(amounts, r, q)
+
+        monkeypatch.setattr(storage, "_phi_on_grid", record)
+        optimize_grid(6, 3, 3, q=4)
+        sorted_points = [
+            a for a in oracles._compositions_desc(6, 12, 4) if list(a) == sorted(a, reverse=True)
+        ]
+        assert seen == sorted_points
 
 
 class TestSandwich:

@@ -1,6 +1,7 @@
 """Exhaustive threshold search, reductions, and formula comparisons."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from hypermatch.thresholds import (
     linear_remap,
     reduce_fractional_instance,
 )
+
+import oracles
 
 
 class TestQueryValidation:
@@ -83,6 +86,16 @@ class TestBruteForce:
         assert solo.value == forked.value
         assert solo.witness == forked.witness
 
+    def test_forked_shards_match_sequential(self):
+        # 2^22 masks is past the in-process cut-off, so jobs=2 forks.
+        query = ThresholdQuery(1, 22, 0, 11, "fractional")
+        thresholds._memo.clear()
+        solo = brute_force_threshold(query, jobs=1)
+        thresholds._memo.clear()
+        forked = brute_force_threshold(query, jobs=2)
+        assert (solo.value, solo.witness) == (forked.value, forked.witness)
+        assert solo.value == 11
+
     def test_memoised_repeat_is_identical(self):
         query = ThresholdQuery(2, 4, 0, 1, "integral")
         first = brute_force_threshold(query)
@@ -99,9 +112,75 @@ class TestBruteForce:
         assert 1 <= err.lower_bound <= err.upper_bound
         assert err.upper_bound == math.comb(5, 2) + 1
 
+    @pytest.mark.parametrize("d, lp_calls", [(0, 11), (2, 14)])
+    def test_lp_calls_are_counted(self, d, lp_calls):
+        # Pinned at jobs=1: each shard keeps its own best-so-far, so the
+        # count depends on the sharding.
+        thresholds._memo.clear()
+        result = brute_force_threshold(ThresholdQuery(3, 6, d, 2, "fractional"))
+        assert result.lp_calls == lp_calls
+        integral = brute_force_threshold(ThresholdQuery(3, 6, d, 2, "integral"))
+        assert integral.lp_calls == 0
+
     def test_space_beyond_bitmask_is_rejected_outright(self):
         with pytest.raises(ValueError, match="enumeration limit"):
             brute_force_threshold(ThresholdQuery(3, 10, 0, 2, "integral"))
+
+
+def _small_queries():
+    """Every (k, n, d, mode, s) with binom(n, k) <= 12.
+
+    Integral targets run over 1..n//k + 1, fractional ones over the
+    multiples of 1/2 up to (2*n//k + 2)/2, so both sides reach past what
+    any edge set can attain.
+    """
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            if math.comb(n, k) > 12:
+                continue
+            for d in range(k):
+                for s in range(1, n // k + 2):
+                    yield k, n, d, "integral", Fraction(s)
+                for j in range(1, 2 * n // k + 3):
+                    yield k, n, d, "fractional", Fraction(j, 2)
+
+
+class TestScanAgainstOracle:
+    """The block scan against the mask-by-mask loop it replaced."""
+
+    def test_full_ranges(self):
+        for k, n, d, mode, s in _small_queries():
+            space = 1 << math.comb(n, k)
+            expected = oracles.scan_range(k, n, d, mode, s, 0, space)
+            got = thresholds._scan_range(k, n, d, mode, s, 0, space)
+            assert got == expected, (k, n, d, mode, s)
+
+    def test_seeded_sub_ranges_across_small_blocks(self, monkeypatch):
+        # A block of 37 masks puts block edges inside every range, and the
+        # best-so-far is carried across them.
+        monkeypatch.setattr(thresholds, "_BLOCK", 37)
+        for k, n, d, mode, s in _small_queries():
+            space = 1 << math.comb(n, k)
+            rng = random.Random(f"{k},{n},{d},{mode},{s}")
+            for _ in range(2):
+                start = rng.randrange(space)
+                stop = rng.randrange(start, space + 1)
+                expected = oracles.scan_range(k, n, d, mode, s, start, stop)
+                got = thresholds._scan_range(k, n, d, mode, s, start, stop)
+                assert got == expected, (k, n, d, mode, s, start, stop)
+
+    @pytest.mark.parametrize("mode, s", [("integral", 7), ("fractional", Fraction(13, 2))])
+    def test_single_vertex_edges_need_no_matching_list(self, monkeypatch, mode, s):
+        # With k = 1 any set of distinct edges is a matching, so the greedy
+        # pass decides every mask and the list of matchings is never built.
+        def unused(*args):
+            raise AssertionError("matching list built for k = 1")
+
+        monkeypatch.setattr(thresholds, "_edge_matchings", unused)
+        monkeypatch.setattr(thresholds, "_BLOCK", 1 << 10)
+        s = Fraction(s)
+        expected = oracles.scan_range(1, 14, 0, mode, s, 0, 1 << 14)
+        assert thresholds._scan_range(1, 14, 0, mode, s, 0, 1 << 14) == expected
 
 
 class TestLinearRemap:
