@@ -60,7 +60,7 @@ def _random_hypergraph(rng: np.random.Generator) -> Hypergraph:
     return Hypergraph(k, n, [e for e, kept in zip(pool, keep) if kept])
 
 
-def _criterion_1(jobs: int) -> tuple[bool, str]:
+def _criterion_1() -> tuple[bool, str]:
     """nu <= nu* = tau* <= tau, exactly, on 500 seeded random instances."""
     rng = np.random.default_rng(0)
     failures = 0
@@ -80,7 +80,7 @@ def _criterion_1(jobs: int) -> tuple[bool, str]:
     return failures == 0, detail
 
 
-def _criterion_2(jobs: int) -> tuple[bool, str]:
+def _criterion_2() -> tuple[bool, str]:
     """Crossover point of the uniform families for l in {2, 3, 4}."""
     golden = (3 - math.sqrt(5)) / 2
     x2 = boundary_scan(2)
@@ -94,7 +94,7 @@ def _criterion_2(jobs: int) -> tuple[bool, str]:
     return ok, f"x*(2)={x2:.6f} (golden {golden:.6f}), x*(3)={x3:.6f}, x*(4)={x4:.6f}"
 
 
-def _criterion_3(jobs: int) -> tuple[bool, str]:
+def _criterion_3() -> tuple[bool, str]:
     """On the low-mean grid the first family minimises, exactly."""
     checked = 0
     for l in range(2, 9):
@@ -118,11 +118,11 @@ _PINNED_THRESHOLDS = (
 )
 
 
-def _criterion_4(jobs: int) -> tuple[bool, str]:
+def _criterion_4() -> tuple[bool, str]:
     """Four pinned threshold values, each matching its closed form."""
     values = {}
     for mode, k, n, d, s, _ in _PINNED_THRESHOLDS:
-        result = brute_force_threshold(ThresholdQuery(k, n, d, s, mode), jobs=jobs)
+        result = brute_force_threshold(ThresholdQuery(k, n, d, s, mode))
         values[(mode, k, n, d, s)] = result.value
     formulas = {
         ("integral", 3, 6, 0, 2): conjecture_values("Conj1.8", k=3, n=6, s=2).count,
@@ -140,26 +140,24 @@ def _criterion_4(jobs: int) -> tuple[bool, str]:
     return ok, ", ".join(parts)
 
 
-def _criterion_5(jobs: int) -> tuple[bool, str]:
+def _criterion_5() -> tuple[bool, str]:
     """Fractional <= integral, constructions <= brute force, link monotone."""
     ok = True
     comparisons = []
     for k, n, d, s in ((3, 6, 0, 2), (3, 6, 1, 2), (3, 6, 2, 2), (2, 4, 1, 2), (2, 6, 1, 3)):
-        report = compare_with_conjecture(
-            ThresholdQuery(k, n, d, s, "fractional"), jobs=jobs
-        )
+        report = compare_with_conjecture(ThresholdQuery(k, n, d, s, "fractional"))
         ok &= all(report.flags.values())
         comparisons.append(
             f"d={d}({k},{n}): f={report.fractional_value}<=m={report.integral_value}"
         )
-    left = brute_force_threshold(ThresholdQuery(3, 6, 1, 2, "fractional"), jobs=jobs)
-    right = brute_force_threshold(ThresholdQuery(2, 5, 0, 2, "fractional"), jobs=jobs)
+    left = brute_force_threshold(ThresholdQuery(3, 6, 1, 2, "fractional"))
+    right = brute_force_threshold(ThresholdQuery(2, 5, 0, 2, "fractional"))
     ok &= left.value <= right.value
     comparisons.append(f"link bound {left.value}<={right.value}")
     return ok, "; ".join(comparisons)
 
 
-def _criterion_6(jobs: int) -> tuple[bool, str]:
+def _criterion_6() -> tuple[bool, str]:
     """Structural guarantees of the two extremal families."""
     for k, n in ((2, 4), (2, 6), (3, 6), (3, 9), (4, 8)):
         if has_perfect_matching(construct_h0(k, n)):
@@ -189,7 +187,7 @@ def _criterion_6(jobs: int) -> tuple[bool, str]:
     return True, f"parity family never perfect; cover family exact on {instances} instances"
 
 
-def _criterion_7(jobs: int) -> tuple[bool, str]:
+def _criterion_7() -> tuple[bool, str]:
     """Threshold hypergraph size and value bound on random weightings."""
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -218,7 +216,7 @@ _MC_CASES = (
 )
 
 
-def _criterion_8(jobs: int) -> tuple[bool, str]:
+def _criterion_8() -> tuple[bool, str]:
     """Monte Carlo estimates sit on the exact values, 20 seeds per case."""
     parts = []
     ok = True
@@ -238,7 +236,7 @@ def _criterion_8(jobs: int) -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def _criterion_9(jobs: int) -> tuple[bool, str]:
+def _criterion_9() -> tuple[bool, str]:
     """Round-two degree concentration on the complete 3-graph, n=60."""
     base = Hypergraph.complete(3, 60)
     plan = RoundOnePlan(base, rounds=40, p=0.5, d=1, seed=7)
@@ -282,7 +280,7 @@ def _criterion_9(jobs: int) -> tuple[bool, str]:
     return passed, detail
 
 
-def _criterion_10(jobs: int) -> tuple[bool, str]:
+def _criterion_10() -> tuple[bool, str]:
     """Grid optima, candidate closed forms, and the threshold sandwich."""
     grid_ok = (
         optimize_grid(4, 2, 1, 4).phi == 3
@@ -291,7 +289,7 @@ def _criterion_10(jobs: int) -> tuple[bool, str]:
     )
     candidates = candidate_allocations(10, 2, 4)
     candidate_ok = [rep.phi for rep in candidates] == [28, 30]
-    sandwiches = [sandwich(5, 2, budget, jobs=jobs) for budget in (1, 2)]
+    sandwiches = [sandwich(5, 2, budget) for budget in (1, 2)]
     sandwich_ok = all(s.holds for s in sandwiches)
     detail = (
         f"grid optima 3/7/6: {grid_ok}; concentrated/spread 28/30: {candidate_ok}; "
@@ -329,12 +327,12 @@ _FUNCTIONS = (
 )
 
 
-def run_criterion(number: int, jobs: int = 8) -> CriterionResult:
+def run_criterion(number: int) -> CriterionResult:
     if not 1 <= number <= len(_FUNCTIONS):
         raise ValueError(f"criterion number must be in 1..{len(_FUNCTIONS)}")
     name, limit = CRITERIA[number - 1]
     started = time.perf_counter()
-    passed, detail = _FUNCTIONS[number - 1](jobs)
+    passed, detail = _FUNCTIONS[number - 1]()
     elapsed = time.perf_counter() - started
     if limit is not None and elapsed >= limit:
         passed = False
@@ -349,7 +347,7 @@ def run_criterion(number: int, jobs: int = 8) -> CriterionResult:
     )
 
 
-def run_all(numbers: list[int] | None = None, jobs: int = 8) -> list[CriterionResult]:
+def run_all(numbers: list[int] | None = None) -> list[CriterionResult]:
     if numbers is None:
         numbers = list(range(1, len(_FUNCTIONS) + 1))
-    return [run_criterion(number, jobs=jobs) for number in numbers]
+    return [run_criterion(number) for number in numbers]

@@ -246,7 +246,7 @@ def _cmd_samuels(args) -> None:
 def _cmd_threshold(args) -> None:
     query = ThresholdQuery(args.k, args.n, args.d, parse_rational(args.s), args.mode)
     budget = SearchBudget(max_edge_sets=args.budget)
-    result = brute_force_threshold(query, budget, jobs=args.jobs)
+    result = brute_force_threshold(query, budget)
     out = args.witness_out
     if out is None:
         out = (
@@ -320,7 +320,7 @@ def _cmd_storage(args) -> None:
             {"candidates": [_allocation_payload(rep) for rep in reports]},
         )
     else:  # optimize
-        report = optimize_grid(args.n, args.r, args.T, q=args.q, jobs=args.jobs)
+        report = optimize_grid(args.n, args.r, args.T, q=args.q)
         _emit(args, "storage optimize", _allocation_payload(report))
 
 
@@ -358,9 +358,7 @@ def _cmd_randcons(args) -> None:
         ],
     }
     if args.build:
-        sparse = build_sparse_subgraph(
-            outcome, seed=args.build_seed, jobs=args.jobs
-        )
+        sparse = build_sparse_subgraph(outcome, seed=args.build_seed)
         degree_hist: dict[int, int] = {}
         for deg in sparse.degrees:
             degree_hist[deg] = degree_hist.get(deg, 0) + 1
@@ -397,7 +395,7 @@ def _cmd_selftest(args) -> int:
     numbers = None
     if args.criteria:
         numbers = sorted({int(tok) for tok in args.criteria.split(",")})
-    results = acceptance.run_all(numbers, jobs=args.jobs)
+    results = acceptance.run_all(numbers)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -471,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--s", required=True, help="target size (rational)")
     p.add_argument("--budget", type=int, default=SearchBudget().max_edge_sets)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--witness-out", help="witness path (default: derived name)")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_threshold)
@@ -490,7 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, help="integer budget")
     p.add_argument("--q", type=int, help="grid denominator (default 2r)")
     p.add_argument("--alloc", help="allocation in .wt format (phi)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_storage)
 
@@ -517,7 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance battery")
     p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,8")
-    p.add_argument("--jobs", type=int, default=8)
     p.set_defaults(handler=_cmd_selftest)
 
     return parser

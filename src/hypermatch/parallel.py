@@ -1,4 +1,9 @@
-"""Worker counts and the one process pool of the sharded computations."""
+"""Worker count and process pool for the round LPs of ``randcons``.
+
+Each round of ``randcons.compute_round_matchings`` is an exact LP with up to
+thousands of columns, and the rounds together take seconds, so forking can
+pay off there; every other search in the package runs in-process.
+"""
 
 from __future__ import annotations
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hypercore import VertexWeighting
-from .parallel import parallel_map, pool_size
 from .thresholds import SearchBudget, ThresholdQuery, brute_force_threshold
 
 __all__ = [
@@ -152,17 +151,6 @@ def _compositions_desc(length: int, total: int, cap: int):
             yield (first,) + rest
 
 
-def _scan_grid_shard(payload: tuple) -> tuple[int, tuple[int, ...] | None]:
-    n, r, q, first, rest_total = payload
-    best, best_amounts = -1, None
-    for rest in _compositions_desc(n - 1, rest_total, first):
-        amounts = (first,) + rest
-        value = _phi_on_grid(amounts, r, q)
-        if value > best:
-            best, best_amounts = value, amounts
-    return best, best_amounts
-
-
 def optimize_grid(
     n: int,
     r: int,
@@ -179,9 +167,9 @@ def optimize_grid(
     and only the non-increasing compositions are visited, in descending
     lexicographic order; only strict improvements replace the incumbent,
     so ties resolve to the lexicographically largest maximiser over all
-    compositions.  Sharding by first coordinate preserves that order,
-    hence the result is independent of ``jobs``.  ``max_points`` bounds
-    the count of all compositions, not just the sorted ones visited.
+    compositions.  ``max_points`` bounds the count of all compositions,
+    not just the sorted ones visited.  ``jobs`` is accepted for
+    compatibility and ignored.
     """
     if q is None:
         q = 2 * r
@@ -199,21 +187,10 @@ def optimize_grid(
         raise GridBudgetError(
             f"{space} grid points exceed the limit of {max_points}"
         )
-    firsts = [
-        first
-        for first in range(min(q, total), -1, -1)
-        if total - first <= first * (n - 1)
-    ]
-    workers = pool_size(jobs, len(firsts))
-    if n == 1:
-        parts = [(_phi_on_grid((total,), r, q), (total,))]
-    else:
-        payloads = [(n, r, q, first, total - first) for first in firsts]
-        parts = parallel_map(_scan_grid_shard, payloads, workers)
-
     best, best_amounts = -1, None
-    for value, amounts in parts:
-        if amounts is not None and value > best:
+    for amounts in _compositions_desc(n, total, q):
+        value = _phi_on_grid(amounts, r, q)
+        if value > best:
             best, best_amounts = value, amounts
     if best_amounts is None:
         raise AssertionError("an equality budget within capacity always has points")
@@ -251,16 +228,19 @@ def sandwich(
     search_budget: SearchBudget = SearchBudget(),
     jobs: int = 1,
 ) -> SandwichReport:
-    """Bracket the grid optimum by thresholds at the budget and above it."""
+    """Bracket the grid optimum by thresholds at the budget and above it.
+
+    ``jobs`` is accepted for compatibility and ignored.
+    """
     if budget < 1:
         raise ValueError(f"sandwich needs budget >= 1, got {budget}")
     lower = brute_force_threshold(
-        ThresholdQuery(r, n, 0, budget, "fractional"), search_budget, jobs
+        ThresholdQuery(r, n, 0, budget, "fractional"), search_budget
     ).value
     upper = brute_force_threshold(
-        ThresholdQuery(r, n, 0, budget + 1, "fractional"), search_budget, jobs
+        ThresholdQuery(r, n, 0, budget + 1, "fractional"), search_budget
     ).value
-    grid = optimize_grid(n, r, budget, q, jobs=jobs)
+    grid = optimize_grid(n, r, budget, q)
     return SandwichReport(
         n=n,
         r=r,

@@ -8,13 +8,12 @@ equal  1 + max { min-d-degree(H) : H fails the target },  and that maximum
 is found by enumerating all 2^binom(n, k) edge sets.
 
 The enumeration walks edge-set bitmasks in increasing numeric order (edges
-indexed lexicographically), so results and witnesses are reproducible and
-shards over mask ranges merge deterministically.  Masks are held in uint32
-numpy blocks and decided by exact integer bit arithmetic.  Two prunes keep
-it fast: the min d-degree is computed first and the feasibility check is
-skipped unless it beats the best so far, and an integral matching of size
-ceil(s) is searched before any LP is solved, because finding one already
-rules the edge set out.
+indexed lexicographically), so results, witnesses and LP counts are
+reproducible.  Masks are held in uint32 numpy blocks and decided by exact
+integer bit arithmetic.  Two prunes keep it fast: the min d-degree is
+computed first and the feasibility check is skipped unless it beats the
+best so far, and an integral matching of size ceil(s) is searched before
+any LP is solved, because finding one already rules the edge set out.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import numpy as np
 from .extremal import construct_clique_plus_isolated, construct_h0, construct_h1
 from .hypercore import Hypergraph, VertexWeighting, link, min_d_degree, threshold_hypergraph
 from .optmatch import fractional_matching, matching_number
-from .parallel import parallel_map, pool_size
 from .simplex import solve_unit_packing
 
 __all__ = [
@@ -116,9 +114,8 @@ class ReductionInfeasibleError(ValueError):
 class ThresholdResult:
     """Threshold value with its witness and what the scan did.
 
-    ``lp_calls`` counts the LPs solved over all shards.  Each shard starts
-    its own best-so-far from nothing, so the count depends on the sharding
-    (``jobs``), while value and witness do not.
+    ``lp_calls`` counts the LPs solved by the one in-order scan of all
+    edge sets.
     """
 
     query: ThresholdQuery
@@ -261,11 +258,6 @@ def _scan_range(
     return best, best_mask, lp_calls
 
 
-def _scan_shard(payload: tuple) -> tuple[int, int, int]:
-    k, n, d, mode, s_num, s_den, start, stop = payload
-    return _scan_range(k, n, d, mode, Fraction(s_num, s_den), start, stop)
-
-
 _memo: dict[tuple, ThresholdResult] = {}
 
 
@@ -276,12 +268,9 @@ def brute_force_threshold(
 ) -> ThresholdResult:
     """Exhaustively determine the threshold value with a witness.
 
-    Requires binom(n, k) <= 24 so the edge-set space fits a bitmask scan.
-    ``jobs`` > 1 shards the mask range into contiguous blocks handled by
-    worker processes, no more than the CPUs, once the space reaches 2^22
-    masks (smaller ones scan faster in-process); the merged result is
-    independent of the shard count because ties between shards resolve to
-    the smallest witness mask.
+    Requires binom(n, k) <= 24 so the edge-set space fits a bitmask scan,
+    which walks every mask in increasing order in this process.  ``jobs``
+    is accepted for compatibility and ignored.
     The result is memoised per query (it is a pure function of it).
     """
     num_edges = math.comb(query.n, query.k)
@@ -292,7 +281,6 @@ def brute_force_threshold(
     space = 1 << num_edges
     if space > budget.max_edge_sets:
         raise BudgetExceededError(query, space, budget)
-    workers = pool_size(jobs, space)
 
     key = (query.mode, query.k, query.n, query.d, query.s)
     cached = _memo.get(key)
@@ -300,31 +288,9 @@ def brute_force_threshold(
         return cached
 
     started = time.perf_counter()
-    if space < (1 << 22):
-        # Up to 2^21 masks, the block scan takes a few milliseconds, less
-        # than starting a pool of workers.
-        workers = 1
-    bounds = [space * i // workers for i in range(workers + 1)]
-    payloads = [
-        (
-            query.k,
-            query.n,
-            query.d,
-            query.mode,
-            query.s.numerator,
-            query.s.denominator,
-            bounds[i],
-            bounds[i + 1],
-        )
-        for i in range(workers)
-    ]
-    best, best_mask, lp_calls = -1, -1, 0
-    for delta, mask, shard_lp_calls in parallel_map(_scan_shard, payloads, workers):
-        lp_calls += shard_lp_calls
-        if delta > best or (delta == best and 0 <= mask < best_mask):
-            best = delta
-            best_mask = mask
-
+    best, best_mask, lp_calls = _scan_range(
+        query.k, query.n, query.d, query.mode, query.s, 0, space
+    )
     if best < 0 or best_mask < 0:
         raise AssertionError("the empty edge set always qualifies")
     edges = _edge_universe(query.k, query.n)
@@ -494,21 +460,17 @@ def compare_with_conjecture(
     construction lower bounds are the min-d-degrees (plus one) of the
     families that provably fail each target.  Flags record the inequality
     web: fractional <= integral, and each brute-forced value at least its
-    construction bounds.
+    construction bounds.  ``jobs`` is accepted for compatibility and ignored.
     """
     from .extremal import conjecture_values
 
     s = query.s
     s_ceil = math.ceil(s)
     integral = brute_force_threshold(
-        ThresholdQuery(query.k, query.n, query.d, s_ceil, "integral"),
-        budget,
-        jobs,
+        ThresholdQuery(query.k, query.n, query.d, s_ceil, "integral"), budget
     )
     fractional = brute_force_threshold(
-        ThresholdQuery(query.k, query.n, query.d, s, "fractional"),
-        budget,
-        jobs,
+        ThresholdQuery(query.k, query.n, query.d, s, "fractional"), budget
     )
 
     k, n, d = query.k, query.n, query.d

@@ -10,8 +10,6 @@ import pytest
 
 from hypermatch import acceptance
 
-JOBS = 4
-
 
 def report(result):
     status = "PASS" if result.passed else "FAIL"
@@ -22,7 +20,7 @@ def report(result):
 
 
 def run(number):
-    result = acceptance.run_criterion(number, jobs=JOBS)
+    result = acceptance.run_criterion(number)
     report(result)
     assert result.passed, f"criterion {number} failed: {result.detail}"
     return result

@@ -249,9 +249,24 @@ class TestRandcons:
 
 class TestSelftest:
     def test_subset_prints_table(self, capsys):
-        code, out = run(capsys, "selftest", "--criteria", "2,3", "--jobs", "2")
+        code, out = run(capsys, "selftest", "--criteria", "2,3")
         assert code == 0
         lines = out.splitlines()
         assert any("boundary_windows" in line and "PASS" in line for line in lines)
         assert any("argmin_at_zero" in line and "PASS" in line for line in lines)
         assert lines[-1].strip() == "2/2 criteria passed"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("threshold", "--mode", "integral", "--k", "2", "--n", "4", "--d", "0", "--s", "1"),
+        ("storage", "optimize", "--n", "4", "--r", "2", "--T", "1"),
+        ("selftest", "--criteria", "2"),
+    ],
+)
+def test_jobs_is_only_a_randcons_option(capsys, args):
+    with pytest.raises(SystemExit) as info:
+        main([*args, "--jobs", "2"])
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

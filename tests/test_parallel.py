@@ -1,11 +1,17 @@
-"""The worker count and process pool shared by the sharded thresholds, grids and rounds."""
+"""The worker count and process pool of the randcons round LPs.
 
+The threshold scan and the storage grid run in-process whatever ``jobs`` says.
+"""
+
+import multiprocessing
 import os
 
 import pytest
 
-from hypermatch import parallel
+from hypermatch import parallel, thresholds
 from hypermatch.parallel import parallel_map, pool_size
+from hypermatch.storage import optimize_grid, sandwich
+from hypermatch.thresholds import ThresholdQuery, brute_force_threshold
 
 
 @pytest.mark.parametrize(
@@ -46,3 +52,16 @@ def test_parallel_map_forks_and_keeps_payload_order():
     got = parallel_map(_square_with_pid, list(range(6)), 2)
     assert [square for square, _ in got] == [x * x for x in range(6)]
     assert os.getpid() not in {pid for _, pid in got}
+
+
+def test_thresholds_and_grids_start_no_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was asked for")
+
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    thresholds._memo.clear()
+    # 2^22 masks: the size at which the scan used to fork.
+    assert brute_force_threshold(ThresholdQuery(1, 22, 0, 11, "fractional"), jobs=2).value == 11
+    assert optimize_grid(5, 2, 2, q=4, jobs=3).phi == 7
+    assert sandwich(5, 2, 2, q=4, jobs=3).holds

@@ -87,14 +87,9 @@ class TestBruteForce:
         assert solo.witness == forked.witness
 
     def test_forked_shards_match_sequential(self):
-        # 2^22 masks is past the in-process cut-off, so jobs=2 forks.
-        query = ThresholdQuery(1, 22, 0, 11, "fractional")
         thresholds._memo.clear()
-        solo = brute_force_threshold(query, jobs=1)
-        thresholds._memo.clear()
-        forked = brute_force_threshold(query, jobs=2)
-        assert (solo.value, solo.witness) == (forked.value, forked.witness)
-        assert solo.value == 11
+        result = brute_force_threshold(ThresholdQuery(1, 22, 0, 11, "fractional"))
+        assert (result.value, result.lp_calls) == (11, 11)
 
     def test_memoised_repeat_is_identical(self):
         query = ThresholdQuery(2, 4, 0, 1, "integral")
@@ -114,8 +109,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("d, lp_calls", [(0, 11), (2, 14)])
     def test_lp_calls_are_counted(self, d, lp_calls):
-        # Pinned at jobs=1: each shard keeps its own best-so-far, so the
-        # count depends on the sharding.
+        # One in-order scan: the count is that of a mask-by-mask walk.
         thresholds._memo.clear()
         result = brute_force_threshold(ThresholdQuery(3, 6, d, 2, "fractional"))
         assert result.lp_calls == lp_calls
