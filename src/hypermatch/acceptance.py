@@ -24,7 +24,12 @@ from .hypercore import (
     min_d_degree,
     threshold_hypergraph,
 )
-from .optmatch import fractional_matching, fractional_optimum, has_perfect_matching
+from .optmatch import (
+    fractional_matching,
+    fractional_optimum,
+    has_perfect_matching,
+    matching_number,
+)
 from .randcons import RoundOnePlan, build_sparse_subgraph, sample_rounds
 from .samuels import (
     SamuelsQuery,
@@ -167,8 +172,6 @@ def _criterion_6() -> tuple[bool, str]:
         for n in range(k, 13):
             for s in range(1, n // k + 1):
                 h = construct_h1(k, n, s)
-                from .optmatch import matching_number
-
                 if matching_number(h) != s - 1:
                     return False, f"cover family ({k},{n},{s}) matching number off"
                 value, _, _ = fractional_matching(h)

@@ -74,8 +74,6 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, float):
-        return value
     return value
 
 
@@ -338,9 +336,7 @@ def _cmd_randcons(args) -> None:
         size_tolerance=args.size_tolerance,
         degree_fraction=args.degree_fraction,
     )
-    outcome = sample_rounds(
-        plan, config, with_matchings=args.build, jobs=args.jobs
-    )
+    outcome = sample_rounds(plan, config, with_matchings=args.build)
     payload = {
         "n": base.n,
         "k": base.k,
@@ -507,7 +503,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-fraction", type=float, default=1 / 2)
     p.add_argument("--build", action="store_true", help="run round two as well")
     p.add_argument("--build-seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_randcons)
 

@@ -167,7 +167,7 @@ class EdgeWeighting:
         return self.weights[i]
 
     def total(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        return sum((w for _, w in self._support), Fraction(0))
 
     def support(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """The (edge, weight) pairs with nonzero weight, in edge order."""

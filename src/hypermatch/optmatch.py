@@ -10,6 +10,7 @@ anyway so a bug cannot go unnoticed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -42,8 +43,8 @@ def maximum_matching(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
     """
     edge_masks = vertex_masks(h.edges)
     by_vertex: list[list[int]] = [[] for _ in range(h.n)]
-    for idx, mask in enumerate(edge_masks):
-        for v in h.edges[idx]:
+    for idx, e in enumerate(h.edges):
+        for v in e:
             by_vertex[v].append(idx)
 
     full = (1 << h.n) - 1
@@ -194,8 +195,13 @@ def _verify_lp_pair(
 ) -> None:
     if matching.total() != value or cover.total() != value:
         raise AssertionError("certificate totals disagree with the LP value")
+    # Each edge needs cover weight >= 1: scale the weights to their common
+    # denominator once, then compare integer sums with it.
+    denominators = tuple(w.denominator for w in cover.weights)
+    common = math.lcm(*denominators)
+    scaled = [w.numerator * (common // w.denominator) for w in cover.weights]
     for e in h.edges:
-        if sum((cover[v] for v in e), Fraction(0)) < 1:
+        if sum(scaled[v] for v in e) < common:
             raise AssertionError(f"cover misses edge {e}")
     # EdgeWeighting construction already enforced loads <= 1 and weight range.
 

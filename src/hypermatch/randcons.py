@@ -27,7 +27,6 @@ import numpy as np
 
 from .hypercore import EdgeWeighting, Hypergraph, incidence, vertex_masks
 from .optmatch import fractional_matching
-from .parallel import parallel_map, pool_size
 
 __all__ = [
     "RoundOnePlan",
@@ -242,33 +241,21 @@ def _induced_edges(base: Hypergraph, subset) -> list[tuple[int, ...]]:
     return [e for e in base.edges if inside.issuperset(e)]
 
 
-def _solve_round(payload: tuple) -> tuple[Fraction, EdgeWeighting]:
-    k, n, edges = payload
-    value, matching, _ = fractional_matching(Hypergraph(k, n, edges))
-    return value, matching
-
-
-def compute_round_matchings(
-    outcome: RoundOneOutcome, jobs: int = 1
-) -> RoundOneOutcome:
+def compute_round_matchings(outcome: RoundOneOutcome) -> RoundOneOutcome:
     """Attach a perfect fractional matching of each induced subhypergraph.
 
     A matching is kept only when its value is exactly |R|/k; rounds whose
     induced subhypergraph falls short are recorded in skipped_rounds with
-    a None entry.  Solves shard across up to ``jobs`` processes, no more
-    than the rounds or the CPUs; the result is independent of jobs.
+    a None entry.
     """
-    workers = pool_size(jobs, len(outcome.subsets))
     base = outcome.plan.base
-    payloads = [
-        (base.k, base.n, _induced_edges(base, r)) for r in outcome.subsets
-    ]
-    solved = parallel_map(_solve_round, payloads, workers)
-
     matchings: list[EdgeWeighting | None] = []
     skipped = []
-    for i, (value, matching) in enumerate(solved):
-        if value == Fraction(len(outcome.subsets[i]), base.k):
+    for i, r in enumerate(outcome.subsets):
+        value, matching, _ = fractional_matching(
+            Hypergraph(base.k, base.n, _induced_edges(base, r))
+        )
+        if value == Fraction(len(r), base.k):
             matchings.append(matching)
         else:
             matchings.append(None)
@@ -286,7 +273,6 @@ def sample_rounds(
     plan: RoundOnePlan,
     config: CheckConfig = CheckConfig(),
     with_matchings: bool = False,
-    jobs: int = 1,
 ) -> RoundOneOutcome:
     """Sample the subsets and run the five checks; never raises on failure."""
     subsets = _sample_subsets(plan)
@@ -299,7 +285,7 @@ def sample_rounds(
     )
     outcome = RoundOneOutcome(plan=plan, subsets=subsets, checks=checks)
     if with_matchings:
-        outcome = compute_round_matchings(outcome, jobs=jobs)
+        outcome = compute_round_matchings(outcome)
     return outcome
 
 
@@ -329,7 +315,6 @@ def build_sparse_subgraph(
     outcome: RoundOneOutcome,
     seed: int = 0,
     strict: bool = False,
-    jobs: int = 1,
 ) -> SparseSubgraph:
     """Keep each induced edge with its round's matching weight as probability.
 
@@ -348,7 +333,7 @@ def build_sparse_subgraph(
             "rounds or strict=False for per-round multiset semantics"
         )
     if outcome.matchings is None:
-        outcome = compute_round_matchings(outcome, jobs=jobs)
+        outcome = compute_round_matchings(outcome)
 
     base = outcome.plan.base
     n = base.n

@@ -263,9 +263,15 @@ class TestSelftest:
         ("threshold", "--mode", "integral", "--k", "2", "--n", "4", "--d", "0", "--s", "1"),
         ("storage", "optimize", "--n", "4", "--r", "2", "--T", "1"),
         ("selftest", "--criteria", "2"),
+        ("randcons", "--base", "X", "--p", "0.5", "--rounds", "2"),
+        ("solve", "X"),
+        ("construct", "h0", "--k", "2", "--n", "4"),
+        ("conjecture", "Eq3", "--k", "2", "--n", "4", "--s", "1"),
+        ("samuels", "qmin", "--l", "2", "--x", "1/4"),
+        ("reduce", "--weights", "X", "--k", "2", "--d", "0"),
     ],
 )
-def test_jobs_is_only_a_randcons_option(capsys, args):
+def test_no_subcommand_takes_jobs(capsys, args):
     with pytest.raises(SystemExit) as info:
         main([*args, "--jobs", "2"])
     assert info.value.code == 2

@@ -7,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypermatch.hypercore import Hypergraph
+from hypermatch.hypercore import EdgeWeighting, Hypergraph, VertexWeighting
 from hypermatch.optmatch import (
     _cover_by_branching,
+    _verify_lp_pair,
     DualityReport,
     cover_number,
     fractional_matching,
@@ -164,6 +165,26 @@ class TestFractionalOptima:
             assert sum(cover.weights, Fraction(0)) == value
             for e in h.edges:
                 assert sum(cover[v] for v in e) >= 1
+
+    def test_recheck_rejects_a_cover_short_on_one_edge(self):
+        # Both totals are 35/12, but edge (0, 1) is covered only 11/12.
+        h = Hypergraph(2, 6, ((0, 1), (2, 3), (4, 5)))
+        matching = EdgeWeighting(h, [Fraction(11, 12), 1, 1])
+        cover = VertexWeighting(
+            [Fraction(1, 4), Fraction(2, 3)] + [Fraction(1, 2)] * 4
+        )
+        with pytest.raises(AssertionError, match=r"cover misses edge \(0, 1\)"):
+            _verify_lp_pair(h, Fraction(35, 12), matching, cover)
+
+    def test_recheck_rejects_totals_that_disagree(self):
+        h = Hypergraph.complete(3, 4)
+        value, matching, cover = fractional_matching(h)
+        _verify_lp_pair(h, value, matching, cover)
+        with pytest.raises(AssertionError, match="totals disagree"):
+            _verify_lp_pair(h, value + Fraction(1, 12), matching, cover)
+        short = EdgeWeighting(h, [0] * h.num_edges)
+        with pytest.raises(AssertionError, match="totals disagree"):
+            _verify_lp_pair(h, value, short, cover)
 
     def test_duality_report_chain(self):
         for h in random_small_hypergraphs(25, seed=31):

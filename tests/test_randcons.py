@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
+from hypermatch import thresholds
 from hypermatch.hypercore import Hypergraph
 from hypermatch.randcons import (
     AmbiguousMembershipError,
@@ -20,6 +22,8 @@ from hypermatch.randcons import (
     preset_scale_parameters,
     sample_rounds,
 )
+from hypermatch.storage import optimize_grid, sandwich
+from hypermatch.thresholds import ThresholdQuery, brute_force_threshold
 
 TWO_TRIPLES = Hypergraph(3, 6, ((0, 1, 2), (3, 4, 5)))
 
@@ -91,18 +95,6 @@ class TestRoundMatchings:
         solved = compute_round_matchings(outcome)
         assert solved.skipped_rounds == (0,)
         assert solved.matchings == (None,)
-
-    def test_jobs_below_one_are_rejected(self):
-        outcome = RoundOneOutcome(RoundOnePlan(TWO_TRIPLES, 1, 0.5, 1), subsets=((0, 1, 2),), checks=())
-        with pytest.raises(ValueError):
-            compute_round_matchings(outcome, jobs=0)
-
-    def test_jobs_do_not_change_anything(self):
-        plan = RoundOnePlan(Hypergraph.complete(3, 9), 4, 0.7, 1, seed=5)
-        solo = sample_rounds(plan, with_matchings=True, jobs=1)
-        forked = sample_rounds(plan, with_matchings=True, jobs=3)
-        assert solo.skipped_rounds == forked.skipped_rounds
-        assert solo.matchings == forked.matchings
 
 
 class TestBuild:
@@ -226,3 +218,21 @@ class TestChernoff:
         assert rounds == round(60**1.1)
         with pytest.raises(ValueError):
             preset_scale_parameters(0)
+
+
+def test_searches_and_round_lps_start_no_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was asked for")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    thresholds._memo.clear()
+    assert brute_force_threshold(ThresholdQuery(1, 22, 0, 11, "fractional"), jobs=2).value == 11
+    assert optimize_grid(5, 2, 2, q=4, jobs=3).phi == 7
+    assert sandwich(5, 2, 2, q=4, jobs=3).holds
+    plan = RoundOnePlan(Hypergraph.complete(3, 9), 4, 0.7, 1, seed=5)
+    solved = sample_rounds(plan, with_matchings=True)
+    assert len(solved.matchings) == 4
+    unsolved = sample_rounds(plan)
+    assert unsolved.matchings is None
+    assert build_sparse_subgraph(unsolved, seed=1) == build_sparse_subgraph(solved, seed=1)
