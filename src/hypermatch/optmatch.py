@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, vertex_masks
 from .simplex import solve_unit_packing
 
@@ -94,10 +96,14 @@ def has_perfect_matching(h: Hypergraph) -> bool:
 def minimum_cover(h: Hypergraph) -> tuple[int, ...]:
     """A minimum vertex set meeting every edge, deterministically chosen.
 
-    A set C covers every edge exactly when its complement spans no edge, so
-    for moderate n the search walks all vertex subsets once, marking the
-    up-closure of the edges, and takes a maximum edge-free set.  Larger
-    instances use iterative-deepening branching on an uncovered edge.
+    A set C covers every edge exactly when its complement spans no edge.  For
+    n <= 20 a boolean table over all 2^n vertex subsets marks the edges, and
+    one subset zeta transform (an exact OR along each bit) closes it upwards,
+    so a subset is marked iff it spans an edge.  The complement of the
+    largest unmarked subset is the cover; among unmarked subsets of maximum
+    size the numerically largest mask wins, so the cover is the one whose
+    vertex mask is smallest.  Larger instances use iterative-deepening
+    branching on an uncovered edge.
     """
     if h.num_edges == 0:
         return ()
@@ -107,25 +113,16 @@ def minimum_cover(h: Hypergraph) -> tuple[int, ...]:
 
 
 def _cover_by_complement(h: Hypergraph) -> tuple[int, ...]:
-    size = 1 << h.n
-    spans_edge = bytearray(size)
-    for em in vertex_masks(h.edges):
-        spans_edge[em] = 1
-    full = size - 1
-    best_mask = 0
-    best_pop = 0
-    for mask in range(size):
-        if spans_edge[mask]:
-            rest = full & ~mask
-            while rest:
-                b = rest & -rest
-                spans_edge[mask | b] = 1
-                rest ^= b
-        else:
-            pop = mask.bit_count()
-            if pop > best_pop or (pop == best_pop and mask > best_mask):
-                best_pop = pop
-                best_mask = mask
+    spans_edge = np.zeros(1 << h.n, dtype=bool)
+    spans_edge[vertex_masks(h.edges)] = True
+    for b in range(h.n):
+        # Subset zeta transform over bit b: a mask spans an edge if the same
+        # mask without b does.
+        halves = spans_edge.reshape(-1, 2, 1 << b)
+        halves[:, 1] |= halves[:, 0]
+    free = np.flatnonzero(~spans_edge)
+    sizes = np.bitwise_count(free)
+    best_mask = int(free[sizes == sizes.max()][-1])
     return tuple(v for v in range(h.n) if not best_mask >> v & 1)
 
 

@@ -1,9 +1,10 @@
 """Slow, obviously-correct searches that the fast ones are checked against.
 
-These are the mask-by-mask threshold scan and the all-compositions grid walk
-that ``thresholds._scan_range`` and ``storage.optimize_grid`` replaced.  They
-decide every candidate in the same order as the fast searches, so they must
-return the same answers and, for the scan, the same LP count.
+These are the mask-by-mask threshold scan, the all-compositions grid walk
+and the subset-by-subset cover loop that ``thresholds._scan_range``,
+``storage.optimize_grid`` and ``optmatch._cover_by_complement`` replaced.
+They decide every candidate in the same order as the fast searches, so they
+must return the same answers and, for the scan, the same LP count.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from hypermatch.hypercore import Hypergraph, vertex_masks
 from hypermatch.simplex import solve_unit_packing
 from hypermatch.storage import _phi_on_grid
 from hypermatch.thresholds import _disjointness_masks, _dset_edge_masks, _edge_universe
@@ -69,6 +71,35 @@ def scan_range(
             best = delta
             best_mask = mask
     return best, best_mask, lp_calls
+
+
+def cover_by_complement(h: Hypergraph) -> tuple[int, ...]:
+    """Minimum cover as the complement of the largest edge-free vertex set.
+
+    Walks every vertex subset in increasing mask order, marking the
+    up-closure of the edges bit by bit; among edge-free subsets of maximum
+    size the largest mask wins.
+    """
+    size = 1 << h.n
+    spans_edge = bytearray(size)
+    for em in vertex_masks(h.edges):
+        spans_edge[em] = 1
+    full = size - 1
+    best_mask = 0
+    best_pop = 0
+    for mask in range(size):
+        if spans_edge[mask]:
+            rest = full & ~mask
+            while rest:
+                b = rest & -rest
+                spans_edge[mask | b] = 1
+                rest ^= b
+        else:
+            pop = mask.bit_count()
+            if pop > best_pop or (pop == best_pop and mask > best_mask):
+                best_pop = pop
+                best_mask = mask
+    return tuple(v for v in range(h.n) if not best_mask >> v & 1)
 
 
 def _compositions_desc(length: int, total: int, cap: int):

@@ -157,6 +157,16 @@ class TestThreshold:
         assert code == 1
         assert "error" in doc
 
+    def test_work_budget_refusal_is_a_computational_error(self, capsys, tmp_path):
+        code, doc = run_json(
+            capsys,
+            "threshold", "--mode", "integral",
+            "--k", "22", "--n", "23", "--d", "5", "--s", "1",
+            "--witness-out", str(tmp_path / "w.hg"),
+        )
+        assert code == 1
+        assert "work budget" in doc["error"]
+
 
 class TestReduce:
     def test_pinned_instance(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Matching and cover optima against independent brute-force oracles."""
 
 import gc
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from hypermatch.optmatch import (
     maximum_matching,
     minimum_cover,
 )
+
+import oracles
 
 
 def _pairwise_disjoint(edges) -> bool:
@@ -63,6 +66,14 @@ def random_small_hypergraphs(count: int, seed: int = 11):
         yield Hypergraph(k, n, edges)
 
 
+def seeded_edge_set(k: int, n: int, density: float, key) -> Hypergraph:
+    """Each k-subset of n vertices kept with ``density``, drawn from ``key``."""
+    rng = np.random.default_rng(key)
+    pool = list(itertools.combinations(range(n), k))
+    keep = rng.random(len(pool)) < density
+    return Hypergraph(k, n, [e for e, kept in zip(pool, keep) if kept])
+
+
 class TestIntegralOptima:
     def test_against_oracles_on_random_instances(self):
         for h in random_small_hypergraphs(80):
@@ -97,6 +108,19 @@ class TestIntegralOptima:
         assert maximum_matching(h) == ()
         assert minimum_cover(h) == ()
 
+    def test_graph_matching_number_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            n = int(rng.integers(2, 15))
+            density = float(rng.uniform(0.05, 0.6))
+            h = seeded_edge_set(2, n, density, int(rng.integers(1 << 32)))
+            g = nx.Graph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from(h.edges)
+            expected = len(nx.max_weight_matching(g, maxcardinality=True))
+            assert matching_number(h) == expected
+
     @pytest.mark.parametrize(
         "h, expected",
         [
@@ -121,6 +145,60 @@ class TestIntegralOptima:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestCoverAgainstSubsetLoop:
+    """The zeta-transform cover DP against the subset-by-subset loop it
+    replaced: the same cover tuple, not only the same size."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_size_up_to_ten(self, k):
+        for n in range(k, 11):
+            for density in (0.1, 0.3, 0.5, 0.8):
+                for rep in range(3):
+                    h = seeded_edge_set(k, n, density, [k, n, round(density * 10), rep])
+                    assert minimum_cover(h) == oracles.cover_by_complement(h)
+
+    @pytest.mark.parametrize(
+        "k, n, density", [(2, 15, 0.3), (3, 15, 0.1), (3, 16, 0.05), (4, 16, 0.02)]
+    )
+    def test_fifteen_and_sixteen_vertices(self, k, n, density):
+        h = seeded_edge_set(k, n, density, [k, n, 7])
+        assert h.num_edges > 0
+        assert minimum_cover(h) == oracles.cover_by_complement(h)
+
+    @pytest.mark.parametrize(
+        "h, cover",
+        [
+            (Hypergraph(1, 1, [(0,)]), (0,)),
+            (Hypergraph(5, 5, [(0, 1, 2, 3, 4)]), (0,)),
+            (Hypergraph(1, 6, [(1,), (3,), (4,)]), (1, 3, 4)),
+            (Hypergraph(1, 4, [(0,), (1,), (2,), (3,)]), (0, 1, 2, 3)),
+            (Hypergraph(3, 9, [(2, 5, 7)]), (2,)),
+            (Hypergraph(2, 2, [(0, 1)]), (0,)),
+        ],
+    )
+    def test_corner_cases(self, h, cover):
+        assert minimum_cover(h) == cover == oracles.cover_by_complement(h)
+
+    def test_certify_covers_match_pinned_digest(self):
+        # The 972 criterion-1 style instances of seed 0 (k in {2, 3, 4},
+        # n <= 14, nine of each size and density); the digest was recorded
+        # with the subset-by-subset loop.
+        digest = hashlib.sha256()
+        count = 0
+        for rep in range(9):
+            for k in (2, 3, 4):
+                for n in range(k, 15):
+                    for density in (0.2, 0.5, 0.8):
+                        key = [0, k, n, round(density * 10), rep]
+                        h = seeded_edge_set(k, n, density, key)
+                        digest.update(repr(minimum_cover(h)).encode())
+                        count += 1
+        assert count == 972
+        assert digest.hexdigest() == (
+            "ae41ac28e71c0c0101f051aa6fb9cb155c5c92e31f9a038dc8a6df60d9a4d757"
+        )
 
 
 class TestFractionalOptima:

@@ -103,7 +103,7 @@ class TestOptimizeGrid:
         report = optimize_grid(5, 2, 2, q=3)
         assert report.allocation.x.total() == 2
 
-    def test_jobs_do_not_change_the_answer(self):
+    def test_ignored_jobs_keyword_changes_nothing(self):
         solo = optimize_grid(5, 2, 2, q=4, jobs=1)
         forked = optimize_grid(5, 2, 2, q=4, jobs=3)
         assert solo.phi == forked.phi

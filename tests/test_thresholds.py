@@ -77,7 +77,7 @@ class TestBruteForce:
         value, _, _ = fractional_matching(result.witness)
         assert value < 2
 
-    def test_sharded_run_matches_sequential(self):
+    def test_ignored_jobs_keyword_changes_nothing(self):
         query = ThresholdQuery(2, 6, 1, 3, "integral")
         thresholds._memo.clear()
         solo = brute_force_threshold(query, jobs=1)
@@ -86,7 +86,7 @@ class TestBruteForce:
         assert solo.value == forked.value
         assert solo.witness == forked.witness
 
-    def test_forked_shards_match_sequential(self):
+    def test_k1_scan_of_2_to_the_22_masks_value_and_lp_calls(self):
         thresholds._memo.clear()
         result = brute_force_threshold(ThresholdQuery(1, 22, 0, 11, "fractional"))
         assert (result.value, result.lp_calls) == (11, 11)
@@ -106,6 +106,26 @@ class TestBruteForce:
         assert err.search_space == 1 << 20
         assert 1 <= err.lower_bound <= err.upper_bound
         assert err.upper_bound == math.comb(5, 2) + 1
+
+    def test_work_budget_counts_d_sets_per_mask(self):
+        # i(3,6,1,2) scans 2^20 masks with C(6, 1) = 6 degree counts each.
+        query = ThresholdQuery(3, 6, 1, 2, "integral")
+        thresholds._memo.clear()
+        assert brute_force_threshold(query, SearchBudget(max_work=6 << 20)).value == 6
+        thresholds._memo.clear()
+        with pytest.raises(BudgetExceededError, match="work budget") as info:
+            brute_force_threshold(query, SearchBudget(max_work=(6 << 20) - 1))
+        assert info.value.work == 6 << 20
+        assert 1 <= info.value.lower_bound <= info.value.upper_bound
+
+    def test_default_work_budget_refuses_a_75_second_scan(self):
+        # 2^23 masks with C(23, 5) = 33,649 d-sets each ran 75 s unbounded.
+        with pytest.raises(BudgetExceededError, match="work budget") as info:
+            brute_force_threshold(ThresholdQuery(22, 23, 5, 1, "integral"))
+        assert info.value.work == (1 << 23) * 33_649
+        assert info.value.upper_bound == math.comb(18, 17) + 1
+        # 2^24 masks with C(24, 2) = 276 d-sets stay within the default.
+        assert (1 << 24) * math.comb(24, 2) <= SearchBudget().max_work
 
     @pytest.mark.parametrize("d, lp_calls", [(0, 11), (2, 14)])
     def test_lp_calls_are_counted(self, d, lp_calls):
