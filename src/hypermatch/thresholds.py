@@ -85,41 +85,23 @@ class ThresholdQuery:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits on one threshold scan.
-
-    ``max_edge_sets`` bounds the masks scanned.  ``max_work`` bounds masks
-    times C(n, d), the d-set degree counts that decide the masks; the
-    default admits 2^24 masks times C(24, 2) = 276 d-sets.
-    """
-
     max_edge_sets: int = 1 << 24
-    max_work: int = 1 << 33
+
+
+# Bound on masks times C(n, d), the d-set degree counts that decide the
+# masks.  It admits f(23,24,2,1), 2^24 masks over 276 d-sets (about 1.3 s),
+# and refuses i(22,23,5,1), 2^23 masks over 33,649 d-sets (75 s).
+_MAX_WORK = 1 << 33
 
 
 class BudgetExceededError(RuntimeError):
     """Enumeration would overrun the budget; carries the free bounds."""
 
-    def __init__(
-        self, query: ThresholdQuery, search_space: int, budget: SearchBudget
-    ):
+    def __init__(self, query: ThresholdQuery, search_space: int, overrun: str):
         self.query = query
         self.search_space = search_space
-        dsets = math.comb(query.n, query.d)
-        self.work = search_space * dsets
-        self.budget = budget
         self.lower_bound = _construction_floor(query)
         self.upper_bound = math.comb(query.n - query.d, query.k - query.d) + 1
-        if search_space > budget.max_edge_sets:
-            overrun = (
-                f"enumerating {search_space} edge sets exceeds the budget of "
-                f"{budget.max_edge_sets}"
-            )
-        else:
-            overrun = (
-                f"enumerating {search_space} edge sets over {dsets} d-sets "
-                f"({self.work} counts) "
-                f"exceeds the work budget of {budget.max_work}"
-            )
         super().__init__(
             f"{overrun}; value is within [{self.lower_bound}, {self.upper_bound}]"
         )
@@ -289,9 +271,9 @@ def brute_force_threshold(
 
     Requires binom(n, k) <= 24 so the edge-set space fits a bitmask scan,
     which walks every mask in increasing order in this process.  A scan
-    whose masks, or masks times C(n, d), exceed ``budget`` is refused with
-    ``BudgetExceededError`` before it starts.  ``jobs`` is accepted for
-    compatibility and ignored.
+    whose masks exceed ``budget``, or whose masks times C(n, d) exceed
+    ``_MAX_WORK``, is refused with ``BudgetExceededError`` before it
+    starts.  ``jobs`` is accepted for compatibility and ignored.
     The result is memoised per query (it is a pure function of it).
     """
     num_edges = math.comb(query.n, query.k)
@@ -300,11 +282,19 @@ def brute_force_threshold(
             f"binom(n, k) = {num_edges} exceeds the enumeration limit of 24"
         )
     space = 1 << num_edges
-    if (
-        space > budget.max_edge_sets
-        or space * math.comb(query.n, query.d) > budget.max_work
-    ):
-        raise BudgetExceededError(query, space, budget)
+    work = space * math.comb(query.n, query.d)
+    if space > budget.max_edge_sets:
+        raise BudgetExceededError(
+            query, space,
+            f"enumerating {space} edge sets exceeds the budget of "
+            f"{budget.max_edge_sets}",
+        )
+    if work > _MAX_WORK:
+        raise BudgetExceededError(
+            query, space,
+            f"enumerating {space} edge sets takes {work} d-set counts, "
+            f"over the work budget of {_MAX_WORK}",
+        )
 
     key = (query.mode, query.k, query.n, query.d, query.s)
     cached = _memo.get(key)

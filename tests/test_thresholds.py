@@ -107,25 +107,27 @@ class TestBruteForce:
         assert 1 <= err.lower_bound <= err.upper_bound
         assert err.upper_bound == math.comb(5, 2) + 1
 
-    def test_work_budget_counts_d_sets_per_mask(self):
+    def test_work_budget_counts_d_sets_per_mask(self, monkeypatch):
         # i(3,6,1,2) scans 2^20 masks with C(6, 1) = 6 degree counts each.
         query = ThresholdQuery(3, 6, 1, 2, "integral")
         thresholds._memo.clear()
-        assert brute_force_threshold(query, SearchBudget(max_work=6 << 20)).value == 6
+        monkeypatch.setattr(thresholds, "_MAX_WORK", 6 << 20)
+        assert brute_force_threshold(query).value == 6
         thresholds._memo.clear()
+        monkeypatch.setattr(thresholds, "_MAX_WORK", (6 << 20) - 1)
         with pytest.raises(BudgetExceededError, match="work budget") as info:
-            brute_force_threshold(query, SearchBudget(max_work=(6 << 20) - 1))
-        assert info.value.work == 6 << 20
+            brute_force_threshold(query)
+        assert f"takes {6 << 20} d-set counts" in str(info.value)
         assert 1 <= info.value.lower_bound <= info.value.upper_bound
 
     def test_default_work_budget_refuses_a_75_second_scan(self):
         # 2^23 masks with C(23, 5) = 33,649 d-sets each ran 75 s unbounded.
         with pytest.raises(BudgetExceededError, match="work budget") as info:
             brute_force_threshold(ThresholdQuery(22, 23, 5, 1, "integral"))
-        assert info.value.work == (1 << 23) * 33_649
+        assert f"takes {(1 << 23) * 33_649} d-set counts" in str(info.value)
         assert info.value.upper_bound == math.comb(18, 17) + 1
         # 2^24 masks with C(24, 2) = 276 d-sets stay within the default.
-        assert (1 << 24) * math.comb(24, 2) <= SearchBudget().max_work
+        assert (1 << 24) * math.comb(24, 2) <= thresholds._MAX_WORK
 
     @pytest.mark.parametrize("d, lp_calls", [(0, 11), (2, 14)])
     def test_lp_calls_are_counted(self, d, lp_calls):
