@@ -104,7 +104,8 @@ def _check_weights(weights: Iterable[Fraction | int | str]) -> tuple[Fraction, .
     out = []
     for w in weights:
         f = w if type(w) is Fraction else Fraction(w)
-        if f < 0 or f > 1:
+        # Exact without Fraction comparisons: the denominator is positive.
+        if f.numerator < 0 or f.numerator > f.denominator:
             raise ValueError(f"weight {f} outside [0, 1]")
         out.append(f)
     return tuple(out)

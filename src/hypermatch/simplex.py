@@ -16,8 +16,20 @@ and then sets D = p.  By Sylvester's identity every such division is exact
 (Edmonds 1967; Bareiss 1968): D stays |det B|, so M = D*B^-1 is the adjugate
 up to sign, and as the pivot is positive D never changes sign.  Pricing
 reads the exact signs of the reduced costs from Y and D: a column enters iff
-D - sum(Y[r] for r in column) > 0, a slack i iff Y[i] < 0.  Rationals are
+sum(Y[r] for r in column) < D, a slack i iff Y[i] < 0.  Rationals are
 formed once, from the final X, Y and D.
+
+Column pricing is one numpy gather per pivot.  Once per solve the columns'
+rows go into a (width, ncols) index array, short columns padded with a
+sentinel row m whose dual is always 0; each pivot gathers Y through it,
+sums over the width and takes the first column whose sum is below D.  The
+sums are exact in int64 while D and max|Y| are below 2^62 // (width + 1),
+which is checked on every pivot in O(m) on the Python ints; past that bound
+the same arrays are built with dtype object, whose elements are Python
+ints.  No float is involved.  In the update a row with d[r] = 0 is left
+alone when the pivot p equals D: its new value (p*a - 0*b) // D is a again,
+for M and X alike, so the skip is exact, and it spares the many rows an
+entering column misses a pass.  M, X and Y stay Python int lists.
 
 Only the rows that some column touches enter the tableau.  A row that no
 column touches keeps a basic slack, a zero dual and an untouched row of
@@ -37,9 +49,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 __all__ = ["PackingResult", "solve_unit_packing"]
 
 _ZERO = Fraction(0)
+
+# Pricing sums in int64 while D and max|Y| are below this over (width + 1),
+# so that no sum of width duals, and no comparison with D, can overflow.
+_INT64_BOUND = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -89,14 +107,20 @@ def solve_unit_packing(
     ys = [0] * m
     basis = [ncols + i for i in range(m)]
     pivots = 0
+    # Each column's rows, padded with the sentinel row m (dual 0), held as
+    # (width, ncols) so that the sum runs over rows of contiguous memory,
+    # and the largest D or |Y| for which the int64 sums below are exact.
+    width = max(map(len, cols))
+    rows = np.array([col + (m,) * (width - len(col)) for col in cols], dtype=np.intp).T.copy()
+    limit = _INT64_BOUND // (width + 1)
     while True:
-        # Bland pricing.  A basic variable has reduced cost exactly 0, so it
-        # never enters.
-        get = ys.__getitem__
-        entering = next(
-            (j for j, col in enumerate(cols) if denom - sum(map(get, col)) > 0), -1
-        )
-        if entering < 0:
+        # Bland pricing: the first column with positive reduced cost, else
+        # the first slack with one.  A basic variable has reduced cost
+        # exactly 0, so it never enters.
+        fits = denom < limit and max(ys) < limit and -min(ys) < limit
+        gain = np.array(ys + [0], np.int64 if fits else object).take(rows).sum(axis=0) < denom
+        entering = int(gain.argmax())
+        if not gain[entering]:
             entering = next((ncols + i for i in range(m) if ys[i] < 0), -1)
         if entering < 0:
             break  # optimal: no variable has positive reduced cost
@@ -105,7 +129,7 @@ def solve_unit_packing(
         if entering < ncols:
             col = cols[entering]
             d = [sum(map(row.__getitem__, col)) for row in mat]
-            cost = denom - sum(map(get, col))
+            cost = denom - sum(map(ys.__getitem__, col))
         else:
             i = entering - ncols
             d = [row[i] for row in mat]
@@ -128,8 +152,8 @@ def solve_unit_packing(
         prow = mat[lr]
         px = xs[lr]
         for r in range(m):
-            if r != lr:
-                f = d[r]
+            f = d[r]
+            if r != lr and (f or p != denom):
                 mat[r] = [(p * a - f * b) // denom for a, b in zip(mat[r], prow)]
                 xs[r] = (p * xs[r] - f * px) // denom
         ys = [(p * v + cost * b) // denom for v, b in zip(ys, prow)]

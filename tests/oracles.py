@@ -5,17 +5,25 @@ and the subset-by-subset cover loop that ``thresholds._scan_range``,
 ``storage.optimize_grid`` and ``optmatch._cover_by_complement`` replaced.
 They decide every candidate in the same order as the fast searches, so they
 must return the same answers and, for the scan, the same LP count.
+
+``solve_unit_packing`` is the unit-packing simplex with the column-by-column
+Bland pricing scan that ``simplex.solve_unit_packing``'s numpy gather
+replaced.  Both follow Bland's rule on the same integer basis, so they must
+agree on value, primal, dual and pivot count exactly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from hypermatch.hypercore import Hypergraph, vertex_masks
-from hypermatch.simplex import solve_unit_packing
+from hypermatch.simplex import PackingResult
 from hypermatch.storage import _phi_on_grid
 from hypermatch.thresholds import _disjointness_masks, _dset_edge_masks, _edge_universe
+
+_ZERO = Fraction(0)
 
 
 def has_matching_of_size(mask: int, need: int, disj: list[int]) -> bool:
@@ -129,3 +137,101 @@ def optimize_grid(n: int, r: int, budget: int, q: int) -> tuple[int, tuple[int, 
         if value > best:
             best, best_amounts = value, amounts
     return best, best_amounts
+
+
+def solve_unit_packing(
+    n_rows: int, columns: Sequence[Sequence[int]]
+) -> PackingResult:
+    """Maximise the total column weight under unit row capacities.
+
+    ``columns[j]`` lists the rows column j hits (distinct indices in
+    0..n_rows-1, at least one).  Returns exact optimal primal and dual
+    vectors; with no columns the optimum is 0 with an all-zero dual.
+    """
+    ncols = len(columns)
+    cols = [tuple(col) for col in columns]
+    for col in cols:
+        if not col:
+            raise ValueError("a column must hit at least one row")
+        for r in col:
+            if not (0 <= r < n_rows):
+                raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
+        if len(set(col)) != len(col):
+            raise ValueError(f"column {col} repeats a row")
+    if ncols == 0 or n_rows == 0:
+        return PackingResult(_ZERO, (_ZERO,) * ncols, (_ZERO,) * n_rows, 0)
+
+    # The tableau holds only the rows some column touches, relabelled in
+    # increasing order so that slack ids keep their order.  An untouched
+    # row's slack would stay basic with a zero dual throughout.
+    touched = sorted({r for col in cols for r in col})
+    label = {r: i for i, r in enumerate(touched)}
+    cols = [tuple(label[r] for r in col) for col in cols]
+    m = len(touched)
+
+    # Variable ids: 0..ncols-1 are structural columns, ncols..ncols+m-1 are
+    # slacks.  The initial basis is the slack identity (b = 1 is feasible),
+    # with zero duals.
+    denom = 1
+    mat = [[int(i == j) for j in range(m)] for i in range(m)]
+    xs = [1] * m
+    ys = [0] * m
+    basis = [ncols + i for i in range(m)]
+    pivots = 0
+    while True:
+        # Bland pricing.  A basic variable has reduced cost exactly 0, so it
+        # never enters.
+        get = ys.__getitem__
+        entering = next(
+            (j for j, col in enumerate(cols) if denom - sum(map(get, col)) > 0), -1
+        )
+        if entering < 0:
+            entering = next((ncols + i for i in range(m) if ys[i] < 0), -1)
+        if entering < 0:
+            break  # optimal: no variable has positive reduced cost
+
+        # d = M * A_entering = D * B^-1 * A_entering, and c = D * reduced cost.
+        if entering < ncols:
+            col = cols[entering]
+            d = [sum(map(row.__getitem__, col)) for row in mat]
+            cost = denom - sum(map(get, col))
+        else:
+            i = entering - ncols
+            d = [row[i] for row in mat]
+            cost = -ys[i]
+
+        # Ratio test on X[r] / d[r], which is x_B[r] / (B^-1 a)[r] with D
+        # cancelled, compared cross-multiplied.
+        lr = -1
+        for r in range(m):
+            if d[r] > 0 and (
+                lr < 0
+                or xs[r] * d[lr] < xs[lr] * d[r]
+                or (xs[r] * d[lr] == xs[lr] * d[r] and basis[r] < basis[lr])
+            ):
+                lr = r
+        if lr < 0:
+            raise ArithmeticError("unit packing LP cannot be unbounded")
+
+        p = d[lr]
+        prow = mat[lr]
+        px = xs[lr]
+        for r in range(m):
+            if r != lr:
+                f = d[r]
+                mat[r] = [(p * a - f * b) // denom for a, b in zip(mat[r], prow)]
+                xs[r] = (p * xs[r] - f * px) // denom
+        ys = [(p * v + cost * b) // denom for v, b in zip(ys, prow)]
+        denom = p
+        basis[lr] = entering
+        pivots += 1
+
+    primal = [_ZERO] * ncols
+    for r in range(m):
+        if basis[r] < ncols:
+            primal[basis[r]] = Fraction(xs[r], denom)
+    value = Fraction(sum(xs[r] for r in range(m) if basis[r] < ncols), denom)
+    dual = [_ZERO] * n_rows
+    for r, v in zip(touched, ys):
+        dual[r] = Fraction(v, denom)
+    return PackingResult(value, tuple(primal), tuple(dual), pivots)

@@ -98,10 +98,12 @@ class TestWeightings:
     def test_vertex_weighting_bounds(self):
         w = VertexWeighting((Fraction(1, 2), Fraction(1)))
         assert w.total() == Fraction(3, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"weight -1/2 outside \[0, 1\]"):
             VertexWeighting((Fraction(-1, 2),))
         with pytest.raises(ValueError):
             VertexWeighting((Fraction(3, 2),))
+        with pytest.raises(ValueError, match=r"weight 101/100 outside \[0, 1\]"):
+            VertexWeighting((Fraction(0), Fraction(1), Fraction(101, 100)))
 
     def test_edge_weighting_checks_loads(self):
         EdgeWeighting(K4, [Fraction(1, 3)] * 4)

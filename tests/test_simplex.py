@@ -1,17 +1,23 @@
-"""The exact unit-packing simplex against a pinned corpus and a float oracle.
+"""The exact unit-packing simplex against a pinned corpus and two oracles.
 
 Bland's rule makes the optimal basis deterministic, so value, primal, dual
 and pivot count are pinned exactly: any difference from the recorded
-fingerprints is a change of the solver's path, not rounding.
+fingerprints is a change of the solver's path, not rounding.  The same four
+are compared exactly with the column-by-column pricing scan kept in
+``oracles.solve_unit_packing``, and the value with a float LP solver.
 """
 
 import hashlib
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import oracles
+from hypermatch import simplex
 from hypermatch.hypercore import Hypergraph
 from hypermatch.randcons import RoundOnePlan, sample_rounds
 from hypermatch.simplex import PackingResult, solve_unit_packing
@@ -158,6 +164,59 @@ def test_slack_entering_solves_are_pinned(seed):
     value, pivots, digest = SLACK_ENTERING[seed]
     assert (str(result.value), result.pivots) == (value, pivots)
     assert fingerprint(result) == digest
+
+
+def test_object_pricing_matches_int64_pricing(monkeypatch):
+    # A bound of 0 sends every pivot's pricing through dtype object, which
+    # otherwise runs only once D or |Y| outgrows int64.
+    corpus = [(n, edges) for _, n, edges in small_corpus()]
+    corpus += [k_graph(random.Random(seed)) for seed in sorted(SLACK_ENTERING)]
+    int64_results = [solve_unit_packing(n, edges) for n, edges in corpus]
+    monkeypatch.setattr(simplex, "_INT64_BOUND", 0)
+    assert [solve_unit_packing(n, edges) for n, edges in corpus] == int64_results
+
+
+def test_matches_reference_on_random_k_graphs():
+    rng = random.Random(1846)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        n = rng.randint(k, 12)
+        density = rng.choice((0.2, 0.5, 0.8))
+        edges = [e for e in itertools.combinations(range(n), k) if rng.random() < density]
+        assert solve_unit_packing(n, edges) == oracles.solve_unit_packing(n, edges)
+
+
+def test_matches_reference_on_mixed_unsorted_columns():
+    # Columns of widths 1 to 5 in shuffled row order: the short ones are
+    # padded with the sentinel row, and no step may rely on sorted rows.
+    rng = random.Random(290)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        columns = [
+            rng.sample(range(n), rng.randint(1, min(5, n))) for _ in range(rng.randint(1, 40))
+        ]
+        assert solve_unit_packing(n, columns) == oracles.solve_unit_packing(n, columns)
+
+
+def test_matches_reference_where_int64_pricing_would_overflow(monkeypatch):
+    # 400 random 12-sets on 60 rows: D and |Y| outgrow 2^62 // 13 on some
+    # pivots, so pricing falls back to dtype object and then returns.
+    rng = random.Random(60)
+    columns = [rng.sample(range(60), 12) for _ in range(400)]
+    expected = oracles.solve_unit_packing(60, columns)
+    dtypes = []
+
+    def array(values, dtype):
+        # The columns' rows, then one array per pricing pass; overflowed
+        # prices would send Bland's rule round a cycle, so stop there.
+        dtypes.append(np.dtype(dtype))
+        assert len(dtypes) <= expected.pivots + 2, "more pricing passes than the reference"
+        return np.array(values, dtype)
+
+    monkeypatch.setattr(simplex, "np", SimpleNamespace(array=array, intp=np.intp, int64=np.int64))
+    assert solve_unit_packing(60, columns) == expected
+    pricing = dtypes[1:]
+    assert np.dtype(object) in pricing and np.dtype(np.int64) in pricing
 
 
 def test_no_columns():
