@@ -4,7 +4,17 @@ For means mu_1 <= ... <= mu_l summing below 1, the candidate minimisers of
 P(X_1 + ... + X_l < 1) are the two-point families indexed by t: the first t
 variables sit at their means, the rest jump to 1 - (mu_1 + ... + mu_t) with
 the probability that preserves their means.  ``q_t`` evaluates the small-sum
-probability of family t exactly; ``q_min`` takes the minimum over t.
+probability of family t exactly; ``q_min`` takes the minimum over t.  Both
+scale the means to one common denominator and work in Python integers:
+candidates are compared by cross-multiplying, and only the answer becomes a
+``Fraction``.
+
+``monte_carlo_small_sum`` draws each shard in fixed blocks of rows into one
+reused buffer and decides a block column by column with the exact
+``u < p`` comparison.  The blocks fill the generator's stream in the same
+order as one array of all the draws, so seeded estimates do not depend on
+the block size, and memory stays bounded however many samples are asked
+for.
 
 The uniform-mean boundary where t = 0 stops being the minimiser is located
 numerically by ``boundary_scan``; the grid and bisection run in floating
@@ -33,6 +43,10 @@ __all__ = [
     "monte_carlo_small_sum",
     "edge_count_bound",
 ]
+
+# Rows of uniforms a Monte Carlo shard draws at a time, so that its buffer
+# holds _CHUNK_ROWS * l floats however many samples are asked for.
+_CHUNK_ROWS = 1 << 14
 
 
 def _exact(value: Fraction | int | str) -> Fraction:
@@ -106,30 +120,50 @@ class TwoPointFamily:
         return constants + jumps
 
 
+def _scaled_means(query: SamuelsQuery) -> tuple[int, list[int]]:
+    """(L, a) with mu_i = a_i / L over the common denominator L."""
+    total = math.lcm(*(m.denominator for m in query.mus))
+    return total, [m.numerator * (total // m.denominator) for m in query.mus]
+
+
+def _q_terms(total: int, scaled: list[int], t: int) -> tuple[int, int]:
+    """Unreduced (numerator, denominator) of q_t from ``_scaled_means``.
+
+    With C = L - (a_1 + ... + a_t), family t jumps with p_i = a_i / C, so
+    q_t = prod_{i > t} (C - a_i) / C^(l - t); every factor is positive
+    because the means sum below 1.
+    """
+    c = total - sum(scaled[:t])
+    numerator = 1
+    for a in scaled[t:]:
+        numerator *= c - a
+    return numerator, c ** (len(scaled) - t)
+
+
 def q_t(query: SamuelsQuery, t: int) -> Fraction:
     """Small-sum probability of the t-th two-point family, exactly.
 
     The constant block contributes strictly less than 1, so the sum stays
     below 1 iff no two-point coordinate jumps: the product of (1 - p_i).
     """
-    family = TwoPointFamily(query, t)
-    result = Fraction(1)
-    for p in family.success_probabilities():
-        result *= 1 - p
-    return result
+    TwoPointFamily(query, t)  # checks t
+    return Fraction(*_q_terms(*_scaled_means(query), t))
 
 
 def q_min(query: SamuelsQuery) -> tuple[Fraction, int]:
-    """Minimum q_t over t = 0..l-1 and the smallest minimising t."""
-    best: Fraction | None = None
+    """Minimum q_t over t = 0..l-1 and the smallest minimising t.
+
+    Candidates are compared as integer cross-products; only the minimum
+    becomes a ``Fraction``.
+    """
+    total, scaled = _scaled_means(query)
+    best_num, best_den = _q_terms(total, scaled, 0)
     best_t = 0
-    for t in range(query.l):
-        value = q_t(query, t)
-        if best is None or value < best:
-            best = value
-            best_t = t
-    assert best is not None
-    return best, best_t
+    for t in range(1, query.l):
+        num, den = _q_terms(total, scaled, t)
+        if num * best_den < best_num * den:
+            best_num, best_den, best_t = num, den, t
+    return Fraction(best_num, best_den), best_t
 
 
 def prop23_check(l: int, x: Fraction | int | str) -> bool:
@@ -171,12 +205,13 @@ def boundary_scan(l: int, tolerance: float = 1e-6) -> float:
     Scans a fixed grid of pitch 1e-3 for the first sign change of
     q_0 - min_{t>=1} q_t, confirms the change is unique on the grid (a
     second change is reported as a warning but the first is returned), and
-    bisects to the requested tolerance.
+    bisects to the requested tolerance, or until the floats between the
+    ends run out.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got l={l}")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
 
     def gap(x: float) -> float:
         return _q_uniform_float(l, 0, x) - min(
@@ -184,6 +219,8 @@ def boundary_scan(l: int, tolerance: float = 1e-6) -> float:
         )
 
     rows = boundary_profile(l, step=1e-3)
+    if not rows:
+        raise ValueError(f"the 1e-3 grid has no point below 1/l for l={l}")
     first_positive = None
     for i, (x, q0, rest) in enumerate(rows):
         if q0 - rest > 0:
@@ -205,6 +242,8 @@ def boundary_scan(l: int, tolerance: float = 1e-6) -> float:
     hi = rows[first_positive][0]
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
         if gap(mid) > 0:
             hi = mid
         else:
@@ -223,23 +262,36 @@ def monte_carlo_small_sum(
     Reproducible: shard i draws from the i-th child of SeedSequence(seed),
     so the result depends only on (seed, samples, shards); the default plan
     is a single shard.  The sum comparison is decided on the exact jump
-    count, never on accumulated floats.
+    count, never on accumulated floats.  Shards are drawn in blocks of
+    ``_CHUNK_ROWS`` rows, which take the stream in the order of one
+    (count, l) array.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if shards < 1 or shards > samples:
         raise ValueError(f"need 1 <= shards <= samples, got {shards}")
-    probs = np.array([float(p) for p in family.success_probabilities()])
+    probs = [float(p) for p in family.success_probabilities()]
     per_shard = [samples // shards] * shards
     for i in range(samples % shards):
         per_shard[i] += 1
+    buf = np.empty((_CHUNK_ROWS, len(probs)))
+    jumped = np.empty(_CHUNK_ROWS, dtype=bool)
+    column = np.empty(_CHUNK_ROWS, dtype=bool)
     children = np.random.SeedSequence(seed).spawn(shards)
     small = 0
     for child, count in zip(children, per_shard):
         rng = np.random.default_rng(child)
-        draws = rng.random((count, len(probs))) < probs
-        # Sum < 1 iff the constant block (< 1 by construction) gains no jump.
-        small += int(np.count_nonzero(~draws.any(axis=1)))
+        for start in range(0, count, _CHUNK_ROWS):
+            n = min(_CHUNK_ROWS, count - start)
+            u, hit, col = buf[:n], jumped[:n], column[:n]
+            rng.random(out=u)
+            # Sum < 1 iff the constant block (< 1 by construction) gains no
+            # jump: coordinate j jumps when u_j < p_j.
+            np.less(u[:, 0], probs[0], out=hit)
+            for j in range(1, len(probs)):
+                np.less(u[:, j], probs[j], out=col)
+                hit |= col
+            small += n - int(np.count_nonzero(hit))
     return small / samples
 
 

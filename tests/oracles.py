@@ -10,6 +10,12 @@ must return the same answers and, for the scan, the same LP count.
 Bland pricing scan that ``simplex.solve_unit_packing``'s numpy gather
 replaced.  Both follow Bland's rule on the same integer basis, so they must
 agree on value, primal, dual and pivot count exactly.
+
+``q_t``, ``q_min`` and ``monte_carlo_small_sum`` are the Samuels kernels
+that ``samuels`` replaced: the first two multiply ``Fraction`` complements
+family by family, the last draws each shard as one (samples, l) array and
+reduces it with ``any(axis=1)``.  The fast kernels must return the same
+fractions, the same minimising t and the same seeded estimates.
 """
 
 from __future__ import annotations
@@ -18,7 +24,10 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from hypermatch.hypercore import Hypergraph, vertex_masks
+from hypermatch.samuels import SamuelsQuery, TwoPointFamily
 from hypermatch.simplex import PackingResult
 from hypermatch.storage import _phi_on_grid
 from hypermatch.thresholds import _disjointness_masks, _dset_edge_masks, _edge_universe
@@ -235,3 +244,46 @@ def solve_unit_packing(
     for r, v in zip(touched, ys):
         dual[r] = Fraction(v, denom)
     return PackingResult(value, tuple(primal), tuple(dual), pivots)
+
+
+def q_t(query: SamuelsQuery, t: int) -> Fraction:
+    """Small-sum probability of the t-th two-point family: prod (1 - p_i)."""
+    family = TwoPointFamily(query, t)
+    result = Fraction(1)
+    for p in family.success_probabilities():
+        result *= 1 - p
+    return result
+
+
+def q_min(query: SamuelsQuery) -> tuple[Fraction, int]:
+    """Minimum q_t over t = 0..l-1 and the smallest minimising t."""
+    best: Fraction | None = None
+    best_t = 0
+    for t in range(query.l):
+        value = q_t(query, t)
+        if best is None or value < best:
+            best = value
+            best_t = t
+    assert best is not None
+    return best, best_t
+
+
+def monte_carlo_small_sum(
+    family: TwoPointFamily, samples: int, seed: int = 0, shards: int = 1
+) -> float:
+    """Frequency of no jump over ``samples`` draws, one array per shard."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if shards < 1 or shards > samples:
+        raise ValueError(f"need 1 <= shards <= samples, got {shards}")
+    probs = np.array([float(p) for p in family.success_probabilities()])
+    per_shard = [samples // shards] * shards
+    for i in range(samples % shards):
+        per_shard[i] += 1
+    children = np.random.SeedSequence(seed).spawn(shards)
+    small = 0
+    for child, count in zip(children, per_shard):
+        rng = np.random.default_rng(child)
+        draws = rng.random((count, len(probs))) < probs
+        small += int(np.count_nonzero(~draws.any(axis=1)))
+    return small / samples

@@ -121,6 +121,20 @@ class TestSamuels:
         assert code == 0
         assert doc["payload"]["x_star"] == pytest.approx(0.381966, abs=1e-4)
 
+    def test_scan_tolerance_below_float_spacing(self, capsys):
+        code, doc = run_json(capsys, "samuels", "scan", "--l", "2", "--tolerance", "1e-20")
+        assert code == 0
+        assert doc["payload"]["x_star"] == pytest.approx(0.381966, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "args",
+        [("--l", "2", "--tolerance", "nan"), ("--l", "2", "--tolerance", "inf"), ("--l", "2000000",)],
+    )
+    def test_scan_bad_input_is_a_computational_error(self, capsys, args):
+        code, doc = run_json(capsys, "samuels", "scan", *args)
+        assert code == 1
+        assert set(doc) == {"command", "error"}
+
 
 class TestThreshold:
     def test_value_and_witness_file(self, capsys, tmp_path):

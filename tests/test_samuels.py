@@ -1,11 +1,16 @@
 """Two-point families, exact small-sum probabilities, boundary scans."""
 
+import hashlib
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from hypermatch import samuels
 from hypermatch.samuels import (
     SamuelsQuery,
     TwoPointFamily,
@@ -19,6 +24,22 @@ from hypermatch.samuels import (
 )
 
 MUS = (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))
+
+
+def random_query(rng: random.Random, l: int) -> SamuelsQuery:
+    """Sorted non-uniform means, about one in ten of them zero."""
+    raw = [Fraction(rng.randint(0, 9), rng.randint(1, 12)) for _ in range(l)]
+    total = sum(raw, Fraction(0))
+    return SamuelsQuery(sorted(r / (total + 1) for r in raw))
+
+
+def criterion_3_grid() -> list[SamuelsQuery]:
+    """Uniform means x = i/1000 with (l + 1) x <= 1, l = 2..8: 1327 points."""
+    return [
+        SamuelsQuery.uniform(l, Fraction(i, 1000))
+        for l in range(2, 9)
+        for i in range(1, 1000 // (l + 1) + 1)
+    ]
 
 
 class TestQuery:
@@ -103,6 +124,33 @@ class TestExactProbabilities:
             assert 0 <= q_t(query, t) <= 1
 
 
+class TestAgainstFractionProducts:
+    """q_t and q_min equal the Fraction products of ``oracles``."""
+
+    def test_criterion_3_grid(self):
+        grid = criterion_3_grid()
+        assert len(grid) == 1327
+        for query in grid:
+            assert q_min(query) == oracles.q_min(query)
+
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_random_non_uniform_means(self, l):
+        rng = random.Random(l)
+        for _ in range(40):
+            query = random_query(rng, l)
+            assert q_min(query) == oracles.q_min(query)
+            for t in range(l):
+                assert q_t(query, t) == oracles.q_t(query, t)
+
+    def test_zero_means(self):
+        zero = Fraction(0)
+        for mus in [(zero,), (zero, zero), (zero, zero, Fraction(1, 3)), (zero, Fraction(1, 4), Fraction(1, 2))]:
+            query = SamuelsQuery(mus)
+            assert q_min(query) == oracles.q_min(query)
+            for t in range(query.l):
+                assert q_t(query, t) == oracles.q_t(query, t)
+
+
 class TestBoundary:
     def test_scan_windows(self):
         assert abs(boundary_scan(2) - (3 - math.sqrt(5)) / 2) <= 1e-3
@@ -121,6 +169,29 @@ class TestBoundary:
     def test_scan_needs_at_least_two_families(self):
         with pytest.raises(ValueError):
             boundary_scan(1)
+
+    def test_tolerance_below_float_spacing_ends(self):
+        x = boundary_scan(2, 1e-20)
+        assert abs(x - (3 - math.sqrt(5)) / 2) <= 1e-12
+
+    def test_default_tolerance_results_are_pinned(self):
+        assert [boundary_scan(l).hex() for l in (2, 3, 4, 8)] == [
+            "0x1.87222d0e56042p-2",
+            "0x1.1bf0c49ba5e36p-2",
+            "0x1.bd2d4fdf3b646p-3",
+            "0x1.dcc3126e978d5p-4",
+        ]
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_tolerance(self, tolerance):
+        with pytest.raises(ValueError):
+            boundary_scan(2, tolerance)
+
+    @pytest.mark.parametrize("l", [1000, 2_000_000])
+    def test_rejects_l_with_an_empty_grid(self, l):
+        assert boundary_profile(l) == []
+        with pytest.raises(ValueError):
+            boundary_scan(l)
 
 
 class TestMonteCarlo:
@@ -148,6 +219,48 @@ class TestMonteCarlo:
             monte_carlo_small_sum(family, 0)
         with pytest.raises(ValueError):
             monte_carlo_small_sum(family, 10, shards=11)
+
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_same_estimates_as_one_array_per_shard(self, l):
+        chunk = samuels._CHUNK_ROWS
+        query = random_query(random.Random(50 + l), l)
+        for t in sorted({0, l - 1}):
+            family = TwoPointFamily(query, t)
+            for samples in (1, 5, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+                for shards in (1, 5):
+                    if shards > samples:
+                        continue
+                    seed = 10 * l + t
+                    assert monte_carlo_small_sum(
+                        family, samples, seed=seed, shards=shards
+                    ) == oracles.monte_carlo_small_sum(family, samples, seed=seed, shards=shards)
+
+    def test_pinned_estimates(self):
+        # Recorded with the one-array-per-shard draw now in oracles.py.
+        rng = random.Random(12)
+        lines = []
+        for l in range(1, 9):
+            query = random_query(rng, l)
+            for t in sorted({0, l // 2, l - 1}):
+                family = TwoPointFamily(query, t)
+                for samples in (9, (1 << 14) + 7, 3 * (1 << 14) - 1):
+                    for shards in (1, 5):
+                        estimate = monte_carlo_small_sum(
+                            family, samples, seed=100 * l + t, shards=shards
+                        )
+                        lines.append(f"{l} {t} {samples} {shards} {estimate.hex()}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "4c56f60aa37b37a71dc4057b520a9d110762a03f1ec0cd4a29d5196059c2a13e"
+
+    def test_memory_does_not_grow_with_samples(self):
+        family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
+        tracemalloc.start()
+        try:
+            monte_carlo_small_sum(family, 4_000_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestEdgeCountBound:
