@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypercore import EdgeWeighting, Hypergraph, incidence, vertex_masks
+from .hypercore import EdgeWeighting, Hypergraph, incidence
 from .optmatch import fractional_matching
 
 __all__ = [
@@ -165,22 +165,6 @@ def _check_pair_coverage(
     )
 
 
-def _check_edge_multiplicity(plan: RoundOnePlan, subsets) -> CheckResult:
-    masks = vertex_masks(subsets)
-    bad = []
-    for e, em in zip(plan.base.edges, vertex_masks(plan.base.edges)):
-        hits = sum(1 for m in masks if em & ~m == 0)
-        if hits > 1:
-            bad.append((e, hits))
-    return CheckResult(
-        name="edge_multiplicity",
-        passed=not bad,
-        violations=len(bad),
-        witnesses=tuple(bad[:_WITNESS_CAP]),
-        detail="every base edge inside at most one sampled subset",
-    )
-
-
 def _check_subset_sizes(
     plan: RoundOnePlan, subsets, config: CheckConfig
 ) -> CheckResult:
@@ -200,39 +184,101 @@ def _check_subset_sizes(
     )
 
 
-def _check_induced_degrees(
-    plan: RoundOnePlan, subsets, config: CheckConfig
-) -> CheckResult:
-    """Check (v): every d-set keeps a fraction of its possible degree.
+def _lex_ranks(edges: np.ndarray, at: tuple[int, ...], n: int) -> np.ndarray:
+    """Lex rank, among the d-subsets of range(n), of each edge's d-set at ``at``.
 
-    For a d-set D and a sampled subset R, the induced degree counts base
-    edges f with D inside f and all other vertices of f inside R; the
-    requirement is degree_fraction * C(|R|-d, k-d) of them, for every D
-    and every round.
+    The rank of s_0 < ... < s_(d-1) is C(n, d) - 1 - sum C(n-1-s_i, d-i):
+    the sum counts the d-sets after s in lex order.  Only terms with
+    s_i >= i are looked up, and these are at most C(n-1, d), so the table
+    holds zeros elsewhere and fits int64 whenever C(n, d) does.
     """
-    k, d = plan.base.k, plan.d
-    edge_bits = vertex_masks(plan.base.edges)
-    dsets = list(itertools.combinations(range(plan.base.n), d))
-    dset_bits = dict(zip(dsets, vertex_masks(dsets)))
+    d = len(at)
+    table = np.array(
+        [
+            [math.comb(a, b) if a - b <= n - 1 - d else 0 for b in range(d + 1)]
+            for a in range(n)
+        ],
+        dtype=np.int64,
+    )
+    ranks = np.full(len(edges), math.comb(n, d) - 1, dtype=np.intp)
+    for i, column in enumerate(at):
+        ranks -= table[n - 1 - edges[:, column], d - i]
+    return ranks
 
-    bad = []
-    for i, (r, rmask) in enumerate(zip(subsets, vertex_masks(subsets))):
+
+def _lex_unrank(rank: int, n: int, d: int) -> tuple[int, ...]:
+    """The d-subset of range(n) with the given lex rank."""
+    out = []
+    v = 0
+    for i in range(d, 0, -1):
+        while rank >= math.comb(n - 1 - v, i - 1):
+            rank -= math.comb(n - 1 - v, i - 1)
+            v += 1
+        out.append(v)
+        v += 1
+    return tuple(out)
+
+
+def _check_edges(
+    plan: RoundOnePlan, subsets, config: CheckConfig
+) -> tuple[CheckResult, CheckResult]:
+    """Checks (iii) and (v), edge multiplicity and induced degrees.
+
+    (iii): no base edge lies inside two sampled subsets.  (v): for a d-set
+    D and a sampled subset R, the induced degree counts base edges f with
+    D inside f and all other vertices of f inside R; every D must keep
+    degree_fraction * C(|R|-d, k-d) of them in every round.
+
+    Per round one boolean "inside R" vector is gathered through the (E, k)
+    array of the base edges.  An edge with all k entries inside is a hit
+    for (iii).  Each choice of d positions in the array names one d-set of
+    every edge; the edges whose other k - d entries are inside count onto
+    their d-sets' lex ranks by one ``bincount``, so violations of (v) come
+    out round by round in lex order.
+    """
+    base, d = plan.base, plan.d
+    n, k = base.n, base.k
+    flat = itertools.chain.from_iterable(base.edges)
+    edges = np.fromiter(flat, np.intp, base.num_edges * k).reshape(-1, k)
+    choices = [
+        (_lex_ranks(edges, at, n), [j for j in range(k) if j not in at])
+        for at in itertools.combinations(range(k), d)
+    ]
+    size = math.comb(n, d)
+
+    hits = np.zeros(len(edges), dtype=np.intp)
+    short_degrees = []
+    violations = 0
+    for i, r in enumerate(subsets):
+        inside = np.zeros(n, dtype=bool)
+        inside[list(r)] = True
+        inside = inside[edges]
+        hits += inside.all(axis=1)
+        deg = np.zeros(size, dtype=np.intp)
+        for ranks, rest in choices:
+            deg += np.bincount(ranks[inside[:, rest].all(axis=1)], minlength=size)
         need = config.degree_fraction * math.comb(max(len(r) - d, 0), k - d)
-        deg = dict.fromkeys(dsets, 0)
-        for e, em in zip(plan.base.edges, edge_bits):
-            for s in itertools.combinations(e, d):
-                if (em ^ dset_bits[s]) & ~rmask == 0:
-                    deg[s] += 1
-        for s in dsets:
-            if deg[s] < need:
-                bad.append((i, s, deg[s]))
-    return CheckResult(
-        name="induced_degrees",
-        passed=not bad,
-        violations=len(bad),
-        witnesses=tuple(bad[:_WITNESS_CAP]),
-        detail=f"each d-set keeps >= {config.degree_fraction:g} of "
-        f"C(|R|-d, k-d) induced degree in every round",
+        short = np.flatnonzero(deg < need)
+        violations += len(short)
+        for j in short[: _WITNESS_CAP - len(short_degrees)]:
+            short_degrees.append((i, _lex_unrank(int(j), n, d), int(deg[j])))
+    shared = [(base.edges[j], int(hits[j])) for j in np.flatnonzero(hits > 1)]
+    return (
+        CheckResult(
+            name="edge_multiplicity",
+            passed=not shared,
+            violations=len(shared),
+            witnesses=tuple(shared[:_WITNESS_CAP]),
+            detail="every base edge inside at most one sampled subset",
+        ),
+        CheckResult(
+            name="induced_degrees",
+            passed=not violations,
+            violations=violations,
+            witnesses=tuple(short_degrees),
+            detail=f"each d-set keeps >= {config.degree_fraction:g} of "
+            f"C(|R|-d, k-d) induced degree in every round",
+        ),
     )
 
 
@@ -276,12 +322,13 @@ def sample_rounds(
 ) -> RoundOneOutcome:
     """Sample the subsets and run the five checks; never raises on failure."""
     subsets = _sample_subsets(plan)
+    multiplicity, degrees = _check_edges(plan, subsets, config)
     checks = (
         _check_vertex_coverage(plan, subsets, config),
         _check_pair_coverage(plan, subsets, config),
-        _check_edge_multiplicity(plan, subsets),
+        multiplicity,
         _check_subset_sizes(plan, subsets, config),
-        _check_induced_degrees(plan, subsets, config),
+        degrees,
     )
     outcome = RoundOneOutcome(plan=plan, subsets=subsets, checks=checks)
     if with_matchings:
@@ -311,6 +358,16 @@ class SparseSubgraph:
         return max(self.codegrees.values(), default=0)
 
 
+def _draw_threshold(w: Fraction) -> float:
+    """The float t = ceil(w * 2^53) / 2^53, so that u < w iff u < t.
+
+    ``Generator.random`` returns multiples of 2^-53 in [0, 1), and for such
+    a u = U / 2^53 with U an integer, U < w * 2^53 iff U < ceil(w * 2^53).
+    For 0 < w < 1 the numerator is at most 2^53, so t is an exact float.
+    """
+    return math.ldexp(-((-w.numerator << 53) // w.denominator), -53)
+
+
 def build_sparse_subgraph(
     outcome: RoundOneOutcome,
     seed: int = 0,
@@ -325,7 +382,9 @@ def build_sparse_subgraph(
     edge belongs to at most one round and the subgraph is an ordinary
     (simple) sample.  Draws consume one uniform per strictly-fractional
     weight, rounds in order, edges in canonical order, so results are
-    reproducible bit for bit given the seed.
+    reproducible bit for bit given the seed.  Each round takes its uniforms
+    in one call, which yields the same doubles as one call per weight, and
+    compares them with exact dyadic thresholds (``_draw_threshold``).
     """
     if strict and not outcome.check("edge_multiplicity").passed:
         raise AmbiguousMembershipError(
@@ -341,8 +400,14 @@ def build_sparse_subgraph(
     selected_all = []
     for matching in outcome.matchings:
         support = () if matching is None else matching.support()
+        # A support weight lies in (0, 1], so it is 1 iff its denominator is.
+        draws = iter(rng.random(sum(w.denominator != 1 for _, w in support)).tolist())
         selected_all.append(
-            tuple(e for e, w in support if w == 1 or rng.random() < w)
+            tuple(
+                e
+                for e, w in support
+                if w.denominator == 1 or next(draws) < _draw_threshold(w)
+            )
         )
     kept = [e for selected in selected_all for e in selected]
     degrees, codegrees = incidence(kept, n)

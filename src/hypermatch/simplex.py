@@ -26,10 +26,12 @@ sums over the width and takes the first column whose sum is below D.  The
 sums are exact in int64 while D and max|Y| are below 2^62 // (width + 1),
 which is checked on every pivot in O(m) on the Python ints; past that bound
 the same arrays are built with dtype object, whose elements are Python
-ints.  No float is involved.  In the update a row with d[r] = 0 is left
-alone when the pivot p equals D: its new value (p*a - 0*b) // D is a again,
-for M and X alike, so the skip is exact, and it spares the many rows an
-entering column misses a pass.  M, X and Y stay Python int lists.
+ints.  No float is involved.  When the pivot p equals D, as on most pivots
+of the larger LPs, a row's new value (D*a - f*b) // D is a - f*b // D, the
+division again exact: so M, X and Y change in place, and only where the
+pivot row of M is nonzero, and a row with f = d[r] = 0 not at all.  Other
+pivots rebuild every row but the pivot row.  M, X and Y stay Python int
+lists.
 
 Only the rows that some column touches enter the tableau.  A row that no
 column touches keeps a basic slack, a zero dual and an untouched row of
@@ -151,12 +153,26 @@ def solve_unit_packing(
         p = d[lr]
         prow = mat[lr]
         px = xs[lr]
-        for r in range(m):
-            f = d[r]
-            if r != lr and (f or p != denom):
-                mat[r] = [(p * a - f * b) // denom for a, b in zip(mat[r], prow)]
-                xs[r] = (p * xs[r] - f * px) // denom
-        ys = [(p * v + cost * b) // denom for v, b in zip(ys, prow)]
+        if p == denom:
+            # (D*a - f*b) // D is a - f*b // D, exactly: only the positions
+            # where the pivot row is nonzero change, and a row with f = 0
+            # not at all.
+            nonzero = [(j, b) for j, b in enumerate(prow) if b]
+            for r, f in enumerate(d):
+                if f and r != lr:
+                    row = mat[r]
+                    for j, b in nonzero:
+                        row[j] -= f * b // denom
+                    xs[r] -= f * px // denom
+            for j, b in nonzero:
+                ys[j] += cost * b // denom
+        else:
+            for r in range(m):
+                if r != lr:
+                    f = d[r]
+                    mat[r] = [(p * a - f * b) // denom for a, b in zip(mat[r], prow)]
+                    xs[r] = (p * xs[r] - f * px) // denom
+            ys = [(p * v + cost * b) // denom for v, b in zip(ys, prow)]
         denom = p
         basis[lr] = entering
         pivots += 1

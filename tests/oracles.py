@@ -8,25 +8,46 @@ must return the same answers and, for the scan, the same LP count.
 
 ``solve_unit_packing`` is the unit-packing simplex with the column-by-column
 Bland pricing scan that ``simplex.solve_unit_packing``'s numpy gather
-replaced.  Both follow Bland's rule on the same integer basis, so they must
-agree on value, primal, dual and pivot count exactly.
+replaced, and with the full row update, every row but the pivot row rebuilt
+on every pivot, that its in-place update on pivots with p = D replaced.
+Both follow Bland's rule on the same integer basis, so they must agree on
+value, primal, dual and pivot count exactly.
 
 ``q_t``, ``q_min`` and ``monte_carlo_small_sum`` are the Samuels kernels
 that ``samuels`` replaced: the first two multiply ``Fraction`` complements
 family by family, the last draws each shard as one (samples, l) array and
 reduces it with ``any(axis=1)``.  The fast kernels must return the same
 fractions, the same minimising t and the same seeded estimates.
+
+``check_edge_multiplicity``, ``check_induced_degrees`` and
+``build_sparse_subgraph`` are the round-one audits and the round-two build
+that ``randcons`` replaced: the audits walk every base edge (and, for the
+induced degrees, every d-subset of it) against every sampled subset's
+bitmask; the build draws one scalar uniform per strictly fractional weight
+and compares it with the exact ``Fraction``.  The fast ones must return
+equal ``CheckResult``s and equal builds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from hypermatch.hypercore import Hypergraph, vertex_masks
+from hypermatch.hypercore import Hypergraph, incidence, vertex_masks
+from hypermatch.randcons import (
+    _WITNESS_CAP,
+    AmbiguousMembershipError,
+    CheckConfig,
+    CheckResult,
+    RoundOneOutcome,
+    RoundOnePlan,
+    SparseSubgraph,
+    compute_round_matchings,
+)
 from hypermatch.samuels import SamuelsQuery, TwoPointFamily
 from hypermatch.simplex import PackingResult
 from hypermatch.storage import _phi_on_grid
@@ -287,3 +308,101 @@ def monte_carlo_small_sum(
         draws = rng.random((count, len(probs))) < probs
         small += int(np.count_nonzero(~draws.any(axis=1)))
     return small / samples
+
+
+def check_edge_multiplicity(plan: RoundOnePlan, subsets) -> CheckResult:
+    masks = vertex_masks(subsets)
+    bad = []
+    for e, em in zip(plan.base.edges, vertex_masks(plan.base.edges)):
+        hits = sum(1 for m in masks if em & ~m == 0)
+        if hits > 1:
+            bad.append((e, hits))
+    return CheckResult(
+        name="edge_multiplicity",
+        passed=not bad,
+        violations=len(bad),
+        witnesses=tuple(bad[:_WITNESS_CAP]),
+        detail="every base edge inside at most one sampled subset",
+    )
+
+
+def check_induced_degrees(
+    plan: RoundOnePlan, subsets, config: CheckConfig
+) -> CheckResult:
+    """Check (v): every d-set keeps a fraction of its possible degree.
+
+    For a d-set D and a sampled subset R, the induced degree counts base
+    edges f with D inside f and all other vertices of f inside R; the
+    requirement is degree_fraction * C(|R|-d, k-d) of them, for every D
+    and every round.
+    """
+    k, d = plan.base.k, plan.d
+    edge_bits = vertex_masks(plan.base.edges)
+    dsets = list(itertools.combinations(range(plan.base.n), d))
+    dset_bits = dict(zip(dsets, vertex_masks(dsets)))
+
+    bad = []
+    for i, (r, rmask) in enumerate(zip(subsets, vertex_masks(subsets))):
+        need = config.degree_fraction * math.comb(max(len(r) - d, 0), k - d)
+        deg = dict.fromkeys(dsets, 0)
+        for e, em in zip(plan.base.edges, edge_bits):
+            for s in itertools.combinations(e, d):
+                if (em ^ dset_bits[s]) & ~rmask == 0:
+                    deg[s] += 1
+        for s in dsets:
+            if deg[s] < need:
+                bad.append((i, s, deg[s]))
+    return CheckResult(
+        name="induced_degrees",
+        passed=not bad,
+        violations=len(bad),
+        witnesses=tuple(bad[:_WITNESS_CAP]),
+        detail=f"each d-set keeps >= {config.degree_fraction:g} of "
+        f"C(|R|-d, k-d) induced degree in every round",
+    )
+
+
+def build_sparse_subgraph(
+    outcome: RoundOneOutcome,
+    seed: int = 0,
+    strict: bool = False,
+) -> SparseSubgraph:
+    """Keep each induced edge with its round's matching weight as probability.
+
+    Every round contributes independently: an edge induced by several
+    rounds gets one inclusion trial per round (multiset semantics), which
+    is what makes E[degree of v] equal v's coverage exactly.  With
+    strict=True the edge-multiplicity check must have passed, so each
+    edge belongs to at most one round and the subgraph is an ordinary
+    (simple) sample.  Draws consume one uniform per strictly-fractional
+    weight, rounds in order, edges in canonical order, so results are
+    reproducible bit for bit given the seed.
+    """
+    if strict and not outcome.check("edge_multiplicity").passed:
+        raise AmbiguousMembershipError(
+            "an edge lies in several sampled subsets; rerun with sparser "
+            "rounds or strict=False for per-round multiset semantics"
+        )
+    if outcome.matchings is None:
+        outcome = compute_round_matchings(outcome)
+
+    base = outcome.plan.base
+    n = base.n
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    selected_all = []
+    for matching in outcome.matchings:
+        support = () if matching is None else matching.support()
+        selected_all.append(
+            tuple(e for e, w in support if w == 1 or rng.random() < w)
+        )
+    kept = [e for selected in selected_all for e in selected]
+    degrees, codegrees = incidence(kept, n)
+    coverage, _ = incidence(outcome.subsets, n, pairs=False)
+    return SparseSubgraph(
+        hypergraph=Hypergraph(base.k, n, kept),
+        degrees=tuple(degrees),
+        codegrees=codegrees,
+        coverage=tuple(coverage),
+        per_round_selected=tuple(selected_all),
+        skipped_rounds=outcome.skipped_rounds,
+    )

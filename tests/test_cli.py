@@ -1,6 +1,7 @@
 """End-to-end CLI checks: envelopes, payloads, files, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -108,6 +109,16 @@ class TestSamuels:
         assert doc["seed"] == 0
         assert doc["payload"]["exact"] == "64/125"
         assert abs(doc["payload"]["estimate"] - 64 / 125) < 0.05
+
+    def test_mc_over_the_work_budget_is_refused_at_once(self, capsys):
+        started = time.perf_counter()
+        code, doc = run_json(
+            capsys, "samuels", "mc", "--l", "3", "--x", "1/5", "--samples", "100000000000"
+        )
+        assert time.perf_counter() - started < 5
+        assert code == 1
+        assert set(doc) == {"command", "error"}
+        assert "work budget" in doc["error"]
 
     def test_scan_csv_profile(self, capsys):
         code, out = run(capsys, "samuels", "scan", "--l", "2", "--csv")

@@ -1,13 +1,17 @@
 """Randomised two-round construction: sampling, checks, build, tail bounds."""
 
 import hashlib
+import itertools
 import math
 import multiprocessing
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hypermatch import thresholds
+import oracles
+from hypermatch import randcons, thresholds
 from hypermatch.hypercore import Hypergraph
 from hypermatch.randcons import (
     AmbiguousMembershipError,
@@ -81,6 +85,59 @@ class TestChecks:
         assert len(outcome.check("pair_coverage").witnesses) <= 10
 
 
+def random_plan(rng: random.Random, k: int, d: int, seed: int) -> RoundOnePlan:
+    """A seeded plan on a random k-graph with n <= 10, dense or sparse."""
+    n = rng.randint(k, 10)
+    density = rng.choice((0.3, 0.7, 1.0))
+    edges = [e for e in itertools.combinations(range(n), k) if rng.random() < density]
+    return RoundOnePlan(
+        Hypergraph(k, n, edges), rng.randint(0, 5), rng.choice((0.3, 0.6, 0.9, 1.0)), d, seed
+    )
+
+
+class TestRoundOneAuditsMatchOracles:
+    @pytest.mark.parametrize(
+        "k, d", [(k, d) for k in range(2, 5) for d in range(k)]
+    )
+    def test_seeded_plans(self, k, d):
+        rng = random.Random(100 * k + d)
+        passed = {True: 0, False: 0}
+        for trial in range(40):
+            plan = random_plan(rng, k, d, seed=trial)
+            config = CheckConfig(degree_fraction=rng.choice((0.0, 0.2, 0.5, 1.0)))
+            subsets = randcons._sample_subsets(plan)
+            multiplicity, degrees = randcons._check_edges(plan, subsets, config)
+            # Equal reprs: the same types too, ints rather than numpy scalars.
+            assert repr(multiplicity) == repr(oracles.check_edge_multiplicity(plan, subsets))
+            assert repr(degrees) == repr(oracles.check_induced_degrees(plan, subsets, config))
+            passed[multiplicity.passed] += 1
+            passed[degrees.passed] += 1
+        assert passed[True] and passed[False]
+
+    def test_criterion_9_plan(self):
+        # Four rounds at rate 1/2 on K_60^3: 2974 edges lie in two rounds.  A
+        # vertex keeps C(|R|-1, 2) induced edges if it is in R and C(|R|, 2)
+        # if not, so asking for 1.05 times C(|R|-1, 2) fails the members.
+        plan = RoundOnePlan(Hypergraph.complete(3, 60), 4, 0.5, 1, seed=7)
+        subsets = randcons._sample_subsets(plan)
+        for fraction, violations in ((1.0, 0), (1.05, sum(map(len, subsets)))):
+            config = CheckConfig(degree_fraction=fraction)
+            multiplicity, degrees = randcons._check_edges(plan, subsets, config)
+            assert multiplicity.violations == 2974
+            assert multiplicity == oracles.check_edge_multiplicity(plan, subsets)
+            assert degrees.violations == violations
+            assert degrees == oracles.check_induced_degrees(plan, subsets, config)
+
+    def test_lex_ranks_number_the_dsets_in_order(self):
+        # (70, 68): C(70, 35) overflows int64, C(70, 68) does not.
+        for n, d in ((1, 1), (5, 0), (6, 2), (7, 3), (8, 7), (70, 68)):
+            dsets = list(itertools.combinations(range(n), d))
+            array = np.array(dsets, dtype=np.intp).reshape(len(dsets), d)
+            ranks = randcons._lex_ranks(array, tuple(range(d)), n)
+            assert ranks.tolist() == list(range(len(dsets)))
+            assert [randcons._lex_unrank(i, n, d) for i in range(len(dsets))] == dsets
+
+
 class TestRoundMatchings:
     def test_perfect_round_is_kept(self):
         plan = RoundOnePlan(TWO_TRIPLES, 1, 1.0, 1)
@@ -148,6 +205,27 @@ class TestBuild:
             "6b317ee8cd84966b39ea57f4430ee220c4897f9527a2151dac83026e9fee70a7"
         )
 
+    def test_criterion_9_round_0_builds_match_pinned_digest(self):
+        # 500 build seeds on round 0 of the criterion-9 plan (K_60^3, plan
+        # seed 7), recorded with one scalar draw per weight compared with the
+        # exact Fraction.
+        plan = RoundOnePlan(Hypergraph.complete(3, 60), 1, 0.5, 1, seed=7)
+        outcome = sample_rounds(plan, with_matchings=True)
+        digest = hashlib.sha256()
+        for seed in range(500):
+            s = build_sparse_subgraph(outcome, seed=seed)
+            record = (
+                s.per_round_selected,
+                s.degrees,
+                sorted(s.codegrees.items()),
+                s.coverage,
+                s.hypergraph.edges,
+            )
+            digest.update(repr(record).encode())
+        assert digest.hexdigest() == (
+            "be4b1cda03048e2c0df150bb26d3bb29e15c2bacf29d0ad634fec36c1559a4eb"
+        )
+
     def test_degrees_decompose_over_rounds(self):
         plan = RoundOnePlan(Hypergraph.complete(3, 9), 5, 0.7, 1, seed=2)
         outcome = sample_rounds(plan, with_matchings=True)
@@ -159,6 +237,52 @@ class TestBuild:
             )
             assert sparse.degrees[v] == recount
             assert sparse.coverage[v] == coverage_count(outcome.subsets, {v})
+
+
+class TestBuildMatchesOracle:
+    def test_seeded_outcomes(self):
+        rng = random.Random(9)
+        fractional = skipped = 0
+        for trial in range(30):
+            k = rng.randint(2, 4)
+            plan = random_plan(rng, k, rng.randint(0, k - 1), seed=trial)
+            outcome = sample_rounds(plan, with_matchings=True)
+            skipped += len(outcome.skipped_rounds)
+            fractional += any(
+                0 < w < 1 for m in outcome.matchings if m is not None for w in m.weights
+            )
+            strict_ok = outcome.check("edge_multiplicity").passed
+            for seed in range(3):
+                for strict in (False, True):
+                    if strict and not strict_ok:
+                        with pytest.raises(AmbiguousMembershipError):
+                            build_sparse_subgraph(outcome, seed=seed, strict=True)
+                        continue
+                    assert build_sparse_subgraph(
+                        outcome, seed=seed, strict=strict
+                    ) == oracles.build_sparse_subgraph(outcome, seed=seed, strict=strict)
+        assert fractional and skipped
+
+    def test_dyadic_threshold_decides_like_the_exact_fraction(self):
+        ulp = 2.0**-53
+        weights = [
+            Fraction(1, 2),
+            Fraction(1, 2**53),
+            1 - Fraction(1, 2**53),
+            Fraction(2**60 + 1, 2**61),
+            Fraction(1, 3),
+            Fraction(2, 3),
+        ]
+        for w in weights:
+            t = randcons._draw_threshold(w)
+            near = math.floor(w * 2**53) * ulp
+            for u in (0.0, ulp, near - ulp, near, near + ulp, 0.5 - ulp, 0.5, 0.5 + ulp, 1 - ulp):
+                if 0 <= u < 1:
+                    assert (u < t) == (u < w), (w, u)
+        # (2^60 + 1) / 2^61 is just above 1/2, so u = 1/2 is below it, while
+        # float(w) rounds to 1/2 and would decide the other way.
+        w = Fraction(2**60 + 1, 2**61)
+        assert 0.5 < w and not 0.5 < float(w) and 0.5 < randcons._draw_threshold(w)
 
 
 class TestRegularity:

@@ -252,6 +252,18 @@ class TestMonteCarlo:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "4c56f60aa37b37a71dc4057b520a9d110762a03f1ec0cd4a29d5196059c2a13e"
 
+    def test_work_budget_refuses_before_drawing(self, monkeypatch):
+        family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
+        # Criterion 8, the CLI default and the benchmark's draws of 500k
+        # samples at l <= 4 are all admitted.
+        assert 500_000 * 4 <= samuels._MAX_WORK
+        with pytest.raises(ValueError, match="work budget"):
+            monte_carlo_small_sum(family, samuels._MAX_WORK // 3 + 1)
+        monkeypatch.setattr(samuels, "_MAX_WORK", 30)
+        assert monte_carlo_small_sum(family, 10, seed=2) == oracles.monte_carlo_small_sum(family, 10, seed=2)
+        with pytest.raises(ValueError, match="work budget"):
+            monte_carlo_small_sum(family, 11, seed=2)
+
     def test_memory_does_not_grow_with_samples(self):
         family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
         tracemalloc.start()

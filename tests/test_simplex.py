@@ -3,8 +3,9 @@
 Bland's rule makes the optimal basis deterministic, so value, primal, dual
 and pivot count are pinned exactly: any difference from the recorded
 fingerprints is a change of the solver's path, not rounding.  The same four
-are compared exactly with the column-by-column pricing scan kept in
-``oracles.solve_unit_packing``, and the value with a float LP solver.
+are compared exactly with ``oracles.solve_unit_packing``, which keeps the
+column-by-column pricing scan and rebuilds every row on every pivot, and
+the value with a float LP solver.
 """
 
 import hashlib
@@ -145,6 +146,15 @@ def test_criterion_9_rounds_are_pinned(index):
     assert len(columns) == ncols
     assert (result.value, result.pivots) == (value, pivots)
     assert fingerprint(result) == digest
+
+
+@pytest.mark.parametrize("index", sorted(ROUNDS))
+def test_matches_reference_on_criterion_9_rounds(index):
+    # Most pivots of these LPs have p = D, so they take the in-place sparse
+    # update; the rest rebuild every row.  (The 12-sets LP below pivots the
+    # other way round, with p = D on only a few pivots.)
+    columns = round_columns(index)
+    assert solve_unit_packing(60, columns) == oracles.solve_unit_packing(60, columns)
 
 
 @pytest.mark.parametrize("index, n, edges", list(small_corpus()), ids=[f"k-graph-{i}" for i in range(50)])
