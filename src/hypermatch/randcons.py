@@ -18,6 +18,7 @@ bounds with their validity preconditions enforced.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypercore import EdgeWeighting, Hypergraph, incidence
+from .hypercore import EdgeWeighting, Hypergraph, _draw_threshold, incidence
 from .optmatch import fractional_matching
 
 __all__ = [
@@ -121,67 +122,33 @@ def coverage_count(subsets, vertex_set) -> int:
 
 
 def _sample_subsets(plan: RoundOnePlan) -> tuple[tuple[int, ...], ...]:
-    children = np.random.SeedSequence(plan.seed).spawn(plan.rounds)
-    n = plan.base.n
+    """Round i draws from the i-th child of SeedSequence(seed), made when drawn."""
     out = []
-    for child in children:
-        rng = np.random.Generator(np.random.PCG64(child))
-        keep = rng.random(n) < plan.p
+    for i in range(plan.rounds):
+        rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(i,)))
+        keep = rng.random(plan.base.n) < plan.p
         out.append(tuple(int(v) for v in np.flatnonzero(keep)))
     return tuple(out)
 
 
-def _check_vertex_coverage(
-    plan: RoundOnePlan, subsets, config: CheckConfig
-) -> CheckResult:
-    target = plan.rounds * plan.p
-    low = (1 - config.vertex_tolerance) * target
-    high = (1 + config.vertex_tolerance) * target
-    counts, _ = incidence(subsets, plan.base.n, pairs=False)
-    bad = [(v, c) for v, c in enumerate(counts) if not low <= c <= high]
+def _result(name: str, bad: list, detail: str, violations: int | None = None) -> CheckResult:
+    """A check that passes iff it has no violations (by default, len(bad))."""
+    violations = len(bad) if violations is None else violations
     return CheckResult(
-        name="vertex_coverage",
-        passed=not bad,
-        violations=len(bad),
+        name=name,
+        passed=not violations,
+        violations=violations,
         witnesses=tuple(bad[:_WITNESS_CAP]),
-        detail=f"per-vertex coverage vs rounds*p = {target:g} "
-        f"(tolerance {config.vertex_tolerance:g})",
+        detail=detail,
     )
 
 
-def _check_pair_coverage(
-    plan: RoundOnePlan, subsets, config: CheckConfig
-) -> CheckResult:
-    _, counts = incidence(subsets, plan.base.n)
-    bad = sorted(
-        (pair, c) for pair, c in counts.items() if c > config.pair_cap
-    )
-    return CheckResult(
-        name="pair_coverage",
-        passed=not bad,
-        violations=len(bad),
-        witnesses=tuple(bad[:_WITNESS_CAP]),
-        detail=f"pair coverage capped at {config.pair_cap}",
-    )
-
-
-def _check_subset_sizes(
-    plan: RoundOnePlan, subsets, config: CheckConfig
-) -> CheckResult:
-    target = plan.base.n * plan.p
-    low = (1 - config.size_tolerance) * target
-    high = (1 + config.size_tolerance) * target
-    bad = [
-        (i, len(r)) for i, r in enumerate(subsets) if not low <= len(r) <= high
-    ]
-    return CheckResult(
-        name="subset_sizes",
-        passed=not bad,
-        violations=len(bad),
-        witnesses=tuple(bad[:_WITNESS_CAP]),
-        detail=f"subset sizes vs n*p = {target:g} "
-        f"(tolerance {config.size_tolerance:g})",
-    )
+def _check_band(name: str, values, target: float, tolerance: float, what: str) -> CheckResult:
+    """Checks (i) and (iv): every value within tolerance * target of target."""
+    low = (1 - tolerance) * target
+    high = (1 + tolerance) * target
+    bad = [(i, v) for i, v in enumerate(values) if not low <= v <= high]
+    return _result(name, bad, f"{what} = {target:g} (tolerance {tolerance:g})")
 
 
 def _lex_ranks(edges: np.ndarray, at: tuple[int, ...], n: int) -> np.ndarray:
@@ -219,6 +186,19 @@ def _lex_unrank(rank: int, n: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _edge_array(base: Hypergraph) -> np.ndarray:
+    """The base edges as an (E, k) intp array, in canonical order."""
+    flat = itertools.chain.from_iterable(base.edges)
+    return np.fromiter(flat, np.intp, base.num_edges * base.k).reshape(-1, base.k)
+
+
+def _inside(edges: np.ndarray, n: int, subset) -> np.ndarray:
+    """(E, k) booleans: is each entry of ``edges`` a vertex of ``subset``?"""
+    members = np.zeros(n, dtype=bool)
+    members[list(subset)] = True
+    return members[edges]
+
+
 def _check_edges(
     plan: RoundOnePlan, subsets, config: CheckConfig
 ) -> tuple[CheckResult, CheckResult]:
@@ -229,7 +209,7 @@ def _check_edges(
     D inside f and all other vertices of f inside R; every D must keep
     degree_fraction * C(|R|-d, k-d) of them in every round.
 
-    Per round one boolean "inside R" vector is gathered through the (E, k)
+    Per round one boolean "inside R" array is gathered through the (E, k)
     array of the base edges.  An edge with all k entries inside is a hit
     for (iii).  Each choice of d positions in the array names one d-set of
     every edge; the edges whose other k - d entries are inside count onto
@@ -238,8 +218,7 @@ def _check_edges(
     """
     base, d = plan.base, plan.d
     n, k = base.n, base.k
-    flat = itertools.chain.from_iterable(base.edges)
-    edges = np.fromiter(flat, np.intp, base.num_edges * k).reshape(-1, k)
+    edges = _edge_array(base)
     choices = [
         (_lex_ranks(edges, at, n), [j for j in range(k) if j not in at])
         for at in itertools.combinations(range(k), d)
@@ -250,9 +229,7 @@ def _check_edges(
     short_degrees = []
     violations = 0
     for i, r in enumerate(subsets):
-        inside = np.zeros(n, dtype=bool)
-        inside[list(r)] = True
-        inside = inside[edges]
+        inside = _inside(edges, n, r)
         hits += inside.all(axis=1)
         deg = np.zeros(size, dtype=np.intp)
         for ranks, rest in choices:
@@ -264,27 +241,15 @@ def _check_edges(
             short_degrees.append((i, _lex_unrank(int(j), n, d), int(deg[j])))
     shared = [(base.edges[j], int(hits[j])) for j in np.flatnonzero(hits > 1)]
     return (
-        CheckResult(
-            name="edge_multiplicity",
-            passed=not shared,
-            violations=len(shared),
-            witnesses=tuple(shared[:_WITNESS_CAP]),
-            detail="every base edge inside at most one sampled subset",
-        ),
-        CheckResult(
-            name="induced_degrees",
-            passed=not violations,
-            violations=violations,
-            witnesses=tuple(short_degrees),
-            detail=f"each d-set keeps >= {config.degree_fraction:g} of "
+        _result("edge_multiplicity", shared, "every base edge inside at most one sampled subset"),
+        _result(
+            "induced_degrees",
+            short_degrees,
+            f"each d-set keeps >= {config.degree_fraction:g} of "
             f"C(|R|-d, k-d) induced degree in every round",
+            violations,
         ),
     )
-
-
-def _induced_edges(base: Hypergraph, subset) -> list[tuple[int, ...]]:
-    inside = frozenset(subset)
-    return [e for e in base.edges if inside.issuperset(e)]
 
 
 def compute_round_matchings(outcome: RoundOneOutcome) -> RoundOneOutcome:
@@ -295,23 +260,19 @@ def compute_round_matchings(outcome: RoundOneOutcome) -> RoundOneOutcome:
     a None entry.
     """
     base = outcome.plan.base
+    edges = _edge_array(base)
     matchings: list[EdgeWeighting | None] = []
     skipped = []
     for i, r in enumerate(outcome.subsets):
-        value, matching, _ = fractional_matching(
-            Hypergraph(base.k, base.n, _induced_edges(base, r))
-        )
+        induced = itertools.compress(base.edges, _inside(edges, base.n, r).all(axis=1).tolist())
+        value, matching, _ = fractional_matching(Hypergraph(base.k, base.n, induced))
         if value == Fraction(len(r), base.k):
             matchings.append(matching)
         else:
             matchings.append(None)
             skipped.append(i)
-    return RoundOneOutcome(
-        plan=outcome.plan,
-        subsets=outcome.subsets,
-        checks=outcome.checks,
-        matchings=tuple(matchings),
-        skipped_rounds=tuple(skipped),
+    return dataclasses.replace(
+        outcome, matchings=tuple(matchings), skipped_rounds=tuple(skipped)
     )
 
 
@@ -322,12 +283,21 @@ def sample_rounds(
 ) -> RoundOneOutcome:
     """Sample the subsets and run the five checks; never raises on failure."""
     subsets = _sample_subsets(plan)
+    n = plan.base.n
+    coverage, pair_coverage = incidence(subsets, n)
+    over_cap = sorted((pair, c) for pair, c in pair_coverage.items() if c > config.pair_cap)
     multiplicity, degrees = _check_edges(plan, subsets, config)
     checks = (
-        _check_vertex_coverage(plan, subsets, config),
-        _check_pair_coverage(plan, subsets, config),
+        _check_band(
+            "vertex_coverage", coverage, plan.rounds * plan.p, config.vertex_tolerance,
+            "per-vertex coverage vs rounds*p",
+        ),
+        _result("pair_coverage", over_cap, f"pair coverage capped at {config.pair_cap}"),
         multiplicity,
-        _check_subset_sizes(plan, subsets, config),
+        _check_band(
+            "subset_sizes", map(len, subsets), n * plan.p, config.size_tolerance,
+            "subset sizes vs n*p",
+        ),
         degrees,
     )
     outcome = RoundOneOutcome(plan=plan, subsets=subsets, checks=checks)
@@ -356,16 +326,6 @@ class SparseSubgraph:
 
     def max_codegree(self) -> int:
         return max(self.codegrees.values(), default=0)
-
-
-def _draw_threshold(w: Fraction) -> float:
-    """The float t = ceil(w * 2^53) / 2^53, so that u < w iff u < t.
-
-    ``Generator.random`` returns multiples of 2^-53 in [0, 1), and for such
-    a u = U / 2^53 with U an integer, U < w * 2^53 iff U < ceil(w * 2^53).
-    For 0 < w < 1 the numerator is at most 2^53, so t is an exact float.
-    """
-    return math.ldexp(-((-w.numerator << 53) // w.denominator), -53)
 
 
 def build_sparse_subgraph(
@@ -467,6 +427,13 @@ def check_near_regularity(
     )
 
 
+_CHERNOFF_PARAMETERS = {
+    "small": ("expectation", "alpha"),
+    "binomial": ("n", "p", "lam"),
+    "large": ("expectation", "x"),
+}
+
+
 def chernoff_bound(kind: str, **params) -> float:
     """Exponential tail bounds with their validity ranges enforced.
 
@@ -478,10 +445,18 @@ def chernoff_bound(kind: str, **params) -> float:
     kind="large": P(X > x) <= exp(-x) for x >= 7*EX; pass expectation
     and x.
     """
+    names = _CHERNOFF_PARAMETERS.get(kind)
+    if names is None:
+        raise ValueError(f"kind must be small|binomial|large, got {kind!r}")
+    missing = [name for name in names if name not in params]
+    unexpected = sorted(set(params) - set(names))
+    if missing or unexpected:
+        raise TypeError(
+            f"the {kind} bound takes {names}: missing {missing}, unexpected {unexpected}"
+        )
+    values = [params[name] for name in names]
     if kind == "small":
-        expectation, alpha = params.pop("expectation"), params.pop("alpha")
-        if params:
-            raise TypeError(f"unexpected parameters {sorted(params)}")
+        expectation, alpha = values
         if expectation < 0:
             raise ValueError("expectation must be >= 0")
         if not 0 <= alpha <= 1.5:
@@ -490,9 +465,7 @@ def chernoff_bound(kind: str, **params) -> float:
             )
         return 2 * math.exp(-(alpha**2) * expectation / 3)
     if kind == "binomial":
-        n, p, lam = params.pop("n"), params.pop("p"), params.pop("lam")
-        if params:
-            raise TypeError(f"unexpected parameters {sorted(params)}")
+        n, p, lam = values
         if n <= 0 or not 0 < p <= 1:
             raise ValueError("need n > 0 and 0 < p <= 1")
         if not 0 <= lam <= 1.5 * n * p:
@@ -501,19 +474,15 @@ def chernoff_bound(kind: str, **params) -> float:
                 f"got lam={lam}"
             )
         return math.exp(-(lam**2) / (3 * n * p))
-    if kind == "large":
-        expectation, x = params.pop("expectation"), params.pop("x")
-        if params:
-            raise TypeError(f"unexpected parameters {sorted(params)}")
-        if expectation < 0:
-            raise ValueError("expectation must be >= 0")
-        if x < 7 * expectation:
-            raise ValueError(
-                f"large-deviation bound needs x >= 7*expectation = "
-                f"{7 * expectation:g}, got x={x}"
-            )
-        return math.exp(-x)
-    raise ValueError(f"kind must be small|binomial|large, got {kind!r}")
+    expectation, x = values
+    if expectation < 0:
+        raise ValueError("expectation must be >= 0")
+    if x < 7 * expectation:
+        raise ValueError(
+            f"large-deviation bound needs x >= 7*expectation = "
+            f"{7 * expectation:g}, got x={x}"
+        )
+    return math.exp(-x)
 
 
 def preset_scale_parameters(n: int) -> tuple[float, int]:

@@ -32,6 +32,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .hypercore import _draw_threshold
+
 __all__ = [
     "SamuelsQuery",
     "TwoPointFamily",
@@ -52,6 +54,12 @@ _CHUNK_ROWS = 1 << 14
 # the 3.3e8 uniforms/s measured on a 2-vCPU AMD EPYC it admits runs of about
 # 13 s, and refuses 10^11 samples at l = 3 (some 15 min) before drawing any.
 _MAX_WORK = 1 << 32
+
+# What each shard after the first adds to the work, in uniforms: a shard's
+# generator set-up (about 12 us on the same machine) costs about as much as
+# drawing 2^12 uniforms.  The one shard every run has is not charged, so a
+# single shard is admitted for exactly _MAX_WORK uniforms, as before.
+_SHARD_WORK = 1 << 12
 
 
 def _exact(value: Fraction | int | str) -> Fraction:
@@ -268,19 +276,21 @@ def monte_carlo_small_sum(
     made when the shard is drawn, so the result depends only on (seed,
     samples, shards); the default plan is a single shard.  The sum
     comparison is decided on the exact jump count, never on accumulated
-    floats.  Shards are drawn in blocks of ``_CHUNK_ROWS`` rows, which take
-    the stream in the order of one (count, l) array.  More than
-    ``_MAX_WORK`` uniforms in all is refused before any is drawn.
+    floats, and each jump on the exact ``u < p``.  Shards are drawn in
+    blocks of ``_CHUNK_ROWS`` rows, which take the stream in the order of
+    one (count, l) array.  More than ``_MAX_WORK`` uniforms in all, each
+    shard after the first counted as ``_SHARD_WORK`` more, is refused
+    before any is drawn.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if shards < 1 or shards > samples:
         raise ValueError(f"need 1 <= shards <= samples, got {shards}")
-    probs = [float(p) for p in family.success_probabilities()]
-    if samples * len(probs) > _MAX_WORK:
+    probs = [_draw_threshold(p) for p in family.success_probabilities()]
+    if samples * len(probs) + (shards - 1) * _SHARD_WORK > _MAX_WORK:
         raise ValueError(
-            f"{samples} samples of {len(probs)} uniforms exceed the work "
-            f"budget of {_MAX_WORK} uniforms"
+            f"{samples} samples of {len(probs)} uniforms in {shards} shards "
+            f"exceed the work budget of {_MAX_WORK} uniforms"
         )
     base, extra = divmod(samples, shards)
     buf = np.empty((_CHUNK_ROWS, len(probs)))

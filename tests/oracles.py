@@ -17,7 +17,10 @@ value, primal, dual and pivot count exactly.
 that ``samuels`` replaced: the first two multiply ``Fraction`` complements
 family by family, the last draws each shard as one (samples, l) array and
 reduces it with ``any(axis=1)``.  The fast kernels must return the same
-fractions, the same minimising t and the same seeded estimates.
+fractions, the same minimising t and the same seeded estimates.  This
+oracle compares each uniform with ``float(p)`` where the fast kernel uses
+the exact ``u < p``; the two differ only on the doubles between the two
+thresholds, at most one per coordinate, which seeded draws do not hit.
 
 ``check_edge_multiplicity``, ``check_induced_degrees`` and
 ``build_sparse_subgraph`` are the round-one audits and the round-two build

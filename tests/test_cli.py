@@ -1,11 +1,17 @@
 """End-to-end CLI checks: envelopes, payloads, files, exit codes."""
 
+import itertools
 import json
+import pathlib
+import re
+import tempfile
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hypermatch.cli import main
+from hypermatch.extremal import CONTEXTS
 from hypermatch.hypercore import (
     Hypergraph,
     read_hypergraph,
@@ -118,6 +124,16 @@ class TestSamuels:
         assert time.perf_counter() - started < 5
         assert code == 1
         assert set(doc) == {"command", "error"}
+        assert "work budget" in doc["error"]
+
+    def test_mc_with_too_many_shards_is_refused_at_once(self, capsys):
+        started = time.perf_counter()
+        code, doc = run_json(
+            capsys, "samuels", "mc", "--l", "3", "--x", "1/5",
+            "--samples", "1000000000", "--shards", "1000000000",
+        )
+        assert time.perf_counter() - started < 5
+        assert code == 1
         assert "work budget" in doc["error"]
 
     def test_scan_csv_profile(self, capsys):
@@ -311,3 +327,131 @@ def test_no_subcommand_takes_jobs(capsys, args):
         main([*args, "--jobs", "2"])
     assert info.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, flags",
+    [
+        (("storage", "optimize", "--r", "2"), "--n, --T"),
+        (("storage", "candidates", "--r", "2", "--T", "1"), "--n"),
+        (("storage", "phi", "--r", "2"), "--alloc"),
+        (("samuels", "scan"), "--l"),
+    ],
+)
+def test_missing_required_flag_is_a_usage_error(capsys, args, flags):
+    with pytest.raises(SystemExit) as info:
+        main(list(args))
+    assert info.value.code == 2
+    assert f"requires {flags}" in capsys.readouterr().err
+
+
+# Small integers only, so that every generated instance has n <= 12, and a
+# few values that are malformed or out of range.
+INT = st.sampled_from([str(i) for i in range(-1, 13)] + ["", "x", "1e3"])
+RATIONAL = st.sampled_from(["0", "1", "2", "1/3", "1/5", "3/2", "5/2", "1/10", "-1/2", "1/0", "x"])
+FLOAT = st.sampled_from(["0", "0.2", "0.5", "1", "1.5", "1e-3", "1e-6", "-1", "nan", "inf", "x"])
+FLAGS = {  # command: (positional choices, required flags, optional flags)
+    "solve": ([["input.hg"]], {}, {"--csv": None}),
+    "construct": (
+        [["h0"], ["h1"], ["clique"]],
+        {"--k": INT, "--n": INT},
+        {"--s": INT, "--csv": None},
+    ),
+    "conjecture": (
+        [[context] for context in CONTEXTS] + [["nope"]],
+        {},
+        {"--k": INT, "--n": INT, "--s": RATIONAL, "--d": INT, "--l": INT, "--m": INT},
+    ),
+    "samuels": (
+        [["qt"], ["qmin"], ["scan"], ["mc"]],
+        {},
+        {
+            "--mus": st.lists(RATIONAL, min_size=1, max_size=4).map(",".join),
+            "--l": INT, "--x": RATIONAL, "--t": INT, "--tolerance": FLOAT,
+            "--samples": INT, "--seed": INT, "--shards": INT, "--csv": None,
+        },
+    ),
+    "threshold": (
+        [[]],
+        {
+            "--mode": st.sampled_from(["integral", "fractional"]),
+            "--k": INT, "--n": INT, "--d": INT, "--s": RATIONAL,
+        },
+        {"--budget": INT, "--csv": None},
+    ),
+    "reduce": ([[]], {"--weights": st.just("input.wt"), "--k": INT, "--d": INT}, {"--csv": None}),
+    "storage": (
+        [["phi"], ["candidates"], ["optimize"]],
+        {"--r": INT},
+        {"--n": INT, "--T": INT, "--q": INT, "--alloc": st.just("input.wt"), "--csv": None},
+    ),
+    "randcons": (
+        [[]],
+        {"--base": st.just("input.hg")},
+        {
+            "--p": FLOAT, "--rounds": INT, "--d": INT, "--seed": INT,
+            "--paper-exponents": None, "--vertex-tolerance": FLOAT, "--pair-cap": INT,
+            "--size-tolerance": FLOAT, "--degree-fraction": FLOAT, "--build": None,
+            "--build-seed": INT, "--csv": None,
+        },
+    ),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    positional, required, optional = FLAGS[command]
+    argv = [command, *draw(st.sampled_from(positional))]
+    chosen = draw(st.lists(st.sampled_from(sorted(optional)), max_size=6, unique=True))
+    for flag in [*required, *chosen]:
+        argv.append(flag)
+        value = required.get(flag, optional.get(flag))
+        if value is not None:
+            argv.append(draw(value))
+    return argv
+
+
+@st.composite
+def hypergraph_texts(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 12))
+    combos = list(itertools.combinations(range(n), k))
+    edges = draw(st.lists(st.sampled_from(combos), max_size=30)) if combos else []
+    return f"{k} {n}\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges)
+
+
+def small_numbers_only(data: bytes) -> bool:
+    return all(int(token) <= 12 for token in re.findall(rb"\d+", data))
+
+
+FILE_BYTES = st.one_of(
+    hypergraph_texts().map(str.encode),
+    st.lists(RATIONAL, max_size=12).map(lambda lines: "\n".join(lines).encode()),
+    st.lists(st.lists(INT, max_size=4).map(" ".join), max_size=8).map(
+        lambda lines: "\n".join(lines).encode()
+    ),
+    st.binary(max_size=40).filter(small_numbers_only),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(argv=argvs(), hg=FILE_BYTES, wt=FILE_BYTES)
+def test_fuzzed_argv_and_files_never_end_in_a_traceback(capsys, tmp_path, monkeypatch, argv, hg, wt):
+    # A fresh directory per example: every file the CLI reads or writes is new.
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work, monkeypatch.context() as m:
+        m.chdir(work)
+        pathlib.Path("input.hg").write_bytes(hg)
+        pathlib.Path("input.wt").write_bytes(wt)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert set(json.loads(out)) == {"command", "error"}

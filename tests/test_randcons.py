@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hypermatch import randcons, thresholds
+from hypermatch import hypercore, randcons, thresholds
 from hypermatch.hypercore import Hypergraph
 from hypermatch.randcons import (
     AmbiguousMembershipError,
@@ -136,6 +136,51 @@ class TestRoundOneAuditsMatchOracles:
             ranks = randcons._lex_ranks(array, tuple(range(d)), n)
             assert ranks.tolist() == list(range(len(dsets)))
             assert [randcons._lex_unrank(i, n, d) for i in range(len(dsets))] == dsets
+
+
+def digest_plans():
+    """120 seeded plans and configs: k 2-4, n <= 14, 0-12 rounds, every d."""
+    rng = random.Random(2024)
+    for trial in range(120):
+        k = rng.randint(2, 4)
+        n = rng.randint(k, 14)
+        density = rng.choice((0.3, 0.7, 1.0))
+        edges = [e for e in itertools.combinations(range(n), k) if rng.random() < density]
+        plan = RoundOnePlan(
+            Hypergraph(k, n, edges),
+            rng.randint(0, 12),
+            rng.choice((0.2, 0.5, 0.8)),
+            rng.randint(0, k - 1),
+            seed=trial,
+        )
+        config = CheckConfig(
+            vertex_tolerance=rng.choice((0.2, 1 / 3, 0.6)),
+            pair_cap=rng.choice((1, 2, 4)),
+            size_tolerance=rng.choice((0.2, 1 / 3, 0.6)),
+            degree_fraction=rng.choice((0.0, 0.2, 0.5, 1.0)),
+        )
+        yield plan, config
+
+
+def test_outcomes_match_pinned_digest():
+    # Pins subsets, every check (witnesses and details included), the round
+    # matchings and the skipped rounds.  Each of the five checks both passes
+    # and fails on these plans, and each has more violations than witnesses on
+    # some of them.
+    digest = hashlib.sha256()
+    passed, capped = {}, set()
+    for plan, config in digest_plans():
+        outcome = sample_rounds(plan, config, with_matchings=True)
+        for c in outcome.checks:
+            passed.setdefault(c.name, set()).add(c.passed)
+            if c.violations > len(c.witnesses):
+                capped.add(c.name)
+        digest.update(repr(outcome).encode())
+    assert len(passed) == len(capped) == 5
+    assert all(seen == {True, False} for seen in passed.values())
+    assert digest.hexdigest() == (
+        "fcbca12b19877dc74797355ca18825d0fb423fdfbc1278176c32e0b3d8b3f6e1"
+    )
 
 
 class TestRoundMatchings:
@@ -274,7 +319,7 @@ class TestBuildMatchesOracle:
             Fraction(2, 3),
         ]
         for w in weights:
-            t = randcons._draw_threshold(w)
+            t = hypercore._draw_threshold(w)
             near = math.floor(w * 2**53) * ulp
             for u in (0.0, ulp, near - ulp, near, near + ulp, 0.5 - ulp, 0.5, 0.5 + ulp, 1 - ulp):
                 if 0 <= u < 1:
@@ -282,7 +327,7 @@ class TestBuildMatchesOracle:
         # (2^60 + 1) / 2^61 is just above 1/2, so u = 1/2 is below it, while
         # float(w) rounds to 1/2 and would decide the other way.
         w = Fraction(2**60 + 1, 2**61)
-        assert 0.5 < w and not 0.5 < float(w) and 0.5 < randcons._draw_threshold(w)
+        assert 0.5 < w and not 0.5 < float(w) and 0.5 < hypercore._draw_threshold(w)
 
 
 class TestRegularity:
@@ -335,6 +380,10 @@ class TestChernoff:
             chernoff_bound("huge", expectation=1, x=10)
         with pytest.raises(TypeError):
             chernoff_bound("small", expectation=50, alpha=0.3, slack=1)
+        with pytest.raises(TypeError, match="missing \\['alpha'\\]"):
+            chernoff_bound("small", expectation=1)
+        with pytest.raises(TypeError, match="missing \\['n', 'lam'\\]"):
+            chernoff_bound("binomial", p=0.5)
 
     def test_scale_preset(self):
         p, rounds = preset_scale_parameters(60)

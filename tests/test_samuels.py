@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -263,6 +264,31 @@ class TestMonteCarlo:
         assert monte_carlo_small_sum(family, 10, seed=2) == oracles.monte_carlo_small_sum(family, 10, seed=2)
         with pytest.raises(ValueError, match="work budget"):
             monte_carlo_small_sum(family, 11, seed=2)
+
+    def test_shards_are_charged_against_the_work_budget(self, monkeypatch):
+        family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
+        # Ten samples of three uniforms, and four shards past the first.
+        monkeypatch.setattr(samuels, "_MAX_WORK", 30 + 4 * samuels._SHARD_WORK)
+        for shards in (1, 5):
+            assert monte_carlo_small_sum(
+                family, 10, seed=3, shards=shards
+            ) == oracles.monte_carlo_small_sum(family, 10, seed=3, shards=shards)
+        with pytest.raises(ValueError, match="work budget"):
+            monte_carlo_small_sum(family, 10, seed=3, shards=6)
+
+    def test_jumps_are_decided_on_the_exact_probability(self, monkeypatch):
+        # u = float(2/3) lies just below p = 2/3, so the coordinate jumps and
+        # the sum reaches 1; compared with float(p) instead, u would not jump.
+        u = float(Fraction(2, 3))
+        assert u < Fraction(2, 3) and not u < float(Fraction(2, 3))
+
+        class Constant:
+            def random(self, out):
+                out.fill(u)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Constant())
+        family = TwoPointFamily(SamuelsQuery.uniform(1, Fraction(2, 3)), 0)
+        assert monte_carlo_small_sum(family, 7) == 0.0
 
     def test_memory_does_not_grow_with_samples(self):
         family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
