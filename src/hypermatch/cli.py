@@ -142,12 +142,8 @@ def _cmd_construct(args) -> None:
     if args.family == "h0":
         h = construct_h0(args.k, args.n)
     elif args.family == "h1":
-        if args.s is None:
-            raise ValueError("construct h1 requires --s")
         h = construct_h1(args.k, args.n, args.s)
     else:
-        if args.s is None:
-            raise ValueError("construct clique requires --s")
         h = construct_clique_plus_isolated(args.k, args.n, args.s)
     out = args.out
     if out is None:
@@ -180,8 +176,6 @@ def _samuels_query(args) -> SamuelsQuery:
     if args.mus is not None:
         mus = tuple(parse_rational(tok) for tok in args.mus.split(","))
         return SamuelsQuery(mus)
-    if args.l is None or args.x is None:
-        raise ValueError("pass either --mus or both --l and --x")
     return SamuelsQuery.uniform(args.l, parse_rational(args.x))
 
 
@@ -328,8 +322,6 @@ def _cmd_randcons(args) -> None:
     p, rounds = args.p, args.rounds
     if args.paper_exponents:
         p, rounds = preset_scale_parameters(base.n)
-    if p is None or rounds is None:
-        raise ValueError("pass --p and --rounds, or --paper-exponents")
     plan = RoundOnePlan(base, rounds=rounds, p=p, d=args.d, seed=args.seed)
     config = CheckConfig(
         vertex_tolerance=args.vertex_tolerance,
@@ -489,6 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--paper-exponents",
         action="store_true",
+        default=None,  # absent is None, like the flags it stands in for
         help="use p = n^-0.9 and rounds = round(n^1.1)",
     )
     p.add_argument("--vertex-tolerance", type=float, default=1 / 3)
@@ -509,20 +502,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Flags that argparse leaves optional but these actions cannot run without.
 _REQUIRED = {
+    ("construct", "h1"): ("s",),
+    ("construct", "clique"): ("s",),
     ("samuels", "scan"): ("l",),
     ("storage", "phi"): ("alloc",),
     ("storage", "candidates"): ("n", "T"),
     ("storage", "optimize"): ("n", "T"),
 }
 
+# Actions that need one of two groups of flags, each group in full.
+_SAMUELS_QUERY = (("mus",), ("l", "x"))
+_EITHER = {
+    ("samuels", "qt"): _SAMUELS_QUERY,
+    ("samuels", "qmin"): _SAMUELS_QUERY,
+    ("samuels", "mc"): _SAMUELS_QUERY,
+    ("randcons", None): (("p", "rounds"), ("paper_exponents",)),
+}
+
+
+def _flags(names) -> str:
+    return " and ".join(f"--{name.replace('_', '-')}" for name in names)
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    action = (args.subcommand, getattr(args, "action", None))
+    action = (args.subcommand, getattr(args, "action", getattr(args, "family", None)))
+    command = " ".join(filter(None, action))
     missing = [f"--{name}" for name in _REQUIRED.get(action, ()) if getattr(args, name) is None]
     if missing:
-        parser.error(f"{' '.join(action)} requires {', '.join(missing)}")
+        parser.error(f"{command} requires {', '.join(missing)}")
+    groups = _EITHER.get(action)
+    if groups and not any(all(getattr(args, n) is not None for n in group) for group in groups):
+        parser.error(f"{command} requires {_flags(groups[0])}, or {_flags(groups[1])}")
     args._started = time.perf_counter()
     try:
         outcome = args.handler(args)

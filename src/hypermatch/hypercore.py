@@ -123,6 +123,12 @@ def _check_weights(weights: Iterable[Fraction | int | str]) -> tuple[Fraction, .
     return tuple(out)
 
 
+def _over_lcm(weights: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The weights' numerators over the lcm of their denominators, and the lcm."""
+    common = math.lcm(*[w.denominator for w in weights])
+    return [w.numerator * (common // w.denominator) for w in weights], common
+
+
 @dataclass(frozen=True)
 class VertexWeighting:
     """Exact rational weights in [0, 1], one per vertex 0..n-1."""
@@ -142,7 +148,8 @@ class VertexWeighting:
         return iter(self.weights)
 
     def total(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        scaled, common = _over_lcm(self.weights)
+        return Fraction(sum(scaled), common)
 
 
 @dataclass(frozen=True)
@@ -162,13 +169,13 @@ class EdgeWeighting:
             raise ValueError(
                 f"{len(ws)} weights for {hypergraph.num_edges} edges"
             )
-        support = tuple((e, w) for e, w in zip(hypergraph.edges, ws) if w != 0)
-        loads, _ = incidence(
-            (e for e, w in support), hypergraph.n, (w for e, w in support), pairs=False
-        )
+        support = tuple((e, w) for e, w in zip(hypergraph.edges, ws) if w.numerator)
+        # Loads in integers over the lcm of the support's denominators.
+        scaled, common = _over_lcm([w for _, w in support])
+        loads, _ = incidence((e for e, _ in support), hypergraph.n, scaled, pairs=False)
         for v, load in enumerate(loads):
-            if load > 1:
-                raise ValueError(f"vertex {v} carries load {load} > 1")
+            if load > common:
+                raise ValueError(f"vertex {v} carries load {Fraction(load, common)} > 1")
         object.__setattr__(self, "hypergraph", hypergraph)
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "_support", support)
@@ -180,7 +187,8 @@ class EdgeWeighting:
         return self.weights[i]
 
     def total(self) -> Fraction:
-        return sum((w for _, w in self._support), Fraction(0))
+        scaled, common = _over_lcm([w for _, w in self._support])
+        return Fraction(sum(scaled), common)
 
     def support(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """The (edge, weight) pairs with nonzero weight, in edge order."""

@@ -10,14 +10,13 @@ anyway so a bug cannot go unnoticed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, vertex_masks
+from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, _over_lcm, vertex_masks
 from .simplex import solve_unit_packing
 
 __all__ = [
@@ -194,11 +193,10 @@ def _verify_lp_pair(
         raise AssertionError("certificate totals disagree with the LP value")
     # Each edge needs cover weight >= 1: scale the weights to their common
     # denominator once, then compare integer sums with it.
-    denominators = tuple(w.denominator for w in cover.weights)
-    common = math.lcm(*denominators)
-    scaled = [w.numerator * (common // w.denominator) for w in cover.weights]
+    scaled, common = _over_lcm(cover.weights)
+    get = scaled.__getitem__
     for e in h.edges:
-        if sum(scaled[v] for v in e) < common:
+        if sum(map(get, e)) < common:
             raise AssertionError(f"cover misses edge {e}")
     # EdgeWeighting construction already enforced loads <= 1 and weight range.
 
@@ -263,5 +261,5 @@ def _verify_integral(
         used |= set(e)
     cset = set(cover)
     for e in h.edges:
-        if not cset & set(e):
+        if cset.isdisjoint(e):
             raise AssertionError(f"cover certificate misses edge {e}")

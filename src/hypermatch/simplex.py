@@ -6,18 +6,21 @@ its incident vertices).  This is the fractional matching LP; the dual read
 off the final basis is a fractional vertex cover of the same value.
 
 Nothing is rounded anywhere, and the basis is kept in integers.  With one
-shared denominator D > 0 the state is  B^-1 = M/D,  x_B = X/D  and
-y = c_B B^-1 = Y/D,  with M, X and Y integer; initially D = 1 and M = I.
-With d = M a for the entering column a, a pivot on p = d[leaving row]
-keeps the pivot rows of M and X, replaces every other row r by
-(p*row - d[r]*pivot row) // D,  the duals by
-(p*Y + c*M[leaving row]) // D  with c = D times the entering reduced cost,
-and then sets D = p.  By Sylvester's identity every such division is exact
-(Edmonds 1967; Bareiss 1968): D stays |det B|, so M = D*B^-1 is the adjugate
-up to sign, and as the pivot is positive D never changes sign.  Pricing
-reads the exact signs of the reduced costs from Y and D: a column enters iff
+shared denominator D > 0 the state is  B^-1 = M/D,  x_B = X/D,
+y = c_B B^-1 = Y/D  and the objective value Z/D,  with M, X, Y and Z
+integer; initially D = 1, M = I, X = 1 and Y = Z = 0.  They form one
+integer tableau: rows 0..m-1 hold [M | X] and row m holds [Y | Z].  For
+the entering variable let d[r] = (M a)[r] for r < m, with a the entering
+column, and let d[m] = -c, with c = D times its reduced cost: so
+d[m] = sum(Y[r] for r in column) - D for a column, and Y[i] for slack i.
+A pivot on p = d[leaving row] keeps the pivot row and replaces every other
+row, row m too, by  (p*row - d[r]*pivot row) // D,  and then sets D = p.
+By Sylvester's identity every such division is exact (Edmonds 1967;
+Bareiss 1968): D stays |det B|, so M = D*B^-1 is the adjugate up to sign,
+and as the pivot is positive D never changes sign.  Pricing reads the
+exact signs of the reduced costs from Y and D: a column enters iff
 sum(Y[r] for r in column) < D, a slack i iff Y[i] < 0.  Rationals are
-formed once, from the final X, Y and D.
+formed once, from the final X, Y, Z and D.
 
 Column pricing is one numpy gather per pivot.  Once per solve the columns'
 rows go into a (width, ncols) index array, short columns padded with a
@@ -28,10 +31,10 @@ which is checked on every pivot in O(m) on the Python ints; past that bound
 the same arrays are built with dtype object, whose elements are Python
 ints.  No float is involved.  When the pivot p equals D, as on most pivots
 of the larger LPs, a row's new value (D*a - f*b) // D is a - f*b // D, the
-division again exact: so M, X and Y change in place, and only where the
-pivot row of M is nonzero, and a row with f = d[r] = 0 not at all.  Other
-pivots rebuild every row but the pivot row.  M, X and Y stay Python int
-lists.
+division again exact: so the tableau changes in place, and only where the
+pivot row is nonzero, and a row with f = d[r] = 0 not at all.  Other
+pivots rebuild every row but the pivot row, a row with f = 0 by scaling
+alone.  The tableau stays a list of Python int lists.
 
 Only the rows that some column touches enter the tableau.  A row that no
 column touches keeps a basic slack, a zero dual and an untouched row of
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -81,32 +85,39 @@ def solve_unit_packing(
     """
     ncols = len(columns)
     cols = [tuple(col) for col in columns]
-    for col in cols:
-        if not col:
-            raise ValueError("a column must hit at least one row")
-        for r in col:
-            if not (0 <= r < n_rows):
-                raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
-        if len(set(col)) != len(col):
-            raise ValueError(f"column {col} repeats a row")
+    touched = sorted(set().union(*cols))
+    if (
+        not all(cols)
+        or (touched and (touched[0] < 0 or touched[-1] >= n_rows))
+        or any(len(set(col)) != len(col) for col in cols)
+    ):
+        # Report the first fault in column order.
+        for col in cols:
+            if not col:
+                raise ValueError("a column must hit at least one row")
+            for r in col:
+                if not (0 <= r < n_rows):
+                    raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
+            if len(set(col)) != len(col):
+                raise ValueError(f"column {col} repeats a row")
     if ncols == 0 or n_rows == 0:
         return PackingResult(_ZERO, (_ZERO,) * ncols, (_ZERO,) * n_rows, 0)
 
     # The tableau holds only the rows some column touches, relabelled in
     # increasing order so that slack ids keep their order.  An untouched
     # row's slack would stay basic with a zero dual throughout.
-    touched = sorted({r for col in cols for r in col})
-    label = {r: i for i, r in enumerate(touched)}
-    cols = [tuple(label[r] for r in col) for col in cols]
     m = len(touched)
+    if touched[-1] != m - 1:
+        label = {r: i for i, r in enumerate(touched)}
+        cols = [tuple(label[r] for r in col) for col in cols]
 
     # Variable ids: 0..ncols-1 are structural columns, ncols..ncols+m-1 are
     # slacks.  The initial basis is the slack identity (b = 1 is feasible),
-    # with zero duals.
+    # with zero duals and value.  Rows 0..m-1 of the tableau are [M | X],
+    # row m is [Y | Z].
     denom = 1
-    mat = [[int(i == j) for j in range(m)] for i in range(m)]
-    xs = [1] * m
-    ys = [0] * m
+    tab = [[int(i == j) for j in range(m)] + [1] for i in range(m)]
+    tab.append([0] * (m + 1))
     basis = [ncols + i for i in range(m)]
     pivots = 0
     # Each column's rows, padded with the sentinel row m (dual 0), held as
@@ -118,41 +129,49 @@ def solve_unit_packing(
     while True:
         # Bland pricing: the first column with positive reduced cost, else
         # the first slack with one.  A basic variable has reduced cost
-        # exactly 0, so it never enters.
+        # exactly 0, so it never enters.  Z is set aside while the gather
+        # reads entry m as the sentinel row's dual 0.
+        ys = tab[m]
+        z, ys[m] = ys[m], 0
         fits = denom < limit and max(ys) < limit and -min(ys) < limit
-        gain = np.array(ys + [0], np.int64 if fits else object).take(rows).sum(axis=0) < denom
+        gain = np.array(ys, np.int64 if fits else object).take(rows).sum(axis=0) < denom
+        ys[m] = z
         entering = int(gain.argmax())
         if not gain[entering]:
             entering = next((ncols + i for i in range(m) if ys[i] < 0), -1)
         if entering < 0:
             break  # optimal: no variable has positive reduced cost
 
-        # d = M * A_entering = D * B^-1 * A_entering, and c = D * reduced cost.
-        if entering < ncols:
-            col = cols[entering]
-            d = [sum(map(row.__getitem__, col)) for row in mat]
-            cost = denom - sum(map(ys.__getitem__, col))
-        else:
+        # The entering column of the tableau: d[r] = (M a)[r] for r < m, and
+        # d[m] = -(D times the reduced cost), so that every row, the
+        # objective row too, is updated by the same rule.
+        if entering >= ncols:
             i = entering - ncols
-            d = [row[i] for row in mat]
-            cost = -ys[i]
+            d = [row[i] for row in tab]
+        else:
+            col = cols[entering]
+            if len(col) == 1:
+                i = col[0]
+                d = [row[i] for row in tab]
+            else:
+                get = itemgetter(*col)
+                d = [sum(get(row)) for row in tab]
+            d[m] -= denom
 
         # Ratio test on X[r] / d[r], which is x_B[r] / (B^-1 a)[r] with D
         # cancelled, compared cross-multiplied.
         lr = -1
         for r in range(m):
-            if d[r] > 0 and (
-                lr < 0
-                or xs[r] * d[lr] < xs[lr] * d[r]
-                or (xs[r] * d[lr] == xs[lr] * d[r] and basis[r] < basis[lr])
-            ):
-                lr = r
+            f = d[r]
+            if f > 0:
+                x = tab[r][m]
+                if lr < 0 or x * fl < xl * f or (x * fl == xl * f and basis[r] < basis[lr]):
+                    lr, fl, xl = r, f, x
         if lr < 0:
             raise ArithmeticError("unit packing LP cannot be unbounded")
 
-        p = d[lr]
-        prow = mat[lr]
-        px = xs[lr]
+        p = fl
+        prow = tab[lr]
         if p == denom:
             # (D*a - f*b) // D is a - f*b // D, exactly: only the positions
             # where the pivot row is nonzero change, and a row with f = 0
@@ -160,19 +179,16 @@ def solve_unit_packing(
             nonzero = [(j, b) for j, b in enumerate(prow) if b]
             for r, f in enumerate(d):
                 if f and r != lr:
-                    row = mat[r]
+                    row = tab[r]
                     for j, b in nonzero:
                         row[j] -= f * b // denom
-                    xs[r] -= f * px // denom
-            for j, b in nonzero:
-                ys[j] += cost * b // denom
         else:
-            for r in range(m):
+            for r, f in enumerate(d):
                 if r != lr:
-                    f = d[r]
-                    mat[r] = [(p * a - f * b) // denom for a, b in zip(mat[r], prow)]
-                    xs[r] = (p * xs[r] - f * px) // denom
-            ys = [(p * v + cost * b) // denom for v, b in zip(ys, prow)]
+                    if f:
+                        tab[r] = [(p * a - f * b) // denom for a, b in zip(tab[r], prow)]
+                    else:
+                        tab[r] = [p * a // denom for a in tab[r]]
         denom = p
         basis[lr] = entering
         pivots += 1
@@ -180,9 +196,8 @@ def solve_unit_packing(
     primal = [_ZERO] * ncols
     for r in range(m):
         if basis[r] < ncols:
-            primal[basis[r]] = Fraction(xs[r], denom)
-    value = Fraction(sum(xs[r] for r in range(m) if basis[r] < ncols), denom)
+            primal[basis[r]] = Fraction(tab[r][m], denom)
     dual = [_ZERO] * n_rows
-    for r, v in zip(touched, ys):
+    for r, v in zip(touched, tab[m]):
         dual[r] = Fraction(v, denom)
-    return PackingResult(value, tuple(primal), tuple(dual), pivots)
+    return PackingResult(Fraction(tab[m][m], denom), tuple(primal), tuple(dual), pivots)

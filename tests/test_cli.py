@@ -336,6 +336,8 @@ def test_no_subcommand_takes_jobs(capsys, args):
         (("storage", "candidates", "--r", "2", "--T", "1"), "--n"),
         (("storage", "phi", "--r", "2"), "--alloc"),
         (("samuels", "scan"), "--l"),
+        (("construct", "h1", "--k", "3", "--n", "6"), "--s"),
+        (("construct", "clique", "--k", "3", "--n", "6"), "--s"),
     ],
 )
 def test_missing_required_flag_is_a_usage_error(capsys, args, flags):
@@ -343,6 +345,26 @@ def test_missing_required_flag_is_a_usage_error(capsys, args, flags):
         main(list(args))
     assert info.value.code == 2
     assert f"requires {flags}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["qt", "qmin", "mc"])
+@pytest.mark.parametrize("given", [(), ("--l", "3"), ("--x", "1/5")])
+def test_samuels_without_a_query_is_a_usage_error(capsys, action, given):
+    with pytest.raises(SystemExit) as info:
+        main(["samuels", action, *given])
+    assert info.value.code == 2
+    assert f"samuels {action} requires --mus, or --l and --x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given", [(), ("--p", "0.5"), ("--rounds", "3")])
+def test_randcons_without_p_and_rounds_is_a_usage_error(capsys, tmp_path, given):
+    base = tmp_path / "base.hg"
+    write_hypergraph(Hypergraph.complete(3, 6), str(base))
+    with pytest.raises(SystemExit) as info:
+        main(["randcons", "--base", str(base), *given])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "randcons requires --p and --rounds, or --paper-exponents" in err
 
 
 # Small integers only, so that every generated instance has n <= 12, and a

@@ -1,11 +1,12 @@
 """Core types: construction rules, degrees, links, threshold graphs, I/O."""
 
+import itertools
 import math
 import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypermatch.hypercore import (
     EdgeWeighting,
@@ -148,6 +149,98 @@ class TestWeightings:
         assert back.support() == ew.support()
 
 
+def _reference_weights(raw):
+    """Each weight as a Fraction in [0, 1], checked with Fraction arithmetic."""
+    out = []
+    for w in raw:
+        f = Fraction(w)
+        if f < 0 or f > 1:
+            raise ValueError(f"weight {f} outside [0, 1]")
+        out.append(f)
+    return tuple(out)
+
+
+def _reference_edge_weighting(h, raw):
+    """(weights, support, total) of a feasible edge weighting, or the error."""
+    ws = _reference_weights(raw)
+    if len(ws) != h.num_edges:
+        raise ValueError(f"{len(ws)} weights for {h.num_edges} edges")
+    loads = [Fraction(0)] * h.n
+    for e, w in zip(h.edges, ws):
+        for v in e:
+            loads[v] += w
+    for v, load in enumerate(loads):
+        if load > 1:
+            raise ValueError(f"vertex {v} carries load {load} > 1")
+    support = tuple((e, w) for e, w in zip(h.edges, ws) if w != 0)
+    return ws, support, sum(ws, Fraction(0))
+
+
+def _outcome(build):
+    try:
+        return "accepted", build()
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+# A weight in one of the accepted input forms: int, "p/q" text or Fraction.
+# Zeros and small weights are common, so that both feasible weightings and
+# overloaded vertices turn up; some weights lie outside [0, 1].
+_WEIGHTS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=Fraction(1, 3), max_denominator=12),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.fractions(min_value=-1, max_value=2, max_denominator=6),
+).flatmap(
+    lambda f: st.sampled_from(
+        [f, str(f)] + ([f.numerator] if f.denominator == 1 else [])
+    )
+)
+
+
+class TestWeightingsAgainstFractionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        n=st.integers(3, 6),
+        picks=st.lists(st.integers(0, 19), max_size=8),
+        raw=st.lists(_WEIGHTS, max_size=9),
+        pad=st.booleans(),
+    )
+    @example(k=2, n=3, picks=[0, 1], raw=["1/2", Fraction(2, 3)], pad=False)  # vertex 0 at 7/6
+    @example(k=2, n=3, picks=[0, 1, 2], raw=[0, "0", Fraction(0)], pad=False)
+    @example(k=1, n=3, picks=[0], raw=[Fraction(5, 4)], pad=False)
+    def test_edge_weighting(self, k, n, picks, raw, pad):
+        pool = list(itertools.combinations(range(n), k))
+        h = Hypergraph(k, n, [pool[i % len(pool)] for i in picks])
+        if pad:  # mostly the right number of weights, sometimes not
+            raw = (raw + [0] * h.num_edges)[: h.num_edges]
+
+        def build():
+            ew = EdgeWeighting(h, raw)
+            assert all(type(w) is Fraction for w in ew.weights)
+            assert type(ew.total()) is Fraction
+            return ew.weights, ew.support(), ew.total()
+
+        assert _outcome(build) == _outcome(lambda: _reference_edge_weighting(h, raw))
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.lists(_WEIGHTS, max_size=8))
+    @example(raw=[])
+    @example(raw=[1, "1/2", Fraction(-1, 3)])
+    def test_vertex_weighting(self, raw):
+        def build():
+            w = VertexWeighting(raw)
+            assert type(w.total()) is Fraction
+            return w.weights, w.total()
+
+        def reference():
+            ws = _reference_weights(raw)
+            return ws, sum(ws, Fraction(0))
+
+        assert _outcome(build) == _outcome(reference)
+
+
 class TestIncidence:
     def test_plain_counts(self):
         vertex, pair = incidence(K4.edges, 5)
@@ -254,8 +347,6 @@ class TestThresholdHypergraph:
             weights = weights + [Fraction(0)] * (k - len(weights))
         w = VertexWeighting(tuple(weights))
         h = threshold_hypergraph(w, k)
-        import itertools
-
         for e in itertools.combinations(range(len(weights)), k):
             assert (e in h) == (sum(w[v] for v in e) >= 1)
 

@@ -306,3 +306,34 @@ class TestFractionalOptima:
         assert report.nu == 1
         assert report.nu_star == 2
         assert report.tau == 3
+
+
+class TestCertifyReportsPinned:
+    def test_certify_reports_match_pinned_digest(self):
+        # Three seed-0 instances per criterion-1 cell (k in {2, 3, 4},
+        # n <= 14, densities 0.2/0.5/0.8), drawn as the certify benchmark
+        # draws them; every field of each report goes into the digest.
+        digest = hashlib.sha256()
+        count = 0
+        for rep in range(3):
+            for k in (2, 3, 4):
+                for n in range(k, 15):
+                    for density in (0.2, 0.5, 0.8):
+                        key = [0, k, n, round(density * 10), rep]
+                        r = fractional_optimum(seeded_edge_set(k, n, density, key))
+                        fields = (
+                            r.nu,
+                            r.nu_star,
+                            r.tau_star,
+                            r.tau,
+                            r.matching_certificate,
+                            r.fractional_matching.weights,
+                            r.fractional_cover.weights,
+                            r.cover_certificate,
+                        )
+                        digest.update(repr(fields).encode())
+                        count += 1
+        assert count == 324
+        assert digest.hexdigest() == (
+            "f91f91a42dac138fbef714a585a5ef8425299688cdf2d681b46063e480bf19bf"
+        )
