@@ -117,7 +117,8 @@ def _check_weights(weights: Iterable[Fraction | int | str]) -> tuple[Fraction, .
     for w in weights:
         f = w if type(w) is Fraction else Fraction(w)
         # Exact without Fraction comparisons: the denominator is positive.
-        if f.numerator < 0 or f.numerator > f.denominator:
+        num, den = f.as_integer_ratio()
+        if num < 0 or num > den:
             raise ValueError(f"weight {f} outside [0, 1]")
         out.append(f)
     return tuple(out)

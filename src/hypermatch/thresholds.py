@@ -9,11 +9,15 @@ is found by enumerating all 2^binom(n, k) edge sets.
 
 The enumeration walks edge-set bitmasks in increasing numeric order (edges
 indexed lexicographically), so results, witnesses and LP counts are
-reproducible.  Masks are held in uint32 numpy blocks and decided by exact
-integer bit arithmetic.  Two prunes keep it fast: the min d-degree is
-computed first and the feasibility check is skipped unless it beats the
-best so far, and an integral matching of size ceil(s) is searched before
-any LP is solved, because finding one already rules the edge set out.
+reproducible.  Each aligned window of 2^16 masks is one high part joined
+with every pattern of the 16 lowest edges, and the patterns' degree counts
+and matching numbers are uint8 tables built once per scan, so deciding a
+window takes a few exact numpy passes over 2^16 bytes.  The prunes: a
+window is skipped whole when its high edges alone hold a matching of size
+ceil(s), or when no mask in it can beat the best min d-degree so far; the
+matching check is skipped unless a mask's min d-degree beats the best so
+far; and an integral matching of size ceil(s) is looked for before any LP
+is solved, because finding one already rules the edge set out.
 """
 
 from __future__ import annotations
@@ -89,8 +93,12 @@ class SearchBudget:
 
 
 # Bound on masks times C(n, d), the d-set degree counts that decide the
-# masks.  It admits f(23,24,2,1), 2^24 masks over 276 d-sets (about 1.3 s),
-# and refuses i(22,23,5,1), 2^23 masks over 33,649 d-sets (75 s).
+# masks.  With no window skipped, an admitted scan makes at most 2^17 passes
+# of one d-set over a window of 2^16 masks, about 2.5 s if every pass is
+# past the table cap.  The prunes usually do far better: f(23,24,2,1), 2^24
+# masks over 276 d-sets, takes 0.01 s and i(16,17,7,1), 2^17 masks over
+# 19,448 d-sets, 0.4 s; the refused i(22,23,5,1) and i(22,23,5,2), 2^23
+# masks over 33,649 d-sets, would take 0.4 s and 1.4 s.
 _MAX_WORK = 1 << 33
 
 
@@ -157,25 +165,53 @@ def _disjointness_masks(edges: list[tuple[int, ...]]) -> list[int]:
     return out
 
 
-# Masks decided per numpy call: enough to amortise its overhead, while each
-# block array stays at 256 KB.
-_BLOCK = 1 << 16
+# Each window of 2^_LOW_BITS masks is one fixed high part joined with every
+# low pattern, whose degree counts and matching numbers are uint8 tables
+# built once per scan.  At most 16: the low patterns are held as uint16.
+_LOW_BITS = 16
+# Bound on the bytes of a scan's degree and matching tables; what does not
+# fit is computed per window.
+_TABLE_BYTES = 1 << 24
 
 
-def _edge_matchings(need: int, disj: list[int], num_edges: int) -> list[int]:
-    """Every set of ``need`` pairwise disjoint edges, as edge-index bitmasks."""
-    out = []
+def _low_matching_numbers(disj_low: list[int], low: int) -> np.ndarray:
+    """Matching number of every set of the ``low`` lowest edges, as uint8.
 
-    def extend(chosen: int, allowed: int, left: int) -> None:
-        if left == 0:
-            out.append(chosen)
+    The top edge t of a set is either left out or matched, leaving only the
+    lower edges disjoint from it: nu[L] = max(nu[L - 2^t], 1 + nu[(L - 2^t) &
+    disj_t]).
+    """
+    nu = np.zeros(1 << low, dtype=np.uint8)
+    for t in range(low):
+        half = 1 << t
+        rest = nu[np.arange(half) & disj_low[t]] + 1
+        np.maximum(nu[:half], rest, out=nu[half : 2 * half])
+    return nu
+
+
+def _high_matchings(
+    high: list[int], disj: list[int], low_mask: int, need: int
+) -> dict[int, int]:
+    """Low edges disjoint from a matching among ``high``, with its largest size.
+
+    Maps the low edge mask left by each set of at most ``need`` pairwise
+    disjoint ``high`` edges (the empty set included) to the largest such set
+    leaving it.
+    """
+    out: dict[int, int] = {}
+
+    def extend(i: int, allowed: int, size: int) -> None:
+        key = allowed & low_mask
+        if out.get(key, -1) < size:
+            out[key] = size
+        if size == need:
             return
-        while allowed:
-            b = allowed & -allowed
-            allowed ^= b
-            extend(chosen | b, allowed & disj[b.bit_length() - 1], left - 1)
+        for j in range(i, len(high)):
+            e = high[j]
+            if allowed >> e & 1:
+                extend(j + 1, allowed & disj[e], size + 1)
 
-    extend(0, (1 << num_edges) - 1, need)
+    extend(0, -1, 0)
     return out
 
 
@@ -192,68 +228,101 @@ def _scan_range(
 
     Witness is the smallest mask in the range attaining the returned delta
     among qualifying edge sets; delta is -1 if nothing in range qualifies.
-    Masks are decided in blocks of ``_BLOCK`` as uint32 arrays, in exact
-    integer bit arithmetic; a mask is checked only if its min d-degree beats
-    the best so far, and the LPs run one by one in mask order, so the LP
-    count is that of a mask-by-mask walk of the range.
+    Each aligned window of 2^``_LOW_BITS`` masks is a high part H joined
+    with every low pattern L, decided in exact integers.  The min d-degree
+    is min_j(popcount(H & sm_j) + T_j[L]), with T_j the tabulated popcount
+    of L on the low edges of the d-set's edge mask sm_j.  A mask has a
+    matching of size need iff some matching M among H's edges leaves low
+    edges A with nu[L & A] >= need - |M|, nu the tabulated matching number
+    of the low patterns; a window where M alone reaches need is skipped.  A
+    mask is checked only if its min d-degree beats the best so far, and the
+    LPs run one by one in mask order, so the LP count is that of a
+    mask-by-mask walk of the range.
     """
     edges = _edge_universe(k, n)
-    dmasks = np.array(_dset_edge_masks(edges, n, d), dtype=np.uint32)
+    low = min(_LOW_BITS, len(edges))
+    width = 1 << low
+    low_mask = width - 1
     disj = _disjointness_masks(edges)
-    # Indexed by trailing-zero count; entry 32 (an empty mask) stays empty.
-    disj_tz = np.zeros(33, dtype=np.uint32)
-    disj_tz[: len(disj)] = disj
+    nu = _low_matching_numbers([m & low_mask for m in disj[:low]], low)
+    # d-sets sharing their low edges share a table; the high parts of a
+    # group matter only through their least count.
+    groups: dict[int, list[int]] = {}
+    for sm in _dset_edge_masks(edges, n, d):
+        groups.setdefault(sm & low_mask, []).append(sm >> low)
+    patterns = list(groups)
+    highs = list(groups.values())
+    reach = [p.bit_count() for p in patterns]
+    lows = np.arange(width, dtype=np.uint16)
+    room = _TABLE_BYTES >> low
+    tabulated = min(len(patterns), room)
+    tables = [np.bitwise_count(lows & p) for p in patterns[:tabulated]]
     integral = mode == "integral"
     need = int(s) if integral else math.ceil(s)
-    matchings: list[int] | None = None
+    delta = np.empty(width, dtype=np.uint8)
+    part = np.empty(width, dtype=np.uint8)
+    # (low edges a high matching leaves, edges it still needs) -> the low
+    # patterns whose matching number falls short
+    unmatched: dict[tuple[int, int], np.ndarray] = {}
 
     best = -1
     best_mask = -1
     lp_calls = 0
-    for lo in range(start, stop, _BLOCK):
-        masks = np.arange(lo, min(lo + _BLOCK, stop), dtype=np.uint32)
-        delta = np.bitwise_count(masks & dmasks[0])
-        for sm in dmasks[1:]:
-            np.minimum(delta, np.bitwise_count(masks & sm), out=delta)
-        cand = np.flatnonzero(delta > best)
-        if cand.size == 0:
+    for base in range(start & ~low_mask, stop, width):
+        hi = base >> low
+        matchings = _high_matchings(
+            [low + i for i in range(hi.bit_length()) if hi >> i & 1], disj, low_mask, need
+        )
+        if max(matchings.values()) >= need:
             continue
-        cand_masks = masks[cand]
-        # Greedy: keep the lowest edge and only what is disjoint from it; an
-        # edge left after need - 1 steps completes a matching.  A mask the
-        # greedy pass fails on may still have one.
-        rest = cand_masks
-        for _ in range(need - 1):
-            rest = rest & disj_tz[np.bitwise_count((rest & -rest) - np.uint32(1))]
-        has = rest != 0
-        open_ = np.flatnonzero(~has & (np.bitwise_count(cand_masks) >= need))
-        if open_.size:
-            if matchings is None:
-                matchings = _edge_matchings(need, disj, len(edges))
-            open_masks = cand_masks[open_]
-            found = np.zeros(open_.size, dtype=bool)
-            for m in matchings:
-                found |= (open_masks & np.uint32(m)) == m
-            has[open_] = found
-        free = cand[~has]
+        counts = [min((hi & h).bit_count() for h in hs) for hs in highs]
+        if min(map(int.__add__, counts, reach)) <= best:
+            continue
+        a = max(start - base, 0)
+        b = min(stop - base, width)
+        window = lows[a:b]
+        deg = delta[: b - a]
+        for j, c in enumerate(counts):
+            table = tables[j][a:b] if j < tabulated else np.bitwise_count(window & patterns[j])
+            if j == 0:
+                np.add(table, c, out=deg)
+            else:
+                np.minimum(deg, np.add(table, c, out=part[: b - a]), out=deg)
+        cand = deg > best
+        if not cand.any():
+            continue
+        for allowed, size in matchings.items():
+            left = need - size
+            short = unmatched.get((allowed, left))
+            if short is None:
+                if allowed == low_mask:
+                    short = nu < left
+                elif left == 1:
+                    short = (lows & allowed) == 0
+                else:
+                    short = nu[lows & allowed] < left
+                if tabulated + len(unmatched) < room:
+                    unmatched[allowed, left] = short
+            cand &= short[a:b]
+        free = np.flatnonzero(cand)
         if free.size == 0:
             continue
         if integral:
-            free_delta = delta[free]
+            free_delta = deg[free]
             top = int(free_delta.max())
             if top > best:
                 best = top
-                best_mask = lo + int(free[np.argmax(free_delta == top)])
+                best_mask = base + a + int(free[np.argmax(free_delta == top)])
             continue
         while free.size:
             i = int(free[0])
             lp_calls += 1
-            mask = lo + i
+            mask = base + a + i
             columns = [edges[j] for j in range(len(edges)) if mask >> j & 1]
             if solve_unit_packing(n, columns).value < s:
-                best = int(delta[i])
+                best = int(deg[i])
                 best_mask = mask
-                free = free[delta[free] > best]
+                free = free[deg[free] > best]
             else:
                 free = free[1:]
     return best, best_mask, lp_calls
@@ -269,8 +338,10 @@ def brute_force_threshold(
 ) -> ThresholdResult:
     """Exhaustively determine the threshold value with a witness.
 
-    Requires binom(n, k) <= 24 so the edge-set space fits a bitmask scan,
-    which walks every mask in increasing order in this process.  A scan
+    Requires binom(n, k) <= 24.  That is a size cap, not a word width (each
+    window's high part is a Python int): it keeps a scan within 2^24 masks,
+    2^8 windows of 2^16, the most the default budget admits.  The scan walks
+    every mask in increasing order in this process.  A scan
     whose masks exceed ``budget``, or whose masks times C(n, d) exceed
     ``_MAX_WORK``, is refused with ``BudgetExceededError`` before it
     starts.  ``jobs`` is accepted for compatibility and ignored.

@@ -1,5 +1,6 @@
 """Exhaustive threshold search, reductions, and formula comparisons."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -161,42 +162,104 @@ def _small_queries():
                     yield k, n, d, "fractional", Fraction(j, 2)
 
 
+@functools.cache
+def _oracle_scan(k, n, d, mode, s, start, stop):
+    return oracles.scan_range(k, n, d, mode, s, start, stop)
+
+
+def _seeded_ranges(k, n, d, mode, s):
+    space = 1 << math.comb(n, k)
+    rng = random.Random(f"{k},{n},{d},{mode},{s}")
+    for _ in range(2):
+        start = rng.randrange(space)
+        yield start, rng.randrange(start, space + 1)
+
+
 class TestScanAgainstOracle:
-    """The block scan against the mask-by-mask loop it replaced."""
+    """The window scan against the mask-by-mask loop it replaced."""
 
     def test_full_ranges(self):
         for k, n, d, mode, s in _small_queries():
             space = 1 << math.comb(n, k)
-            expected = oracles.scan_range(k, n, d, mode, s, 0, space)
+            expected = _oracle_scan(k, n, d, mode, s, 0, space)
             got = thresholds._scan_range(k, n, d, mode, s, 0, space)
             assert got == expected, (k, n, d, mode, s)
 
-    def test_seeded_sub_ranges_across_small_blocks(self, monkeypatch):
-        # A block of 37 masks puts block edges inside every range, and the
-        # best-so-far is carried across them.
-        monkeypatch.setattr(thresholds, "_BLOCK", 37)
+    @pytest.mark.parametrize("low_bits, tables", [(3, 2), (5, 1)])
+    def test_full_ranges_in_narrow_windows(self, monkeypatch, low_bits, tables):
+        # With windows of 8 or 32 masks, a universe of more than 3 or 5
+        # edges has high edges, whose matchings skip windows or leave fewer
+        # low edges; room for one or two tables leaves d-set patterns and
+        # high matchings past the cap, computed per window.
+        monkeypatch.setattr(thresholds, "_LOW_BITS", low_bits)
+        monkeypatch.setattr(thresholds, "_TABLE_BYTES", tables << low_bits)
         for k, n, d, mode, s in _small_queries():
             space = 1 << math.comb(n, k)
-            rng = random.Random(f"{k},{n},{d},{mode},{s}")
-            for _ in range(2):
-                start = rng.randrange(space)
-                stop = rng.randrange(start, space + 1)
-                expected = oracles.scan_range(k, n, d, mode, s, start, stop)
-                got = thresholds._scan_range(k, n, d, mode, s, start, stop)
-                assert got == expected, (k, n, d, mode, s, start, stop)
+            expected = _oracle_scan(k, n, d, mode, s, 0, space)
+            got = thresholds._scan_range(k, n, d, mode, s, 0, space)
+            assert got == expected, (low_bits, k, n, d, mode, s)
+
+    def test_seeded_sub_ranges_across_small_blocks(self, monkeypatch):
+        # Windows of 2, 8 and 32 masks put window edges inside every range,
+        # and the best-so-far is carried across them.
+        for low_bits in (1, 3, 5):
+            monkeypatch.setattr(thresholds, "_LOW_BITS", low_bits)
+            monkeypatch.setattr(thresholds, "_TABLE_BYTES", 1 << low_bits)
+            for query in _small_queries():
+                for start, stop in _seeded_ranges(*query):
+                    expected = _oracle_scan(*query, start, stop)
+                    got = thresholds._scan_range(*query, start, stop)
+                    assert got == expected, (low_bits, *query, start, stop)
 
     @pytest.mark.parametrize("mode, s", [("integral", 7), ("fractional", Fraction(13, 2))])
     def test_single_vertex_edges_need_no_matching_list(self, monkeypatch, mode, s):
-        # With k = 1 any set of distinct edges is a matching, so the greedy
-        # pass decides every mask and the list of matchings is never built.
-        def unused(*args):
-            raise AssertionError("matching list built for k = 1")
-
-        monkeypatch.setattr(thresholds, "_edge_matchings", unused)
-        monkeypatch.setattr(thresholds, "_BLOCK", 1 << 10)
+        # With k = 1 any set of distinct edges is a matching: in windows of
+        # 2^10 masks, every matching among the four high edges leaves all
+        # ten low edges, so only the largest one counts.
+        monkeypatch.setattr(thresholds, "_LOW_BITS", 10)
         s = Fraction(s)
         expected = oracles.scan_range(1, 14, 0, mode, s, 0, 1 << 14)
         assert thresholds._scan_range(1, 14, 0, mode, s, 0, 1 << 14) == expected
+
+
+# (k, n, d, mode, s, start, stop) -> (delta, witness mask, LP calls),
+# recorded with the uint32 block scan that the window scan replaced.
+_PINNED_SCANS = [
+    # the cold scans of perfbench's enumerate workload
+    (3, 6, 0, "integral", "2", 0, 1 << 20, (10, 1023, 0)),
+    (3, 6, 2, "fractional", "2", 0, 1 << 20, (1, 1023, 14)),
+    (3, 6, 0, "fractional", "2", 0, 1 << 20, (10, 1023, 11)),
+    (3, 6, 1, "fractional", "2", 0, 1 << 20, (4, 1023, 17)),
+    (3, 6, 1, "integral", "2", 0, 1 << 20, (5, 242467, 0)),
+    (3, 6, 2, "integral", "2", 0, 1 << 20, (2, 242467, 0)),
+    (2, 7, 1, "integral", "3", 0, 1 << 21, (2, 2046, 0)),
+    (2, 7, 1, "fractional", "3", 0, 1 << 21, (2, 2046, 3)),
+    (2, 7, 0, "integral", "2", 0, 1 << 21, (6, 63, 0)),
+    (2, 7, 0, "fractional", "5/2", 0, 1 << 21, (11, 2047, 12)),
+    (5, 7, 0, "integral", "2", 0, 1 << 21, (21, 2097151, 0)),
+    (3, 6, 0, "fractional", "3/2", 0, 1 << 20, (10, 1023, 11)),
+    (2, 7, 0, "integral", "3", 0, 1 << 21, (11, 2047, 0)),
+    (2, 5, 0, "fractional", "1", 0, 1 << 10, (0, 0, 1)),
+    (2, 5, 0, "fractional", "2", 0, 1 << 10, (4, 15, 5)),
+    (2, 5, 0, "fractional", "3", 0, 1 << 10, (10, 1023, 11)),
+    # the largest admitted scans: 2^24 masks over 276 d-sets, 2^17 masks
+    # over 19,448 d-sets, and 2^22 masks of single-vertex edges
+    (23, 24, 2, "fractional", "1", 0, 1 << 24, (0, 0, 1)),
+    (16, 17, 7, "integral", "1", 0, 1 << 17, (0, 0, 0)),
+    (1, 22, 0, "fractional", "11", 0, 1 << 22, (10, 1023, 11)),
+    # sub-ranges across windows of 2^16, drawn with random.Random(16)
+    (2, 7, 0, "fractional", "5/2", 1516336, 1827879, (11, 1550996, 6)),
+    (2, 7, 0, "fractional", "5/2", 2015281, 2097152, (11, 2020648, 5)),
+    (2, 7, 0, "fractional", "5/2", 1748826, 1933189, (11, 1821860, 12)),
+    (2, 7, 0, "fractional", "5/2", 1873844, 1942448, (10, 1880856, 7)),
+    (2, 7, 0, "fractional", "5/2", 1717633, 2097152, (11, 1721407, 6)),
+    (2, 7, 0, "fractional", "5/2", 1085718, 1275960, (10, 1122879, 6)),
+]
+
+
+@pytest.mark.parametrize("k, n, d, mode, s, start, stop, expected", _PINNED_SCANS)
+def test_pinned_scans(k, n, d, mode, s, start, stop, expected):
+    assert thresholds._scan_range(k, n, d, mode, Fraction(s), start, stop) == expected
 
 
 class TestLinearRemap:
