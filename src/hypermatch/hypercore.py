@@ -95,6 +95,22 @@ class Hypergraph:
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
     @classmethod
+    def _canonical(cls, k: int, n: int, edges: tuple[tuple[int, ...], ...]) -> "Hypergraph":
+        """A Hypergraph on edges that are canonical already, not checked again.
+
+        The caller guarantees the invariant ``__init__`` establishes:
+        ``edges`` is a tuple of distinct sorted k-tuples, in lex order,
+        taken from the edges of an existing ``Hypergraph`` on the same k
+        and n (a sub-hypergraph).  Input from outside the package goes
+        through ``Hypergraph(k, n, edges)``, which validates it.
+        """
+        h = object.__new__(cls)
+        object.__setattr__(h, "k", k)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "edges", edges)
+        return h
+
+    @classmethod
     def complete(cls, k: int, n: int) -> "Hypergraph":
         return cls(k, n, itertools.combinations(range(n), k))
 

@@ -19,10 +19,12 @@ bounds with their validity preconditions enforced.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +98,17 @@ class CheckResult:
     detail: str
 
 
+class _DrawPlan(NamedTuple):
+    """What every round-two build from one outcome shares; nothing depends on the seed."""
+
+    supports: tuple[tuple[tuple[int, ...], ...], ...]  # each round's support edges
+    bounds: tuple[tuple[int, int], ...]  # each round's slice of the rounds' joined supports
+    size: int  # the length of the joined supports
+    fractional: np.ndarray  # positions there of the strictly fractional weights
+    thresholds: np.ndarray  # their exact dyadic thresholds, float64
+    coverage: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class RoundOneOutcome:
     plan: RoundOnePlan
@@ -109,6 +122,35 @@ class RoundOneOutcome:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+    @functools.cached_property
+    def _draw_plan(self) -> _DrawPlan:
+        """The round matchings' supports and thresholds, made on the first build.
+
+        Kept in the instance dict, outside the dataclass fields, so that
+        equality, repr and ``dataclasses.replace`` do not see it.
+        """
+        supports, bounds, fractional, thresholds = [], [], [], []
+        start = 0
+        for matching in self.matchings:
+            support = () if matching is None else matching.support()
+            for i, (_, w) in enumerate(support, start):
+                # A support weight lies in (0, 1], so it is 1 iff its denominator is.
+                if w.denominator != 1:
+                    fractional.append(i)
+                    thresholds.append(_draw_threshold(w))
+            supports.append(tuple(e for e, _ in support))
+            bounds.append((start, start + len(support)))
+            start += len(support)
+        coverage, _ = incidence(self.subsets, self.plan.base.n, pairs=False)
+        return _DrawPlan(
+            tuple(supports),
+            tuple(bounds),
+            start,
+            np.array(fractional, dtype=np.intp),
+            np.array(thresholds, dtype=np.float64),
+            tuple(coverage),
+        )
 
 
 class AmbiguousMembershipError(RuntimeError):
@@ -264,8 +306,11 @@ def compute_round_matchings(outcome: RoundOneOutcome) -> RoundOneOutcome:
     matchings: list[EdgeWeighting | None] = []
     skipped = []
     for i, r in enumerate(outcome.subsets):
-        induced = itertools.compress(base.edges, _inside(edges, base.n, r).all(axis=1).tolist())
-        value, matching, _ = fractional_matching(Hypergraph(base.k, base.n, induced))
+        inside = _inside(edges, base.n, r).all(axis=1).tolist()
+        induced = Hypergraph._canonical(
+            base.k, base.n, tuple(itertools.compress(base.edges, inside))
+        )
+        value, matching, _ = fractional_matching(induced)
         if value == Fraction(len(r), base.k):
             matchings.append(matching)
         else:
@@ -342,9 +387,17 @@ def build_sparse_subgraph(
     edge belongs to at most one round and the subgraph is an ordinary
     (simple) sample.  Draws consume one uniform per strictly-fractional
     weight, rounds in order, edges in canonical order, so results are
-    reproducible bit for bit given the seed.  Each round takes its uniforms
-    in one call, which yields the same doubles as one call per weight, and
-    compares them with exact dyadic thresholds (``_draw_threshold``).
+    reproducible bit for bit given the seed.
+
+    Only the generator and its draws depend on the seed.  Everything else
+    a build needs is the outcome's draw plan, made on its first build and
+    kept on it: each round's support edges, the positions of the strictly
+    fractional weights among them, their exact dyadic thresholds
+    (``_draw_threshold``) in one float64 array, and the coverage.  A
+    build takes all of its uniforms in one call, which yields the same
+    doubles as one call per weight, decides every fractional edge by one
+    vector comparison ``u < t`` and picks each round's kept edges from
+    its support in order.
     """
     if strict and not outcome.check("edge_multiplicity").passed:
         raise AmbiguousMembershipError(
@@ -355,29 +408,23 @@ def build_sparse_subgraph(
         outcome = compute_round_matchings(outcome)
 
     base = outcome.plan.base
-    n = base.n
+    draws = outcome._draw_plan
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    selected_all = []
-    for matching in outcome.matchings:
-        support = () if matching is None else matching.support()
-        # A support weight lies in (0, 1], so it is 1 iff its denominator is.
-        draws = iter(rng.random(sum(w.denominator != 1 for _, w in support)).tolist())
-        selected_all.append(
-            tuple(
-                e
-                for e, w in support
-                if w.denominator == 1 or next(draws) < _draw_threshold(w)
-            )
-        )
-    kept = [e for selected in selected_all for e in selected]
-    degrees, codegrees = incidence(kept, n)
-    coverage, _ = incidence(outcome.subsets, n, pairs=False)
+    keep = np.ones(draws.size, dtype=bool)
+    keep[draws.fractional] = rng.random(len(draws.thresholds)) < draws.thresholds
+    keep = keep.tolist()
+    selected_all = tuple(
+        tuple(itertools.compress(support, keep[a:b]))
+        for support, (a, b) in zip(draws.supports, draws.bounds)
+    )
+    kept = list(itertools.chain.from_iterable(selected_all))
+    degrees, codegrees = incidence(kept, base.n)
     return SparseSubgraph(
-        hypergraph=Hypergraph(base.k, n, kept),
+        hypergraph=Hypergraph._canonical(base.k, base.n, tuple(sorted(set(kept)))),
         degrees=tuple(degrees),
         codegrees=codegrees,
-        coverage=tuple(coverage),
-        per_round_selected=tuple(selected_all),
+        coverage=draws.coverage,
+        per_round_selected=selected_all,
         skipped_rounds=outcome.skipped_rounds,
     )
 

@@ -91,6 +91,16 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Hypergraph(k, n, edges)
 
+    def test_invalid_construction_messages(self):
+        for k, n, edges, message in (
+            (0, 3, [], "need 1 <= k <= n, got k=0, n=3"),
+            (2, 3, [(0, 1), (3, 0)], r"edge \(0, 3\) out of vertex range 0..2"),
+            (2, 3, [(1, 1)], r"edge \(1, 1\) is not a 2-set"),
+            (2, 3, [(0, 1, 2)], r"edge \(0, 1, 2\) is not a 2-set"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Hypergraph(k, n, edges)
+
     def test_vertices(self):
         assert list(Hypergraph(2, 3, []).vertices()) == [0, 1, 2]
 

@@ -271,6 +271,32 @@ class TestBuild:
             "be4b1cda03048e2c0df150bb26d3bb29e15c2bacf29d0ad634fec36c1559a4eb"
         )
 
+    def test_builds_without_matchings_equal_builds_with_them(self):
+        rng = random.Random(17)
+        for trial in range(12):
+            k = rng.randint(2, 4)
+            plan = random_plan(rng, k, rng.randint(0, k - 1), seed=trial)
+            unsolved = sample_rounds(plan)
+            solved = sample_rounds(plan, with_matchings=True)
+            for seed in range(3):
+                assert build_sparse_subgraph(unsolved, seed=seed) == build_sparse_subgraph(
+                    solved, seed=seed
+                )
+
+    def test_builds_from_one_outcome_share_no_mutable_state(self):
+        plan = RoundOnePlan(Hypergraph.complete(3, 9), 4, 0.7, 1, seed=5)
+        outcome = sample_rounds(plan, with_matchings=True)
+        first = build_sparse_subgraph(outcome, seed=2)
+        second = build_sparse_subgraph(outcome, seed=2)
+        assert first == second
+        assert first.codegrees is not second.codegrees
+        assert type(first.degrees) is tuple
+        kept = dict(second.codegrees)
+        first.codegrees.clear()
+        first.codegrees[(0, 1)] = 10**6
+        assert second.codegrees == kept
+        assert build_sparse_subgraph(outcome, seed=2) == second
+
     def test_degrees_decompose_over_rounds(self):
         plan = RoundOnePlan(Hypergraph.complete(3, 9), 5, 0.7, 1, seed=2)
         outcome = sample_rounds(plan, with_matchings=True)
@@ -308,6 +334,38 @@ class TestBuildMatchesOracle:
                     ) == oracles.build_sparse_subgraph(outcome, seed=seed, strict=strict)
         assert fractional and skipped
 
+    def test_all_integral_and_skipped_rounds(self):
+        # Round 0 induces the one edge (0, 1, 2) at weight 1, so it draws
+        # nothing.  Round 1 induces K_4^3, whose only perfect fractional
+        # matching weighs 1/3 on every edge.  Round 2 induces (0, 1, 2) alone
+        # on four vertices and is skipped.
+        base = Hypergraph(3, 7, [(0, 1, 2), *itertools.combinations(range(3, 7), 3)])
+        unsolved = RoundOneOutcome(
+            RoundOnePlan(base, 3, 0.5, 1), subsets=((0, 1, 2), (3, 4, 5, 6), (0, 1, 2, 3)), checks=()
+        )
+        outcome = compute_round_matchings(unsolved)
+        assert outcome.skipped_rounds == (2,)
+        assert outcome.matchings[0].weights == (1,)
+        assert set(outcome.matchings[1].weights) == {Fraction(1, 3)}
+        for seed in range(20):
+            assert build_sparse_subgraph(outcome, seed=seed) == oracles.build_sparse_subgraph(
+                outcome, seed=seed
+            )
+        # Every weight 1: no round draws at all.
+        integral = sample_rounds(RoundOnePlan(TWO_TRIPLES, 2, 1.0, 1), with_matchings=True)
+        for seed in range(3):
+            assert build_sparse_subgraph(integral, seed=seed) == oracles.build_sparse_subgraph(
+                integral, seed=seed
+            )
+
+    def test_criterion_9_outcome(self):
+        plan = RoundOnePlan(Hypergraph.complete(3, 60), 40, 0.5, 1, seed=7)
+        outcome = sample_rounds(plan, with_matchings=True)
+        for seed in (0, 1, 2, 199):
+            assert build_sparse_subgraph(outcome, seed=seed) == oracles.build_sparse_subgraph(
+                outcome, seed=seed
+            )
+
     def test_dyadic_threshold_decides_like_the_exact_fraction(self):
         ulp = 2.0**-53
         weights = [
@@ -328,6 +386,25 @@ class TestBuildMatchesOracle:
         # float(w) rounds to 1/2 and would decide the other way.
         w = Fraction(2**60 + 1, 2**61)
         assert 0.5 < w and not 0.5 < float(w) and 0.5 < hypercore._draw_threshold(w)
+
+
+class TestCanonicalSubHypergraphs:
+    def test_induced_and_kept_edges_equal_validated_hypergraphs(self):
+        # Round matchings are solved on induced hypergraphs, and builds
+        # return the kept edges, both made without re-validation.
+        for plan, _ in itertools.islice(digest_plans(), 40):
+            k, n = plan.base.k, plan.base.n
+            outcome = sample_rounds(plan, with_matchings=True)
+            for r, matching in zip(outcome.subsets, outcome.matchings):
+                edges = tuple(e for e in plan.base.edges if set(e) <= set(r))
+                validated = Hypergraph(k, n, edges)
+                assert Hypergraph._canonical(k, n, edges) == validated
+                if matching is not None:
+                    assert matching.hypergraph == validated
+            built = build_sparse_subgraph(outcome, seed=plan.seed)
+            assert built.hypergraph == Hypergraph(
+                k, n, itertools.chain.from_iterable(built.per_round_selected)
+            )
 
 
 class TestRegularity:

@@ -255,6 +255,29 @@ def test_bad_rows_are_rejected(columns):
             solve_unit_packing(n_rows, columns)
 
 
+def test_first_fault_in_column_order_is_reported_like_the_reference():
+    # The solver tests the columns as a whole before it looks for the
+    # fault, so the message must still be the first faulty column's.
+    rng = random.Random(31)
+    faults = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        columns = [
+            [rng.randint(-1, n) for _ in range(rng.randint(0, 4))]
+            for _ in range(rng.randint(1, 6))
+        ]
+        try:
+            expected = oracles.solve_unit_packing(n, columns)
+        except ValueError as exc:
+            faults += 1
+            with pytest.raises(ValueError) as info:
+                solve_unit_packing(n, columns)
+            assert str(info.value) == str(exc)
+        else:
+            assert solve_unit_packing(n, columns) == expected
+    assert 100 < faults < 300
+
+
 def test_highs_agrees_on_nu_star():
     optimize = pytest.importorskip("scipy.optimize")
     for _, n, edges in small_corpus():

@@ -121,8 +121,14 @@ class TestBruteForce:
         assert f"takes {6 << 20} d-set counts" in str(info.value)
         assert 1 <= info.value.lower_bound <= info.value.upper_bound
 
-    def test_default_work_budget_refuses_a_75_second_scan(self):
-        # 2^23 masks with C(23, 5) = 33,649 d-sets each ran 75 s unbounded.
+    def test_default_work_budget_refuses_i_22_23_5_1_before_scanning(self, monkeypatch):
+        # 2^23 masks with C(23, 5) = 33,649 d-sets each: the work count is
+        # over the default budget, so the query is refused and no mask is
+        # scanned.
+        def no_scan(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(thresholds, "_scan_range", no_scan)
         with pytest.raises(BudgetExceededError, match="work budget") as info:
             brute_force_threshold(ThresholdQuery(22, 23, 5, 1, "integral"))
         assert f"takes {(1 << 23) * 33_649} d-set counts" in str(info.value)
