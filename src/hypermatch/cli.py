@@ -53,7 +53,7 @@ from .randcons import (
     preset_scale_parameters,
     sample_rounds,
 )
-from .thresholds import SearchBudget, ThresholdQuery, brute_force_threshold
+from .thresholds import ThresholdQuery, brute_force_threshold
 
 __all__ = ["main"]
 
@@ -238,8 +238,7 @@ def _cmd_samuels(args) -> None:
 
 def _cmd_threshold(args) -> None:
     query = ThresholdQuery(args.k, args.n, args.d, parse_rational(args.s), args.mode)
-    budget = SearchBudget(max_edge_sets=args.budget)
-    result = brute_force_threshold(query, budget)
+    result = brute_force_threshold(query)
     out = args.witness_out
     if out is None:
         out = (
@@ -450,7 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--s", required=True, help="target size (rational)")
-    p.add_argument("--budget", type=int, default=SearchBudget().max_edge_sets)
     p.add_argument("--witness-out", help="witness path (default: derived name)")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_threshold)

@@ -107,6 +107,7 @@ class _DrawPlan(NamedTuple):
     fractional: np.ndarray  # positions there of the strictly fractional weights
     thresholds: np.ndarray  # their exact dyadic thresholds, float64
     coverage: tuple[int, ...]
+    skipped_rounds: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,14 @@ class RoundOneOutcome:
     def _draw_plan(self) -> _DrawPlan:
         """The round matchings' supports and thresholds, made on the first build.
 
-        Kept in the instance dict, outside the dataclass fields, so that
+        An outcome without matchings solves its round LPs here, once.  Kept
+        in the instance dict, outside the dataclass fields, so that
         equality, repr and ``dataclasses.replace`` do not see it.
         """
+        solved = self if self.matchings is not None else compute_round_matchings(self)
         supports, bounds, fractional, thresholds = [], [], [], []
         start = 0
-        for matching in self.matchings:
+        for matching in solved.matchings:
             support = () if matching is None else matching.support()
             for i, (_, w) in enumerate(support, start):
                 # A support weight lies in (0, 1], so it is 1 iff its denominator is.
@@ -150,6 +153,7 @@ class RoundOneOutcome:
             np.array(fractional, dtype=np.intp),
             np.array(thresholds, dtype=np.float64),
             tuple(coverage),
+            solved.skipped_rounds,
         )
 
 
@@ -393,20 +397,18 @@ def build_sparse_subgraph(
     a build needs is the outcome's draw plan, made on its first build and
     kept on it: each round's support edges, the positions of the strictly
     fractional weights among them, their exact dyadic thresholds
-    (``_draw_threshold``) in one float64 array, and the coverage.  A
-    build takes all of its uniforms in one call, which yields the same
-    doubles as one call per weight, decides every fractional edge by one
-    vector comparison ``u < t`` and picks each round's kept edges from
-    its support in order.
+    (``_draw_threshold``) in one float64 array, the coverage and the
+    skipped rounds.  An outcome without matchings has its round LPs
+    solved once, for that plan.  A build takes all of its uniforms in one
+    call, which yields the same doubles as one call per weight, decides
+    every fractional edge by one vector comparison ``u < t`` and picks
+    each round's kept edges from its support in order.
     """
     if strict and not outcome.check("edge_multiplicity").passed:
         raise AmbiguousMembershipError(
             "an edge lies in several sampled subsets; rerun with sparser "
             "rounds or strict=False for per-round multiset semantics"
         )
-    if outcome.matchings is None:
-        outcome = compute_round_matchings(outcome)
-
     base = outcome.plan.base
     draws = outcome._draw_plan
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -425,7 +427,7 @@ def build_sparse_subgraph(
         codegrees=codegrees,
         coverage=draws.coverage,
         per_round_selected=selected_all,
-        skipped_rounds=outcome.skipped_rounds,
+        skipped_rounds=draws.skipped_rounds,
     )
 
 

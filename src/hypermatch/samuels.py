@@ -61,6 +61,9 @@ _MAX_WORK = 1 << 32
 # single shard is admitted for exactly _MAX_WORK uniforms, as before.
 _SHARD_WORK = 1 << 12
 
+# Pitch of the boundary grid x = i * _STEP, i = 1, 2, ... below 1/l.
+_STEP = 1e-3
+
 
 def _exact(value: Fraction | int | str) -> Fraction:
     if isinstance(value, float):
@@ -194,16 +197,14 @@ def _q_uniform_float(l: int, t: int, x: float) -> float:
     return ((1 - (t + 1) * x) / (1 - t * x)) ** (l - t)
 
 
-def boundary_profile(
-    l: int, step: float = 1e-3
-) -> list[tuple[float, float, float]]:
-    """Rows (x, q_0(x), min over t >= 1 of q_t(x)) across 0 < x < 1/l."""
+def boundary_profile(l: int) -> list[tuple[float, float, float]]:
+    """Rows (x, q_0(x), min over t >= 1 of q_t(x)) at x = i * _STEP below 1/l."""
     if l < 2:
         raise ValueError(f"need l >= 2 so that t >= 1 exists, got l={l}")
     rows = []
-    count = int(1 / (l * step))
+    count = int(1 / (l * _STEP))
     for i in range(1, count + 1):
-        x = i * step
+        x = i * _STEP
         if x * l >= 1:
             break
         q0 = _q_uniform_float(l, 0, x)
@@ -215,7 +216,7 @@ def boundary_profile(
 def boundary_scan(l: int, tolerance: float = 1e-6) -> float:
     """Largest uniform mean x for which t = 0 still minimises q_t.
 
-    Scans a fixed grid of pitch 1e-3 for the first sign change of
+    Scans the grid of pitch ``_STEP`` for the first sign change of
     q_0 - min_{t>=1} q_t, confirms the change is unique on the grid (a
     second change is reported as a warning but the first is returned), and
     bisects to the requested tolerance, or until the floats between the
@@ -231,9 +232,9 @@ def boundary_scan(l: int, tolerance: float = 1e-6) -> float:
             _q_uniform_float(l, t, x) for t in range(1, l)
         )
 
-    rows = boundary_profile(l, step=1e-3)
+    rows = boundary_profile(l)
     if not rows:
-        raise ValueError(f"the 1e-3 grid has no point below 1/l for l={l}")
+        raise ValueError(f"the {_STEP} grid has no point below 1/l for l={l}")
     first_positive = None
     for i, (x, q0, rest) in enumerate(rows):
         if q0 - rest > 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hypercore import VertexWeighting
-from .thresholds import SearchBudget, ThresholdQuery, brute_force_threshold
+from .thresholds import ThresholdQuery, brute_force_threshold
 
 __all__ = [
     "Allocation",
@@ -34,6 +34,11 @@ __all__ = [
 
 class GridBudgetError(RuntimeError):
     """The composition grid is larger than the enumeration budget."""
+
+
+# Most compositions a grid may have; all of them count, not just the sorted
+# ones that are visited.
+_MAX_GRID_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,6 @@ def optimize_grid(
     r: int,
     budget: int,
     q: int | None = None,
-    max_points: int = 2_000_000,
     jobs: int = 1,
 ) -> AllocationReport:
     """Maximise phi over allocations with entries in {0, 1/q, ..., 1}.
@@ -167,8 +171,8 @@ def optimize_grid(
     and only the non-increasing compositions are visited, in descending
     lexicographic order; only strict improvements replace the incumbent,
     so ties resolve to the lexicographically largest maximiser over all
-    compositions.  ``max_points`` bounds the count of all compositions,
-    not just the sorted ones visited.  ``jobs`` is accepted for
+    compositions.  A grid of more than ``_MAX_GRID_POINTS`` compositions is
+    refused with ``GridBudgetError``.  ``jobs`` is accepted for
     compatibility and ignored.
     """
     if q is None:
@@ -183,9 +187,9 @@ def optimize_grid(
         )
     total = q * budget
     space = math.comb(total + n - 1, n - 1)
-    if space > max_points:
+    if space > _MAX_GRID_POINTS:
         raise GridBudgetError(
-            f"{space} grid points exceed the limit of {max_points}"
+            f"{space} grid points exceed the limit of {_MAX_GRID_POINTS}"
         )
     best, best_amounts = -1, None
     for amounts in _compositions_desc(n, total, q):
@@ -225,7 +229,6 @@ def sandwich(
     r: int,
     budget: int,
     q: int | None = None,
-    search_budget: SearchBudget = SearchBudget(),
     jobs: int = 1,
 ) -> SandwichReport:
     """Bracket the grid optimum by thresholds at the budget and above it.
@@ -234,12 +237,8 @@ def sandwich(
     """
     if budget < 1:
         raise ValueError(f"sandwich needs budget >= 1, got {budget}")
-    lower = brute_force_threshold(
-        ThresholdQuery(r, n, 0, budget, "fractional"), search_budget
-    ).value
-    upper = brute_force_threshold(
-        ThresholdQuery(r, n, 0, budget + 1, "fractional"), search_budget
-    ).value
+    lower = brute_force_threshold(ThresholdQuery(r, n, 0, budget, "fractional")).value
+    upper = brute_force_threshold(ThresholdQuery(r, n, 0, budget + 1, "fractional")).value
     grid = optimize_grid(n, r, budget, q)
     return SandwichReport(
         n=n,

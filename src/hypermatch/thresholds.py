@@ -37,7 +37,6 @@ from .simplex import solve_unit_packing
 
 __all__ = [
     "ThresholdQuery",
-    "SearchBudget",
     "ThresholdResult",
     "BudgetExceededError",
     "ReductionInfeasibleError",
@@ -87,10 +86,8 @@ class ThresholdQuery:
         object.__setattr__(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_edge_sets: int = 1 << 24
-
+# Most edges in a scanned universe, so a scan walks at most 2^24 masks.
+_MAX_EDGES = 24
 
 # Bound on masks times C(n, d), the d-set degree counts that decide the
 # masks.  With no window skipped, an admitted scan makes at most 2^17 passes
@@ -331,35 +328,24 @@ def _scan_range(
 _memo: dict[tuple, ThresholdResult] = {}
 
 
-def brute_force_threshold(
-    query: ThresholdQuery,
-    budget: SearchBudget = SearchBudget(),
-    jobs: int = 1,
-) -> ThresholdResult:
+def brute_force_threshold(query: ThresholdQuery, jobs: int = 1) -> ThresholdResult:
     """Exhaustively determine the threshold value with a witness.
 
-    Requires binom(n, k) <= 24.  That is a size cap, not a word width (each
-    window's high part is a Python int): it keeps a scan within 2^24 masks,
-    2^8 windows of 2^16, the most the default budget admits.  The scan walks
-    every mask in increasing order in this process.  A scan
-    whose masks exceed ``budget``, or whose masks times C(n, d) exceed
-    ``_MAX_WORK``, is refused with ``BudgetExceededError`` before it
+    Requires binom(n, k) <= ``_MAX_EDGES``.  That is a size cap, not a word
+    width (each window's high part is a Python int): it keeps a scan within
+    2^24 masks, 2^8 windows of 2^16.  The scan walks every mask in
+    increasing order in this process.  A scan whose masks times C(n, d)
+    exceed ``_MAX_WORK`` is refused with ``BudgetExceededError`` before it
     starts.  ``jobs`` is accepted for compatibility and ignored.
     The result is memoised per query (it is a pure function of it).
     """
     num_edges = math.comb(query.n, query.k)
-    if num_edges > 24:
+    if num_edges > _MAX_EDGES:
         raise ValueError(
-            f"binom(n, k) = {num_edges} exceeds the enumeration limit of 24"
+            f"binom(n, k) = {num_edges} exceeds the enumeration limit of {_MAX_EDGES}"
         )
     space = 1 << num_edges
     work = space * math.comb(query.n, query.d)
-    if space > budget.max_edge_sets:
-        raise BudgetExceededError(
-            query, space,
-            f"enumerating {space} edge sets exceeds the budget of "
-            f"{budget.max_edge_sets}",
-        )
     if work > _MAX_WORK:
         raise BudgetExceededError(
             query, space,
@@ -410,25 +396,45 @@ def _verify_witness(query: ThresholdQuery, witness: Hypergraph, delta: int) -> N
             raise AssertionError("witness reaches the fractional target")
 
 
-def _construction_floor(query: ThresholdQuery) -> int:
-    """Best construction-based lower bound for the threshold value."""
-    bounds = [1]
-    s_ceil = math.ceil(query.s)
-    if 1 <= s_ceil <= query.n // query.k + 1:
-        h1 = construct_h1(query.k, query.n, s_ceil)
-        bounds.append(min_d_degree(h1, query.d) + 1)
-    if (
-        query.mode == "integral"
-        and query.n % query.k == 0
-        and query.s == query.n // query.k
-    ):
+def _construction_bounds(
+    k: int, n: int, d: int, s: Fraction
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Construction lower bounds on the integral and fractional values at s.
+
+    Each bound is the min d-degree, plus one, of a family that provably
+    fails the target: the integral side's target is ceil(s), the
+    fractional side's s itself.
+    """
+    s_ceil = math.ceil(s)
+    int_bounds: dict[str, int] = {}
+    frac_bounds: dict[str, int] = {}
+    if 1 <= s_ceil <= n // k + 1:
+        h1_delta = min_d_degree(construct_h1(k, n, s_ceil), d)
+        int_bounds["h1"] = h1_delta + 1
+        frac_bounds["h1"] = h1_delta + 1
+    if n % k == 0 and s == n // k:
         try:
-            h0 = construct_h0(query.k, query.n)
+            int_bounds["h0"] = min_d_degree(construct_h0(k, n), d) + 1
         except ValueError:
             pass
-        else:
-            bounds.append(min_d_degree(h0, query.d) + 1)
-    return max(bounds)
+    if k * s_ceil - 1 <= n:
+        int_bounds["clique"] = (
+            min_d_degree(construct_clique_plus_isolated(k, n, s_ceil), d) + 1
+        )
+    frac_clique_span = math.ceil(k * s) - 1
+    if k <= frac_clique_span <= n:
+        frac_clique = Hypergraph(
+            k, n, itertools.combinations(range(frac_clique_span), k)
+        )
+        frac_bounds["clique"] = min_d_degree(frac_clique, d) + 1
+    return int_bounds, frac_bounds
+
+
+def _construction_floor(query: ThresholdQuery) -> int:
+    """Best of 1 and the h1 and h0 construction bounds of the query's mode."""
+    int_bounds, frac_bounds = _construction_bounds(query.k, query.n, query.d, query.s)
+    bounds = int_bounds if query.mode == "integral" else frac_bounds
+    return max(bounds.get("h1", 1), bounds.get("h0", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +540,7 @@ class ThresholdComparison:
     flags: dict[str, bool] = field(default_factory=dict)
 
 
-def compare_with_conjecture(
-    query: ThresholdQuery,
-    budget: SearchBudget = SearchBudget(),
-    jobs: int = 1,
-) -> ThresholdComparison:
+def compare_with_conjecture(query: ThresholdQuery, jobs: int = 1) -> ThresholdComparison:
     """Brute-force both threshold flavours and line them up with the formulas.
 
     The integral side runs at ceil(s), the fractional side at s itself; the
@@ -552,34 +554,14 @@ def compare_with_conjecture(
     s = query.s
     s_ceil = math.ceil(s)
     integral = brute_force_threshold(
-        ThresholdQuery(query.k, query.n, query.d, s_ceil, "integral"), budget
+        ThresholdQuery(query.k, query.n, query.d, s_ceil, "integral")
     )
     fractional = brute_force_threshold(
-        ThresholdQuery(query.k, query.n, query.d, s, "fractional"), budget
+        ThresholdQuery(query.k, query.n, query.d, s, "fractional")
     )
 
     k, n, d = query.k, query.n, query.d
-    int_bounds: dict[str, int] = {}
-    frac_bounds: dict[str, int] = {}
-    if 1 <= s_ceil <= n // k + 1:
-        h1_delta = min_d_degree(construct_h1(k, n, s_ceil), d)
-        int_bounds["h1"] = h1_delta + 1
-        frac_bounds["h1"] = h1_delta + 1
-    if n % k == 0 and s == n // k:
-        try:
-            int_bounds["h0"] = min_d_degree(construct_h0(k, n), d) + 1
-        except ValueError:
-            pass
-    if k * s_ceil - 1 <= n:
-        int_bounds["clique"] = (
-            min_d_degree(construct_clique_plus_isolated(k, n, s_ceil), d) + 1
-        )
-    frac_clique_span = math.ceil(k * s) - 1
-    if k <= frac_clique_span <= n:
-        frac_clique = Hypergraph(
-            k, n, itertools.combinations(range(frac_clique_span), k)
-        )
-        frac_bounds["clique"] = min_d_degree(frac_clique, d) + 1
+    int_bounds, frac_bounds = _construction_bounds(k, n, d, s)
 
     formulas: dict[str, object] = {}
     if d == 0 and s_ceil * k <= n:

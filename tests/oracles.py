@@ -54,7 +54,6 @@ from hypermatch.randcons import (
 from hypermatch.samuels import SamuelsQuery, TwoPointFamily
 from hypermatch.simplex import PackingResult
 from hypermatch.storage import _phi_on_grid
-from hypermatch.thresholds import _disjointness_masks, _dset_edge_masks, _edge_universe
 
 _ZERO = Fraction(0)
 
@@ -79,10 +78,21 @@ def has_matching_of_size(mask: int, need: int, disj: list[int]) -> bool:
 def scan_range(
     k: int, n: int, d: int, mode: str, s: Fraction, start: int, stop: int
 ) -> tuple[int, int, int]:
-    """(delta, witness mask, LP count) over [start, stop), one mask at a time."""
-    edges = _edge_universe(k, n)
-    dmasks = _dset_edge_masks(edges, n, d)
-    disj = _disjointness_masks(edges)
+    """(delta, witness mask, LP count) over [start, stop), one mask at a time.
+
+    Edge i is the i-th k-subset in lexicographic order; each d-set's mask
+    has the edges containing it, each edge's disjointness mask the edges
+    it shares no vertex with.
+    """
+    edges = list(itertools.combinations(range(n), k))
+    bits = [1 << i for i in range(len(edges))]
+    dmasks = [
+        sum(b for b, e in zip(bits, edges) if set(ds) <= set(e))
+        for ds in itertools.combinations(range(n), d)
+    ]
+    disj = [
+        sum(b for b, f in zip(bits, edges) if not set(e) & set(f)) for e in edges
+    ]
     s_ceil = math.ceil(s)
     integral = mode == "integral"
     s_int = int(s) if integral else 0

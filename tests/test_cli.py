@@ -187,16 +187,16 @@ class TestThreshold:
         assert code == 0
         assert doc["payload"]["lp_calls"] == 14
 
-    def test_budget_exhaustion_is_a_computational_error(self, capsys, tmp_path):
-        code, doc = run_json(
-            capsys,
-            "threshold", "--mode", "integral",
-            "--k", "3", "--n", "6", "--d", "1", "--s", "2",
-            "--budget", "100",
-            "--witness-out", str(tmp_path / "w.hg"),
-        )
-        assert code == 1
-        assert "error" in doc
+    def test_budget_option_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main([
+                "threshold", "--mode", "integral",
+                "--k", "3", "--n", "6", "--d", "1", "--s", "2",
+                "--budget", "100",
+                "--witness-out", str(tmp_path / "w.hg"),
+            ])
+        assert info.value.code == 2
+        assert "--budget" in capsys.readouterr().err
 
     def test_work_budget_refusal_is_a_computational_error(self, capsys, tmp_path):
         code, doc = run_json(
@@ -399,7 +399,7 @@ FLAGS = {  # command: (positional choices, required flags, optional flags)
             "--mode": st.sampled_from(["integral", "fractional"]),
             "--k": INT, "--n": INT, "--d": INT, "--s": RATIONAL,
         },
-        {"--budget": INT, "--csv": None},
+        {"--csv": None},
     ),
     "reduce": ([[]], {"--weights": st.just("input.wt"), "--k": INT, "--d": INT}, {"--csv": None}),
     "storage": (

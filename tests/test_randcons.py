@@ -283,6 +283,26 @@ class TestBuild:
                     solved, seed=seed
                 )
 
+    def test_unsolved_outcome_solves_its_round_lps_once(self, monkeypatch):
+        # Every third triple of K_9^3 left out: round 1 of seed 2 falls short.
+        base = Hypergraph(
+            3, 9, [e for i, e in enumerate(itertools.combinations(range(9), 3)) if i % 3]
+        )
+        plan = RoundOnePlan(base, 4, 0.7, 1, seed=2)
+        solved = sample_rounds(plan, with_matchings=True)
+        assert solved.skipped_rounds == (1,)
+        unsolved = sample_rounds(plan)
+        calls = []
+        solve = randcons.fractional_matching
+        monkeypatch.setattr(
+            randcons, "fractional_matching", lambda h: calls.append(h) or solve(h)
+        )
+        builds = [build_sparse_subgraph(unsolved, seed=seed) for seed in (0, 1)]
+        assert len(calls) == plan.rounds
+        assert unsolved.matchings is None
+        assert builds == [build_sparse_subgraph(solved, seed=seed) for seed in (0, 1)]
+        assert builds[0].skipped_rounds == (1,)
+
     def test_builds_from_one_outcome_share_no_mutable_state(self):
         plan = RoundOnePlan(Hypergraph.complete(3, 9), 4, 0.7, 1, seed=5)
         outcome = sample_rounds(plan, with_matchings=True)

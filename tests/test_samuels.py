@@ -161,6 +161,11 @@ class TestBoundary:
     def test_profile_rows_cover_the_range(self):
         rows = boundary_profile(3)
         assert rows[0][0] == pytest.approx(0.001)
+        assert len(rows) == 333
+        assert [[v.hex() for v in row] for row in (rows[0], rows[-1])] == [
+            ["0x1.0624dd2f1a9fcp-10", "0x1.fe772d5570166p-1", "0x1.fef9b994e3d81p-1"],
+            ["0x1.54fdf3b645a1dp-2", "0x1.2fdcdceddfca9p-2", "0x1.886e5f0abad52p-9"],
+        ]
         assert all(x < 1 / 3 for x, _, _ in rows)
         # q_0 - min_rest changes sign exactly once on the grid
         signs = [q0 >= rest for _, q0, rest in rows]

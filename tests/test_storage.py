@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypermatch import storage
 from hypermatch.hypercore import VertexWeighting, threshold_hypergraph
 from hypermatch.optmatch import fractional_matching
 from hypermatch.storage import (
@@ -109,9 +110,15 @@ class TestOptimizeGrid:
         assert solo.phi == forked.phi
         assert solo.allocation == forked.allocation
 
-    def test_grid_budget_error(self):
-        with pytest.raises(GridBudgetError):
-            optimize_grid(6, 2, 3, q=4, max_points=10)
+    def test_grid_budget_error(self, monkeypatch):
+        monkeypatch.setattr(storage, "_MAX_GRID_POINTS", 10)
+        with pytest.raises(GridBudgetError, match="exceed the limit of 10"):
+            optimize_grid(6, 2, 3, q=4)
+
+    def test_default_grid_refusal_message_is_pinned(self):
+        with pytest.raises(GridBudgetError) as info:
+            optimize_grid(10, 4, 3, q=12)
+        assert str(info.value) == "886163135 grid points exceed the limit of 2000000"
 
     def test_default_denominator_is_twice_r(self):
         report = optimize_grid(3, 2, 1)

@@ -18,7 +18,6 @@ from hypermatch.optmatch import fractional_matching, matching_number
 from hypermatch.thresholds import (
     BudgetExceededError,
     ReductionInfeasibleError,
-    SearchBudget,
     ThresholdQuery,
     brute_force_threshold,
     compare_with_conjecture,
@@ -97,12 +96,10 @@ class TestBruteForce:
         first = brute_force_threshold(query)
         assert brute_force_threshold(query) is first
 
-    def test_budget_refusal_carries_bounds(self):
+    def test_budget_refusal_carries_bounds(self, monkeypatch):
+        monkeypatch.setattr(thresholds, "_MAX_WORK", 100)
         with pytest.raises(BudgetExceededError) as info:
-            brute_force_threshold(
-                ThresholdQuery(3, 6, 1, 2, "integral"),
-                budget=SearchBudget(max_edge_sets=100),
-            )
+            brute_force_threshold(ThresholdQuery(3, 6, 1, 2, "integral"))
         err = info.value
         assert err.search_space == 1 << 20
         assert 1 <= err.lower_bound <= err.upper_bound
@@ -148,6 +145,34 @@ class TestBruteForce:
     def test_space_beyond_bitmask_is_rejected_outright(self):
         with pytest.raises(ValueError, match="enumeration limit"):
             brute_force_threshold(ThresholdQuery(3, 10, 0, 2, "integral"))
+
+    def test_default_refusal_messages_are_pinned(self):
+        with pytest.raises(ValueError) as info:
+            brute_force_threshold(ThresholdQuery(3, 9, 1, 3, "integral"))
+        assert str(info.value) == "binom(n, k) = 84 exceeds the enumeration limit of 24"
+        with pytest.raises(BudgetExceededError) as info:
+            brute_force_threshold(ThresholdQuery(22, 23, 5, 1, "integral"))
+        assert str(info.value) == (
+            "enumerating 8388608 edge sets takes 282268270592 d-set counts, "
+            "over the work budget of 8589934592; value is within [1, 19]"
+        )
+
+    @pytest.mark.parametrize(
+        "mode, k, n, d, s, floor",
+        [
+            ("integral", 22, 23, 5, 1, 1),
+            ("integral", 3, 6, 1, 2, 5),
+            ("integral", 3, 6, 0, 2, 11),
+            ("fractional", 3, 6, 0, 2, 11),
+            ("integral", 2, 6, 1, 3, 3),
+            ("fractional", 2, 6, 1, 3, 3),
+            ("integral", 3, 9, 1, 3, 14),
+            ("fractional", 2, 7, 0, Fraction(5, 2), 12),
+        ],
+    )
+    def test_construction_floors_are_pinned(self, mode, k, n, d, s, floor):
+        # The lower bound a refusal carries: h1 and h0, never the clique.
+        assert thresholds._construction_floor(ThresholdQuery(k, n, d, s, mode)) == floor
 
 
 def _small_queries():
