@@ -64,12 +64,12 @@ def construct_h0(k: int, n: int) -> Hypergraph:
         )
     a = min(candidates, key=lambda c: (abs(2 * c - n), c))
     a_set = frozenset(range(a))
-    edges = [
+    edges = tuple(
         e
         for e in itertools.combinations(range(n), k)
         if len(a_set.intersection(e)) % 2 == 1
-    ]
-    return Hypergraph(k, n, edges)
+    )
+    return Hypergraph._canonical(k, n, edges)
 
 
 def construct_h1(k: int, n: int, s: int) -> Hypergraph:
@@ -79,10 +79,10 @@ def construct_h1(k: int, n: int, s: int) -> Hypergraph:
     if not 1 <= s <= n // k + 1:
         raise ConstructionInfeasibleError(f"need 1 <= s <= n/k + 1, got s={s}")
     core = frozenset(range(s - 1))
-    edges = [
+    edges = tuple(
         e for e in itertools.combinations(range(n), k) if core.intersection(e)
-    ]
-    return Hypergraph(k, n, edges)
+    )
+    return Hypergraph._canonical(k, n, edges)
 
 
 def construct_clique_plus_isolated(k: int, n: int, s: int) -> Hypergraph:
@@ -97,8 +97,9 @@ def construct_clique_plus_isolated(k: int, n: int, s: int) -> Hypergraph:
         raise ConstructionInfeasibleError(
             f"need 1 <= s with k*s-1 <= n, got s={s}"
         )
-    edges = itertools.combinations(range(k * s - 1), k)
-    return Hypergraph(k, n, edges)
+    # An in-order filter of the k-subsets of 0..n-1: those inside 0..ks-2.
+    edges = tuple(itertools.combinations(range(k * s - 1), k))
+    return Hypergraph._canonical(k, n, edges)
 
 
 @dataclass(frozen=True)

@@ -98,11 +98,14 @@ class Hypergraph:
     def _canonical(cls, k: int, n: int, edges: tuple[tuple[int, ...], ...]) -> "Hypergraph":
         """A Hypergraph on edges that are canonical already, not checked again.
 
-        The caller guarantees the invariant ``__init__`` establishes:
-        ``edges`` is a tuple of distinct sorted k-tuples, in lex order,
-        taken from the edges of an existing ``Hypergraph`` on the same k
-        and n (a sub-hypergraph).  Input from outside the package goes
-        through ``Hypergraph(k, n, edges)``, which validates it.
+        The caller guarantees 1 <= k <= n and the invariant ``__init__``
+        establishes: ``edges`` is a tuple of distinct sorted k-tuples, in
+        lex order.  It holds for edges taken in order from an existing
+        ``Hypergraph`` on the same k and n (a sub-hypergraph), and for an
+        in-order filter of ``itertools.combinations(range(n), k)``, which
+        yields the sorted k-subsets of 0..n-1 in lex order.  Input from
+        outside the package goes through ``Hypergraph(k, n, edges)``, which
+        validates it.
         """
         h = object.__new__(cls)
         object.__setattr__(h, "k", k)
@@ -112,7 +115,9 @@ class Hypergraph:
 
     @classmethod
     def complete(cls, k: int, n: int) -> "Hypergraph":
-        return cls(k, n, itertools.combinations(range(n), k))
+        if not (1 <= k <= n):
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        return cls._canonical(k, n, tuple(itertools.combinations(range(n), k)))
 
     @property
     def num_edges(self) -> int:
@@ -309,12 +314,12 @@ def threshold_hypergraph(w: VertexWeighting, k: int) -> Hypergraph:
     n = len(w)
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n={n}, got k={k}")
-    edges = [
+    edges = tuple(
         e
         for e in itertools.combinations(range(n), k)
         if sum((w[v] for v in e), Fraction(0)) >= 1
-    ]
-    return Hypergraph(k, n, edges)
+    )
+    return Hypergraph._canonical(k, n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -80,15 +80,19 @@ class SamuelsQuery:
     mus: tuple[Fraction, ...]
 
     def __init__(self, mus: Iterable[Fraction | int | str]):
-        ms = tuple(_exact(m) for m in mus)
+        ms = tuple(m if type(m) is Fraction else _exact(m) for m in mus)
         if not ms:
             raise ValueError("need at least one mean")
-        if any(m < 0 for m in ms):
+        # Decided on integers: every denominator is positive.
+        ratios = [m.as_integer_ratio() for m in ms]
+        if any(a < 0 for a, _ in ratios):
             raise ValueError("means must be nonnegative")
-        if any(a > b for a, b in zip(ms, ms[1:])):
+        if any(a * q > c * p for (a, p), (c, q) in zip(ratios, ratios[1:])):
             raise ValueError("means must be sorted nondecreasingly")
-        if sum(ms) >= 1:
-            raise ValueError(f"means must sum below 1, got {sum(ms)}")
+        common = math.lcm(*[p for _, p in ratios])
+        total = sum(a * (common // p) for a, p in ratios)
+        if total >= common:
+            raise ValueError(f"means must sum below 1, got {Fraction(total, common)}")
         object.__setattr__(self, "mus", ms)
 
     @classmethod

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .extremal import construct_clique_plus_isolated, construct_h0, construct_h1
+from .extremal import construct_h0
 from .hypercore import Hypergraph, VertexWeighting, link, min_d_degree, threshold_hypergraph
 from .optmatch import fractional_matching, matching_number
 from .simplex import solve_unit_packing
@@ -403,31 +403,49 @@ def _construction_bounds(
 
     Each bound is the min d-degree, plus one, of a family that provably
     fails the target: the integral side's target is ceil(s), the
-    fractional side's s itself.
+    fractional side's s itself.  The h1 and clique degrees are counted in
+    closed form; only the parity family h0 is built.
     """
     s_ceil = math.ceil(s)
     int_bounds: dict[str, int] = {}
     frac_bounds: dict[str, int] = {}
     if 1 <= s_ceil <= n // k + 1:
-        h1_delta = min_d_degree(construct_h1(k, n, s_ceil), d)
-        int_bounds["h1"] = h1_delta + 1
-        frac_bounds["h1"] = h1_delta + 1
+        int_bounds["h1"] = frac_bounds["h1"] = _h1_min_degree(k, n, d, s_ceil - 1) + 1
     if n % k == 0 and s == n // k:
         try:
             int_bounds["h0"] = min_d_degree(construct_h0(k, n), d) + 1
         except ValueError:
             pass
     if k * s_ceil - 1 <= n:
-        int_bounds["clique"] = (
-            min_d_degree(construct_clique_plus_isolated(k, n, s_ceil), d) + 1
-        )
+        int_bounds["clique"] = _clique_min_degree(k, n, d, k * s_ceil - 1) + 1
     frac_clique_span = math.ceil(k * s) - 1
     if k <= frac_clique_span <= n:
-        frac_clique = Hypergraph(
-            k, n, itertools.combinations(range(frac_clique_span), k)
-        )
-        frac_bounds["clique"] = min_d_degree(frac_clique, d) + 1
+        frac_bounds["clique"] = _clique_min_degree(k, n, d, frac_clique_span) + 1
     return int_bounds, frac_bounds
+
+
+def _h1_min_degree(k: int, n: int, d: int, core: int) -> int:
+    """Min d-degree of ``construct_h1``: the k-sets meeting a ``core``-set.
+
+    A d-set meeting the core lies in all C(n-d, k-d) k-sets through it; one
+    avoiding the core misses the C(n-d-core, k-d) of them that avoid the
+    core too.  When every d-set meets the core, n-d-core < 0 and the clamp
+    to C(0, k-d) = 0 (d < k) subtracts nothing.
+    """
+    return math.comb(n - d, k - d) - math.comb(max(n - d - core, 0), k - d)
+
+
+def _clique_min_degree(k: int, n: int, d: int, span: int) -> int:
+    """Min d-degree of the complete k-graph on 0..span-1 padded to n vertices.
+
+    For d >= 1 a d-set through an isolated vertex has degree 0, and with
+    none isolated every d-set has degree C(n-d, k-d).
+    """
+    if d == 0:
+        return math.comb(span, k)
+    if span < n:
+        return 0
+    return math.comb(n - d, k - d)
 
 
 def _construction_floor(query: ThresholdQuery) -> int:

@@ -22,6 +22,15 @@ oracle compares each uniform with ``float(p)`` where the fast kernel uses
 the exact ``u < p``; the two differ only on the doubles between the two
 thresholds, at most one per coordinate, which seeded draws do not hit.
 
+``samuels_query_means`` is ``SamuelsQuery``'s input check as it was on
+``Fraction``s: sign, order and total compared as fractions.  The check on
+integer ratios must accept the same means and raise the same exception
+with the same message.
+
+``construction_bounds`` is ``thresholds._construction_bounds`` as it was,
+taking the min d-degree of each construction built in full; the closed-form
+counts must give the same bounds.
+
 ``check_edge_multiplicity``, ``check_induced_degrees`` and
 ``build_sparse_subgraph`` are the round-one audits and the round-two build
 that ``randcons`` replaced: the audits walk every base edge (and, for the
@@ -40,7 +49,12 @@ from typing import Sequence
 
 import numpy as np
 
-from hypermatch.hypercore import Hypergraph, incidence, vertex_masks
+from hypermatch.extremal import (
+    construct_clique_plus_isolated,
+    construct_h0,
+    construct_h1,
+)
+from hypermatch.hypercore import Hypergraph, incidence, min_d_degree, vertex_masks
 from hypermatch.randcons import (
     _WITNESS_CAP,
     AmbiguousMembershipError,
@@ -51,7 +65,7 @@ from hypermatch.randcons import (
     SparseSubgraph,
     compute_round_matchings,
 )
-from hypermatch.samuels import SamuelsQuery, TwoPointFamily
+from hypermatch.samuels import SamuelsQuery, TwoPointFamily, _exact
 from hypermatch.simplex import PackingResult
 from hypermatch.storage import _phi_on_grid
 
@@ -302,6 +316,20 @@ def q_min(query: SamuelsQuery) -> tuple[Fraction, int]:
     return best, best_t
 
 
+def samuels_query_means(mus) -> tuple[Fraction, ...]:
+    """The means ``SamuelsQuery(mus)`` keeps, or the error it raises."""
+    ms = tuple(_exact(m) for m in mus)
+    if not ms:
+        raise ValueError("need at least one mean")
+    if any(m < 0 for m in ms):
+        raise ValueError("means must be nonnegative")
+    if any(a > b for a, b in zip(ms, ms[1:])):
+        raise ValueError("means must be sorted nondecreasingly")
+    if sum(ms) >= 1:
+        raise ValueError(f"means must sum below 1, got {sum(ms)}")
+    return ms
+
+
 def monte_carlo_small_sum(
     family: TwoPointFamily, samples: int, seed: int = 0, shards: int = 1
 ) -> float:
@@ -419,3 +447,32 @@ def build_sparse_subgraph(
         per_round_selected=tuple(selected_all),
         skipped_rounds=outcome.skipped_rounds,
     )
+
+
+def construction_bounds(
+    k: int, n: int, d: int, s: Fraction
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Integral and fractional construction bounds from the built families."""
+    s_ceil = math.ceil(s)
+    int_bounds: dict[str, int] = {}
+    frac_bounds: dict[str, int] = {}
+    if 1 <= s_ceil <= n // k + 1:
+        h1_delta = min_d_degree(construct_h1(k, n, s_ceil), d)
+        int_bounds["h1"] = h1_delta + 1
+        frac_bounds["h1"] = h1_delta + 1
+    if n % k == 0 and s == n // k:
+        try:
+            int_bounds["h0"] = min_d_degree(construct_h0(k, n), d) + 1
+        except ValueError:
+            pass
+    if k * s_ceil - 1 <= n:
+        int_bounds["clique"] = (
+            min_d_degree(construct_clique_plus_isolated(k, n, s_ceil), d) + 1
+        )
+    frac_clique_span = math.ceil(k * s) - 1
+    if k <= frac_clique_span <= n:
+        frac_clique = Hypergraph(
+            k, n, itertools.combinations(range(frac_clique_span), k)
+        )
+        frac_bounds["clique"] = min_d_degree(frac_clique, d) + 1
+    return int_bounds, frac_bounds

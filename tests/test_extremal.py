@@ -13,7 +13,7 @@ from hypermatch.extremal import (
     construct_h0,
     construct_h1,
 )
-from hypermatch.hypercore import degree, min_d_degree
+from hypermatch.hypercore import Hypergraph, degree, min_d_degree
 from hypermatch.optmatch import (
     fractional_matching,
     has_perfect_matching,
@@ -104,6 +104,27 @@ class TestCliquePlusIsolated:
     def test_needs_room(self):
         with pytest.raises(ConstructionInfeasibleError):
             construct_clique_plus_isolated(3, 4, 2)  # needs ks-1 = 5 > 4
+
+
+def test_constructions_hold_the_constructor_invariant():
+    # Built without validation; rebuilding through __init__ changes nothing.
+    built = 0
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            families = []
+            if n % k == 0:
+                try:
+                    families.append(construct_h0(k, n))
+                except ConstructionInfeasibleError:
+                    pass
+            for s in range(1, n // k + 2):
+                families.append(construct_h1(k, n, s))
+                if k * s - 1 <= n:
+                    families.append(construct_clique_plus_isolated(k, n, s))
+            for h in families:
+                assert h == Hypergraph(k, n, h.edges)
+            built += len(families)
+    assert built > 250
 
 
 class TestConjectureValues:

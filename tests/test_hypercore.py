@@ -66,6 +66,21 @@ class TestHypergraph:
         assert Hypergraph.complete(2, 5).num_edges == 10
         assert Hypergraph.complete(4, 4).edges == ((0, 1, 2, 3),)
 
+    def test_complete_equals_the_validated_build(self):
+        for n in range(1, 10):
+            for k in range(1, n + 1):
+                h = Hypergraph.complete(k, n)
+                assert h == Hypergraph(k, n, itertools.combinations(range(n), k))
+
+    @pytest.mark.parametrize("k, n", [(0, 3), (4, 3)])
+    def test_complete_rejects_like_the_constructor(self, k, n):
+        with pytest.raises(ValueError) as direct:
+            Hypergraph(k, n, itertools.combinations(range(n), k))
+        with pytest.raises(ValueError) as complete:
+            Hypergraph.complete(k, n)
+        message = f"need 1 <= k <= n, got k={k}, n={n}"
+        assert str(complete.value) == str(direct.value) == message
+
     def test_edges_are_sorted_and_deduplicated(self):
         h = Hypergraph(2, 3, [(2, 1), (1, 2), (0, 1)])
         assert h.edges == ((0, 1), (1, 2))
@@ -357,6 +372,7 @@ class TestThresholdHypergraph:
             weights = weights + [Fraction(0)] * (k - len(weights))
         w = VertexWeighting(tuple(weights))
         h = threshold_hypergraph(w, k)
+        assert h == Hypergraph(k, len(weights), h.edges)
         for e in itertools.combinations(range(len(weights)), k):
             assert (e in h) == (sum(w[v] for v in e) >= 1)
 

@@ -61,6 +61,43 @@ class TestQuery:
         with pytest.raises(TypeError):
             SamuelsQuery((0.1, 0.2))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=40),
+                st.fractions(min_value=0, max_value=1, max_denominator=40).map(str),
+                st.integers(min_value=0, max_value=1),
+                st.sampled_from(["0.25", " 1/3 ", "-0", "3/12"]),
+            ),
+            max_size=5,
+        ),
+        st.lists(
+            st.one_of(
+                st.fractions(min_value=-1, max_value=0, max_denominator=40),
+                st.integers(min_value=-2, max_value=-1),
+                st.floats(min_value=0, max_value=0.5),
+                st.sampled_from(["x", "1/0", "", "-1/3", True, None]),
+            ),
+            max_size=1,
+        ),
+        st.integers(min_value=0, max_value=5),
+        st.booleans(),
+    )
+    def test_checks_agree_with_the_fraction_checks(self, good, bad, at, sort):
+        # Sorted inputs reach the total check; unsorted ones the order check.
+        mus = sorted(good, key=Fraction) if sort else good
+        mus[at:at] = bad
+        try:
+            expected = ("ok", oracles.samuels_query_means(mus))
+        except Exception as exc:
+            expected = (type(exc), str(exc))
+        try:
+            got = ("ok", SamuelsQuery(mus).mus)
+        except Exception as exc:
+            got = (type(exc), str(exc))
+        assert got == expected
+
     def test_uniform(self):
         q = SamuelsQuery.uniform(3, Fraction(3, 10))
         assert q.mus == (Fraction(3, 10),) * 3

@@ -174,6 +174,33 @@ class TestBruteForce:
         # The lower bound a refusal carries: h1 and h0, never the clique.
         assert thresholds._construction_floor(ThresholdQuery(k, n, d, s, mode)) == floor
 
+    def test_construction_bounds_equal_the_built_families(self):
+        # Every (k, n, d) with n <= 10 and every s in steps of 1/k (which
+        # reaches every fractional clique span) up to past n/k + 1.
+        cases = 0
+        for n in range(1, 11):
+            for k in range(1, n + 1):
+                for d in range(k):
+                    for j in range(1, k * (n // k + 2) + 1):
+                        s = Fraction(j, k)
+                        assert thresholds._construction_bounds(
+                            k, n, d, s
+                        ) == oracles.construction_bounds(k, n, d, s)
+                        cases += 1
+        assert cases > 1000
+
+    def test_refusal_builds_no_construction_degree(self, monkeypatch):
+        calls = []
+
+        def counting(h, d):
+            calls.append((h.k, h.n, d))
+            return min_d_degree(h, d)
+
+        monkeypatch.setattr(thresholds, "min_d_degree", counting)
+        with pytest.raises(BudgetExceededError, match=r"value is within \[13, 14\]$"):
+            brute_force_threshold(ThresholdQuery(21, 22, 9, 2, "integral"))
+        assert calls == []
+
 
 def _small_queries():
     """Every (k, n, d, mode, s) with binom(n, k) <= 12.
