@@ -37,14 +37,10 @@ __all__ = [
     "CheckResult",
     "RoundOneOutcome",
     "SparseSubgraph",
-    "RegularityReport",
     "AmbiguousMembershipError",
     "sample_rounds",
     "compute_round_matchings",
-    "coverage_count",
     "build_sparse_subgraph",
-    "check_near_regularity",
-    "chernoff_bound",
     "preset_scale_parameters",
 ]
 
@@ -159,12 +155,6 @@ class RoundOneOutcome:
 
 class AmbiguousMembershipError(RuntimeError):
     """Some edge lies in several sampled subsets, so "its round" is undefined."""
-
-
-def coverage_count(subsets, vertex_set) -> int:
-    """Number of sampled subsets containing every vertex of the set."""
-    wanted = frozenset(vertex_set)
-    return sum(1 for r in subsets if wanted <= frozenset(r))
 
 
 def _sample_subsets(plan: RoundOnePlan) -> tuple[tuple[int, ...], ...]:
@@ -429,109 +419,6 @@ def build_sparse_subgraph(
         per_round_selected=selected_all,
         skipped_rounds=draws.skipped_rounds,
     )
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    passed: bool
-    degree_band: tuple[float, float]
-    degree_violators: tuple[tuple[int, int], ...]
-    max_codegree: int
-    codegree_bound: float
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def check_near_regularity(
-    h: Hypergraph, target_degree: float, tolerance: float
-) -> RegularityReport:
-    """Strict degree band plus a strict codegree cap.
-
-    True iff every vertex degree lies strictly between
-    (1 - tolerance) * target_degree and (1 + tolerance) * target_degree,
-    and the maximum codegree is strictly below tolerance * target_degree.
-    The codegree here is measured over pairs shared by at least two
-    edges, so a linear hypergraph (a matching in particular) scores 0.
-    An edgeless hypergraph fails: degree 0 is never inside the band.
-    """
-    if target_degree <= 0:
-        raise ValueError(f"target degree must be > 0, got {target_degree}")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    low = (1 - tolerance) * target_degree
-    high = (1 + tolerance) * target_degree
-    degs, codeg = incidence(h.edges, h.n)
-    violators = tuple(
-        (v, c) for v, c in enumerate(degs) if not low < c < high
-    )
-    max_codegree = max((c for c in codeg.values() if c >= 2), default=0)
-    passed = not violators and max_codegree < tolerance * target_degree
-    return RegularityReport(
-        passed=passed,
-        degree_band=(low, high),
-        degree_violators=violators,
-        max_codegree=max_codegree,
-        codegree_bound=tolerance * target_degree,
-    )
-
-
-_CHERNOFF_PARAMETERS = {
-    "small": ("expectation", "alpha"),
-    "binomial": ("n", "p", "lam"),
-    "large": ("expectation", "x"),
-}
-
-
-def chernoff_bound(kind: str, **params) -> float:
-    """Exponential tail bounds with their validity ranges enforced.
-
-    kind="small": P(|X - EX| > alpha*EX) <= 2*exp(-alpha^2*EX/3), valid
-    for alpha <= 3/2; pass expectation and alpha.
-    kind="binomial": P(|X - np| > lam) <= exp(-lam^2/(3np)) for X
-    binomial(n, p), the previous bound at alpha = lam/(np), hence valid
-    for lam <= (3/2)*n*p; pass n, p, lam.
-    kind="large": P(X > x) <= exp(-x) for x >= 7*EX; pass expectation
-    and x.
-    """
-    names = _CHERNOFF_PARAMETERS.get(kind)
-    if names is None:
-        raise ValueError(f"kind must be small|binomial|large, got {kind!r}")
-    missing = [name for name in names if name not in params]
-    unexpected = sorted(set(params) - set(names))
-    if missing or unexpected:
-        raise TypeError(
-            f"the {kind} bound takes {names}: missing {missing}, unexpected {unexpected}"
-        )
-    values = [params[name] for name in names]
-    if kind == "small":
-        expectation, alpha = values
-        if expectation < 0:
-            raise ValueError("expectation must be >= 0")
-        if not 0 <= alpha <= 1.5:
-            raise ValueError(
-                f"small-deviation bound needs alpha <= 3/2, got alpha={alpha}"
-            )
-        return 2 * math.exp(-(alpha**2) * expectation / 3)
-    if kind == "binomial":
-        n, p, lam = values
-        if n <= 0 or not 0 < p <= 1:
-            raise ValueError("need n > 0 and 0 < p <= 1")
-        if not 0 <= lam <= 1.5 * n * p:
-            raise ValueError(
-                f"binomial bound needs lam <= (3/2)*n*p = {1.5 * n * p:g}, "
-                f"got lam={lam}"
-            )
-        return math.exp(-(lam**2) / (3 * n * p))
-    expectation, x = values
-    if expectation < 0:
-        raise ValueError("expectation must be >= 0")
-    if x < 7 * expectation:
-        raise ValueError(
-            f"large-deviation bound needs x >= 7*expectation = "
-            f"{7 * expectation:g}, got x={x}"
-        )
-    return math.exp(-x)
 
 
 def preset_scale_parameters(n: int) -> tuple[float, int]:

@@ -5,9 +5,9 @@ P(X_1 + ... + X_l < 1) are the two-point families indexed by t: the first t
 variables sit at their means, the rest jump to 1 - (mu_1 + ... + mu_t) with
 the probability that preserves their means.  ``q_t`` evaluates the small-sum
 probability of family t exactly; ``q_min`` takes the minimum over t.  Both
-scale the means to one common denominator and work in Python integers:
-candidates are compared by cross-multiplying, and only the answer becomes a
-``Fraction``.
+work in Python integers on the means scaled to one common denominator, which
+``SamuelsQuery`` computes once while it checks them: candidates are compared
+by cross-multiplying, and only the answer becomes a ``Fraction``.
 
 ``monte_carlo_small_sum`` draws each shard in fixed blocks of rows into one
 reused buffer and decides a block column by column with the exact
@@ -39,7 +39,6 @@ __all__ = [
     "TwoPointFamily",
     "q_t",
     "q_min",
-    "prop23_check",
     "boundary_scan",
     "boundary_profile",
     "monte_carlo_small_sum",
@@ -90,10 +89,15 @@ class SamuelsQuery:
         if any(a * q > c * p for (a, p), (c, q) in zip(ratios, ratios[1:])):
             raise ValueError("means must be sorted nondecreasingly")
         common = math.lcm(*[p for _, p in ratios])
-        total = sum(a * (common // p) for a, p in ratios)
+        scaled = tuple(a * (common // p) for a, p in ratios)
+        total = sum(scaled)
         if total >= common:
             raise ValueError(f"means must sum below 1, got {Fraction(total, common)}")
         object.__setattr__(self, "mus", ms)
+        # (L, a) with mu_i = a_i / L over the common denominator L, for the
+        # q_t kernels; an attribute, not a field, so eq, repr and hash see
+        # only the means.
+        object.__setattr__(self, "_scaled", (common, scaled))
 
     @classmethod
     def uniform(cls, l: int, x: Fraction | int | str) -> "SamuelsQuery":
@@ -140,14 +144,8 @@ class TwoPointFamily:
         return constants + jumps
 
 
-def _scaled_means(query: SamuelsQuery) -> tuple[int, list[int]]:
-    """(L, a) with mu_i = a_i / L over the common denominator L."""
-    total = math.lcm(*(m.denominator for m in query.mus))
-    return total, [m.numerator * (total // m.denominator) for m in query.mus]
-
-
-def _q_terms(total: int, scaled: list[int], t: int) -> tuple[int, int]:
-    """Unreduced (numerator, denominator) of q_t from ``_scaled_means``.
+def _q_terms(total: int, scaled: tuple[int, ...], t: int) -> tuple[int, int]:
+    """Unreduced (numerator, denominator) of q_t from a query's (L, a).
 
     With C = L - (a_1 + ... + a_t), family t jumps with p_i = a_i / C, so
     q_t = prod_{i > t} (C - a_i) / C^(l - t); every factor is positive
@@ -167,7 +165,7 @@ def q_t(query: SamuelsQuery, t: int) -> Fraction:
     below 1 iff no two-point coordinate jumps: the product of (1 - p_i).
     """
     TwoPointFamily(query, t)  # checks t
-    return Fraction(*_q_terms(*_scaled_means(query), t))
+    return Fraction(*_q_terms(*query._scaled, t))
 
 
 def q_min(query: SamuelsQuery) -> tuple[Fraction, int]:
@@ -176,7 +174,7 @@ def q_min(query: SamuelsQuery) -> tuple[Fraction, int]:
     Candidates are compared as integer cross-products; only the minimum
     becomes a ``Fraction``.
     """
-    total, scaled = _scaled_means(query)
+    total, scaled = query._scaled
     best_num, best_den = _q_terms(total, scaled, 0)
     best_t = 0
     for t in range(1, query.l):
@@ -184,16 +182,6 @@ def q_min(query: SamuelsQuery) -> tuple[Fraction, int]:
         if num * best_den < best_num * den:
             best_num, best_den, best_t = num, den, t
     return Fraction(best_num, best_den), best_t
-
-
-def prop23_check(l: int, x: Fraction | int | str) -> bool:
-    """Is t = 0 a minimiser for uniform means x, with value (1-x)^l?
-
-    Exact at rational x; ties count as success.
-    """
-    query = SamuelsQuery.uniform(l, x)
-    best, best_t = q_min(query)
-    return best_t == 0 and best == (1 - _exact(x)) ** l
 
 
 def _q_uniform_float(l: int, t: int, x: float) -> float:

@@ -29,12 +29,40 @@ sums over the width and takes the first column whose sum is below D.  The
 sums are exact in int64 while D and max|Y| are below 2^62 // (width + 1),
 which is checked on every pivot in O(m) on the Python ints; past that bound
 the same arrays are built with dtype object, whose elements are Python
-ints.  No float is involved.  When the pivot p equals D, as on most pivots
-of the larger LPs, a row's new value (D*a - f*b) // D is a - f*b // D, the
-division again exact: so the tableau changes in place, and only where the
-pivot row is nonzero, and a row with f = d[r] = 0 not at all.  Other
-pivots rebuild every row but the pivot row, a row with f = 0 by scaling
-alone.  The tableau stays a list of Python int lists.
+ints.  No float is involved.
+
+Each column j of [M | X] is held as one Python int,
+C_j = sum(T[r][j] * 2^(w*r) for r < m), a field of w signed bits a row
+(Kronecker substitution); [Y | Z] stays a list.  The entering column is
+packed the same way: d is C_i for slack i, and the sum of the C_i over
+the column's rows for a column, since M a adds the columns of M that a
+selects.  A field is read by adding the bias 2^(w-1) to every field at
+once, so that no field borrows from the next, then shifting and masking.
+The Bareiss rule, read down a column instead of along a row, is one rule
+for every column and for [Y | Z]: with b = T[lr][j] the column's pivot-row
+entry and e = d - D*2^(w*lr), the packed d with its pivot field p replaced
+by p - D,
+
+    C_j <- (p*C_j - b*e) // D,    Y_j <- (p*Y_j - b*d[m]) // D.
+
+Field r of the numerator is p*T[r][j] - d[r]*b for r != lr, which
+Sylvester's identity makes a multiple of D, and D*b for r = lr, which keeps
+the pivot row.  A sum of multiples of D times powers of two is a multiple
+of D, so the whole integer divides exactly and its fields are the new
+entries, provided that each of them fits in its field.  A column with
+b = 0 only scales by p/D, and is left as it is when p = D.
+
+The width w follows from Hadamard's bound, |det| <= the product of the
+columns' Euclidean norms.  Every basis column is a slack unit vector or a
+column of at most ``width`` ones, of norm at most sqrt(width).  D = |det B|
+and every entry of M, a cofactor of B, are at most width^(m/2); every
+entry of X = M 1, and of d = M a, is by Cramer's rule a determinant of B
+with one column replaced by the all-ones vector (norm sqrt(m)) or by a,
+so at most sqrt(m * width^(m-1)).  Hence every field t has
+t^2 <= m * width^m, and a signed field holds it when
+2^(2(w-1)) > m * width^m, which is the integer rule ``_field_width`` meets
+with the least such w.  These bounds hold for every basis the solver
+visits, so no field ever spills into its neighbour.
 
 Only the rows that some column touches enter the tableau.  A row that no
 column touches keeps a basic slack, a zero dual and an untouched row of
@@ -52,7 +80,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +91,13 @@ _ZERO = Fraction(0)
 # Pricing sums in int64 while D and max|Y| are below this over (width + 1),
 # so that no sum of width duals, and no comparison with D, can overflow.
 _INT64_BOUND = 1 << 62
+
+
+def _field_width(m: int, width: int) -> int:
+    """The least w with 2^(2(w-1)) > m * width^m: the bits of one signed
+    field of a packed column over m rows, when no column has more than
+    ``width`` rows (see the module docstring)."""
+    return ((m * width**m).bit_length() + 1) // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -113,11 +147,9 @@ def solve_unit_packing(
 
     # Variable ids: 0..ncols-1 are structural columns, ncols..ncols+m-1 are
     # slacks.  The initial basis is the slack identity (b = 1 is feasible),
-    # with zero duals and value.  Rows 0..m-1 of the tableau are [M | X],
-    # row m is [Y | Z].
+    # with zero duals and value: M = I and X = 1, packed into one integer a
+    # column, and [Y | Z] = 0.
     denom = 1
-    tab = [[int(i == j) for j in range(m)] + [1] for i in range(m)]
-    tab.append([0] * (m + 1))
     basis = [ncols + i for i in range(m)]
     pivots = 0
     # Each column's rows, padded with the sentinel row m (dual 0), held as
@@ -126,12 +158,19 @@ def solve_unit_packing(
     width = max(map(len, cols))
     rows = np.array([col + (m,) * (width - len(col)) for col in cols], dtype=np.intp).T.copy()
     limit = _INT64_BOUND // (width + 1)
+    w = _field_width(m, width)
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    ones = ((1 << (w * m)) - 1) // mask  # a 1 in every field
+    bias = half * ones  # added before a read, so that no field borrows
+    shifts = range(0, w * m, w)
+    packed = [1 << sh for sh in shifts] + [ones]
+    ys = [0] * (m + 1)
     while True:
         # Bland pricing: the first column with positive reduced cost, else
         # the first slack with one.  A basic variable has reduced cost
         # exactly 0, so it never enters.  Z is set aside while the gather
         # reads entry m as the sentinel row's dual 0.
-        ys = tab[m]
         z, ys[m] = ys[m], 0
         fits = denom < limit and max(ys) < limit and -min(ys) < limit
         gain = np.array(ys, np.int64 if fits else object).take(rows).sum(axis=0) < denom
@@ -142,62 +181,54 @@ def solve_unit_packing(
         if entering < 0:
             break  # optimal: no variable has positive reduced cost
 
-        # The entering column of the tableau: d[r] = (M a)[r] for r < m, and
-        # d[m] = -(D times the reduced cost), so that every row, the
-        # objective row too, is updated by the same rule.
+        # The entering column, packed: d = M a, the sum of the packed
+        # columns of a's rows, and dm = -(D times the reduced cost).
         if entering >= ncols:
             i = entering - ncols
-            d = [row[i] for row in tab]
+            d = packed[i]
+            dm = ys[i]
         else:
             col = cols[entering]
-            if len(col) == 1:
-                i = col[0]
-                d = [row[i] for row in tab]
-            else:
-                get = itemgetter(*col)
-                d = [sum(get(row)) for row in tab]
-            d[m] -= denom
+            d = sum(map(packed.__getitem__, col))
+            dm = sum(map(ys.__getitem__, col)) - denom
 
         # Ratio test on X[r] / d[r], which is x_B[r] / (B^-1 a)[r] with D
         # cancelled, compared cross-multiplied.
         lr = -1
-        for r in range(m):
-            f = d[r]
+        du = d + bias
+        xu = packed[m] + bias
+        for r, f in enumerate([(du >> sh & mask) - half for sh in shifts]):
             if f > 0:
-                x = tab[r][m]
+                x = (xu >> shifts[r] & mask) - half
                 if lr < 0 or x * fl < xl * f or (x * fl == xl * f and basis[r] < basis[lr]):
                     lr, fl, xl = r, f, x
         if lr < 0:
             raise ArithmeticError("unit packing LP cannot be unbounded")
 
+        # Every column, X and [Y | Z] too, by the one rule: b is the
+        # column's pivot-row entry, and e is d with its pivot field p
+        # replaced by p - D, so that the pivot row comes out unchanged.
         p = fl
-        prow = tab[lr]
-        if p == denom:
-            # (D*a - f*b) // D is a - f*b // D, exactly: only the positions
-            # where the pivot row is nonzero change, and a row with f = 0
-            # not at all.
-            nonzero = [(j, b) for j, b in enumerate(prow) if b]
-            for r, f in enumerate(d):
-                if f and r != lr:
-                    row = tab[r]
-                    for j, b in nonzero:
-                        row[j] -= f * b // denom
-        else:
-            for r, f in enumerate(d):
-                if r != lr:
-                    if f:
-                        tab[r] = [(p * a - f * b) // denom for a, b in zip(tab[r], prow)]
-                    else:
-                        tab[r] = [p * a // denom for a in tab[r]]
+        shift = shifts[lr]
+        e = d - (denom << shift)
+        for j, c in enumerate(packed):
+            b = ((c + bias) >> shift & mask) - half
+            if b:
+                packed[j] = (p * c - b * e) // denom
+                ys[j] = (p * ys[j] - b * dm) // denom
+            elif p != denom:
+                packed[j] = p * c // denom
+                ys[j] = p * ys[j] // denom
         denom = p
         basis[lr] = entering
         pivots += 1
 
+    xu = packed[m] + bias
     primal = [_ZERO] * ncols
-    for r in range(m):
+    for r, sh in enumerate(shifts):
         if basis[r] < ncols:
-            primal[basis[r]] = Fraction(tab[r][m], denom)
+            primal[basis[r]] = Fraction((xu >> sh & mask) - half, denom)
     dual = [_ZERO] * n_rows
-    for r, v in zip(touched, tab[m]):
+    for r, v in zip(touched, ys):
         dual[r] = Fraction(v, denom)
-    return PackingResult(Fraction(tab[m][m], denom), tuple(primal), tuple(dual), pivots)
+    return PackingResult(Fraction(ys[m], denom), tuple(primal), tuple(dual), pivots)

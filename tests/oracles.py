@@ -8,8 +8,8 @@ must return the same answers and, for the scan, the same LP count.
 
 ``solve_unit_packing`` is the unit-packing simplex with the column-by-column
 Bland pricing scan that ``simplex.solve_unit_packing``'s numpy gather
-replaced, and with the full row update, every row but the pivot row rebuilt
-on every pivot, that its in-place update on pivots with p = D replaced.
+replaced, and with a list-of-rows tableau, every row but the pivot row
+rebuilt on every pivot, that its packed-column update replaced.
 Both follow Bland's rule on the same integer basis, so they must agree on
 value, primal, dual and pivot count exactly.
 

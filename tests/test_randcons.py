@@ -1,4 +1,4 @@
-"""Randomised two-round construction: sampling, checks, build, tail bounds."""
+"""Randomised two-round construction: sampling, checks and build."""
 
 import hashlib
 import itertools
@@ -19,10 +19,7 @@ from hypermatch.randcons import (
     RoundOnePlan,
     RoundOneOutcome,
     build_sparse_subgraph,
-    chernoff_bound,
-    check_near_regularity,
     compute_round_matchings,
-    coverage_count,
     preset_scale_parameters,
     sample_rounds,
 )
@@ -327,7 +324,7 @@ class TestBuild:
                 for kept in sparse.per_round_selected
             )
             assert sparse.degrees[v] == recount
-            assert sparse.coverage[v] == coverage_count(outcome.subsets, {v})
+            assert sparse.coverage[v] == sum(1 for r in outcome.subsets if v in r)
 
 
 class TestBuildMatchesOracle:
@@ -427,61 +424,7 @@ class TestCanonicalSubHypergraphs:
             )
 
 
-class TestRegularity:
-    def test_matching_is_perfectly_regular(self):
-        report = check_near_regularity(TWO_TRIPLES, 1.0, 0.5)
-        assert report
-        assert report.max_codegree == 0
-
-    def test_complete_triples_fail_on_codegree(self):
-        report = check_near_regularity(Hypergraph.complete(3, 6), 10.0, 0.1)
-        assert not report
-        assert report.max_codegree == 4
-        assert report.degree_violators == ()
-
-    def test_edgeless_fails(self):
-        assert not check_near_regularity(Hypergraph(3, 6, ()), 1.0, 0.5)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            check_near_regularity(TWO_TRIPLES, 0, 0.5)
-        with pytest.raises(ValueError):
-            check_near_regularity(TWO_TRIPLES, 1.0, 0)
-
-
-class TestChernoff:
-    def test_small_deviation_value(self):
-        bound = chernoff_bound("small", expectation=50, alpha=0.3)
-        assert bound == pytest.approx(2 * math.exp(-1.5))
-
-    def test_binomial_matches_small_at_matching_alpha(self):
-        lam = 6.0
-        by_binomial = chernoff_bound("binomial", n=40, p=0.5, lam=lam)
-        alpha = lam / (40 * 0.5)
-        by_small = chernoff_bound("small", expectation=20, alpha=alpha)
-        assert by_binomial == pytest.approx(by_small / 2)
-
-    def test_large_deviation_value(self):
-        assert chernoff_bound("large", expectation=1, x=10) == pytest.approx(
-            math.exp(-10)
-        )
-
-    def test_validity_ranges(self):
-        with pytest.raises(ValueError):
-            chernoff_bound("small", expectation=50, alpha=2.0)
-        with pytest.raises(ValueError):
-            chernoff_bound("binomial", n=40, p=0.5, lam=31.0)
-        with pytest.raises(ValueError):
-            chernoff_bound("large", expectation=10, x=69)
-        with pytest.raises(ValueError):
-            chernoff_bound("huge", expectation=1, x=10)
-        with pytest.raises(TypeError):
-            chernoff_bound("small", expectation=50, alpha=0.3, slack=1)
-        with pytest.raises(TypeError, match="missing \\['alpha'\\]"):
-            chernoff_bound("small", expectation=1)
-        with pytest.raises(TypeError, match="missing \\['n', 'lam'\\]"):
-            chernoff_bound("binomial", p=0.5)
-
+class TestPreset:
     def test_scale_preset(self):
         p, rounds = preset_scale_parameters(60)
         assert p == pytest.approx(60**-0.9)

@@ -19,7 +19,6 @@ from hypermatch.samuels import (
     boundary_scan,
     edge_count_bound,
     monte_carlo_small_sum,
-    prop23_check,
     q_min,
     q_t,
 )
@@ -149,7 +148,10 @@ class TestExactProbabilities:
         [(4, Fraction(1, 5), True), (3, Fraction(3, 10), False)],
     )
     def test_prop23_examples(self, l, x, expected):
-        assert prop23_check(l, x) is expected
+        # Proposition 2.3: whether t = 0, of value (1 - x)^l, minimises q_t.
+        query = SamuelsQuery.uniform(l, x)
+        assert q_t(query, 0) == (1 - x) ** l
+        assert (q_min(query)[1] == 0) is expected
 
     @given(
         st.integers(min_value=1, max_value=5),

@@ -150,9 +150,10 @@ def test_criterion_9_rounds_are_pinned(index):
 
 @pytest.mark.parametrize("index", sorted(ROUNDS))
 def test_matches_reference_on_criterion_9_rounds(index):
-    # Most pivots of these LPs have p = D, so they take the in-place sparse
-    # update; the rest rebuild every row.  (The 12-sets LP below pivots the
-    # other way round, with p = D on only a few pivots.)
+    # Most pivots of these LPs have p = D, so a packed column whose
+    # pivot-row entry is 0 is left as it is; the rest are rescaled.  (The
+    # 12-sets LP below pivots the other way round, with p = D on only a few
+    # pivots.)
     columns = round_columns(index)
     assert solve_unit_packing(60, columns) == oracles.solve_unit_packing(60, columns)
 
@@ -206,6 +207,60 @@ def test_matches_reference_on_mixed_unsorted_columns():
             rng.sample(range(n), rng.randint(1, min(5, n))) for _ in range(rng.randint(1, 40))
         ]
         assert solve_unit_packing(n, columns) == oracles.solve_unit_packing(n, columns)
+
+
+def s_matrix_columns(m: int) -> list[list[int]]:
+    """The columns of a 0/1 matrix of order m with the largest determinant
+    of any, (m + 1)^((m + 1) / 2) / 2^m, for m = 2^j - 1 (from Sylvester's
+    Hadamard matrix) and for prime m = 3 mod 4 (quadratic residues)."""
+    if m & (m + 1) == 0:
+        return [[i for i in range(m) if ((i + 1) & (j + 1)).bit_count() % 2] for j in range(m)]
+    squares = {x * x % m for x in range(m)}
+    return [[i for i in range(m) if (i - j) % m in squares] for j in range(m)]
+
+
+def test_matches_reference_on_the_largest_minors():
+    # Packed fields must hold every minor of a basis.  The S-matrices' own
+    # columns form the optimal basis (x = y = 2 / (m + 1) everywhere), so
+    # D ends at det 2^17 on 15 rows and 19,531,250 (about 2^24.2) on 19,
+    # the largest for any 0/1 matrix of those orders; shuffled column
+    # orders and extra columns send Bland's rule along other bases.  Random
+    # dense columns of every width up to m on 12-20 rows fill in the rest.
+    rng = random.Random(1968)
+    for m in (7, 11, 15, 19):
+        base = s_matrix_columns(m)
+        for extra in (0, 3, m):
+            columns = base + [rng.sample(range(m), rng.randint(1, m)) for _ in range(extra)]
+            rng.shuffle(columns)
+            result = solve_unit_packing(m, columns)
+            assert result == oracles.solve_unit_packing(m, columns)
+            if not extra:
+                assert result.value == Fraction(2 * m, m + 1)
+    for _ in range(40):
+        m = rng.randint(12, 20)
+        columns = [rng.sample(range(m), rng.randint(1, m)) for _ in range(rng.randint(m, 3 * m))]
+        assert solve_unit_packing(m, columns) == oracles.solve_unit_packing(m, columns)
+
+
+def test_matches_reference_on_one_row_and_on_width_one():
+    # One field a column, and the narrowest fields: w = 2 for one row.
+    for n_rows, columns in [
+        (1, [(0,)]),
+        (1, [(0,), (0,), (0,)]),
+        (5, [(3,), (3,)]),
+        (4, [(2,), (0,), (2,), (3,), (0,)]),
+        (9, [(r,) for r in range(9)] * 2),
+    ]:
+        assert solve_unit_packing(n_rows, columns) == oracles.solve_unit_packing(n_rows, columns)
+
+
+def test_field_width_is_the_least_that_holds_every_entry():
+    # Every packed entry t has t^2 <= m * width^m (module docstring), and a
+    # field of w signed bits holds |t| < 2^(w - 1).
+    for m in range(1, 65):
+        for width in range(1, m + 1):
+            w = simplex._field_width(m, width)
+            assert 4 ** (w - 2) <= m * width**m < 4 ** (w - 1)
 
 
 def test_matches_reference_where_int64_pricing_would_overflow(monkeypatch):
