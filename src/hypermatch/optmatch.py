@@ -10,11 +10,10 @@ anyway so a bug cannot go unnoticed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, _over_lcm, vertex_masks
 from .simplex import solve_unit_packing
@@ -96,13 +95,14 @@ def minimum_cover(h: Hypergraph) -> tuple[int, ...]:
     """A minimum vertex set meeting every edge, deterministically chosen.
 
     A set C covers every edge exactly when its complement spans no edge.  For
-    n <= 20 a boolean table over all 2^n vertex subsets marks the edges, and
-    one subset zeta transform (an exact OR along each bit) closes it upwards,
-    so a subset is marked iff it spans an edge.  The complement of the
-    largest unmarked subset is the cover; among unmarked subsets of maximum
-    size the numerically largest mask wins, so the cover is the one whose
-    vertex mask is smallest.  Larger instances use iterative-deepening
-    branching on an uncovered edge.
+    n <= 20 one Python int holds a bit for each of the 2^n vertex subsets,
+    bit x for the subset with mask x.  The edge masks' bits are set, and one
+    subset zeta transform (an exact OR along each vertex bit, done as a
+    shift of the whole int) closes the table upwards, so a subset's bit is
+    set iff it spans an edge.  The complement of the largest clear subset is
+    the cover; among clear subsets of maximum size the numerically largest
+    mask wins, so the cover is the one whose vertex mask is smallest.
+    Larger instances use iterative-deepening branching on an uncovered edge.
     """
     if h.num_edges == 0:
         return ()
@@ -111,18 +111,43 @@ def minimum_cover(h: Hypergraph) -> tuple[int, ...]:
     return _cover_by_branching(h)
 
 
+@functools.lru_cache(maxsize=_COVER_DP_LIMIT + 1)
+def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bit tables over the masks 0..2^n - 1: (low, by_size).
+
+    Bit x of ``low[b]`` is set iff bit b of x is clear, and bit x of
+    ``by_size[s]`` iff x has s bits set.  The masks of n bits are those of
+    n - 1 bits followed by the same masks with bit n - 1 added, so each
+    table is built from the one for n - 1 with shifts and ors.
+    """
+    if n == 0:
+        return (), (1,)
+    low, by_size = _subset_tables(n - 1)
+    half = 1 << (n - 1)
+    return (
+        tuple(t | t << half for t in low) + ((1 << half) - 1,),
+        tuple(a | b << half for a, b in zip(by_size + (0,), (0,) + by_size)),
+    )
+
+
 def _cover_by_complement(h: Hypergraph) -> tuple[int, ...]:
-    spans_edge = np.zeros(1 << h.n, dtype=bool)
-    spans_edge[vertex_masks(h.edges)] = True
-    for b in range(h.n):
-        # Subset zeta transform over bit b: a mask spans an edge if the same
-        # mask without b does.
-        halves = spans_edge.reshape(-1, 2, 1 << b)
-        halves[:, 1] |= halves[:, 0]
-    free = np.flatnonzero(~spans_edge)
-    sizes = np.bitwise_count(free)
-    best_mask = int(free[sizes == sizes.max()][-1])
-    return tuple(v for v in range(h.n) if not best_mask >> v & 1)
+    n = h.n
+    low, by_size = _subset_tables(n)
+    table = bytearray(((1 << n) + 7) >> 3)
+    for em in vertex_masks(h.edges):
+        table[em >> 3] |= 1 << (em & 7)
+    spans_edge = int.from_bytes(table, "little")
+    for b in range(n):
+        # Subset zeta transform over bit b: a mask with bit b spans an edge
+        # if the same mask without b does.
+        spans_edge |= (spans_edge & low[b]) << (1 << b)
+    free = spans_edge ^ ((1 << (1 << n)) - 1)
+    for size in range(n, -1, -1):
+        best = free & by_size[size]
+        if best:
+            break
+    best_mask = best.bit_length() - 1
+    return tuple(v for v in range(n) if not best_mask >> v & 1)
 
 
 def _cover_by_branching(h: Hypergraph) -> tuple[int, ...]:
@@ -189,11 +214,11 @@ def fractional_matching(
 def _verify_lp_pair(
     h: Hypergraph, value: Fraction, matching: EdgeWeighting, cover: VertexWeighting
 ) -> None:
-    if matching.total() != value or cover.total() != value:
-        raise AssertionError("certificate totals disagree with the LP value")
-    # Each edge needs cover weight >= 1: scale the weights to their common
-    # denominator once, then compare integer sums with it.
+    # Scale the cover to its common denominator once: its total and each
+    # edge's cover weight >= 1 are then compared as integer sums.
     scaled, common = _over_lcm(cover.weights)
+    if matching.total() != value or Fraction(sum(scaled), common) != value:
+        raise AssertionError("certificate totals disagree with the LP value")
     get = scaled.__getitem__
     for e in h.edges:
         if sum(map(get, e)) < common:

@@ -10,10 +10,6 @@ rounds, the expected multiset degree of a vertex equals the number of
 rounds that contain it.  Check failures are reported with witnesses, not
 raised; the per-vertex/per-pair identities are what the Monte Carlo
 batteries in the acceptance suite verify.
-
-Also here: the strict near-regularity predicate used as a hypothesis
-check for almost-perfect matching extraction, and three exponential tail
-bounds with their validity preconditions enforced.
 """
 
 from __future__ import annotations

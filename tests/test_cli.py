@@ -72,6 +72,20 @@ class TestConstruct:
         written = read_hypergraph(str(out))
         assert written.num_edges == doc["payload"]["hypergraph"]["num_edges"]
 
+    def test_solve_on_twenty_vertices_pins_the_cover(self, capsys, tmp_path):
+        # n = 20 puts the cover DP's largest table, 2^20 bits, through solve.
+        out = tmp_path / "h1.hg"
+        code, _ = run_json(
+            capsys,
+            "construct", "h1", "--k", "3", "--n", "20", "--s", "3",
+            "--out", str(out),
+        )
+        assert code == 0
+        code, doc = run_json(capsys, "solve", str(out))
+        assert code == 0
+        assert doc["payload"]["tau"] == 2
+        assert doc["payload"]["cover"] == [0, 1]
+
     def test_infeasible_construction_is_an_error(self, capsys):
         code, doc = run_json(capsys, "construct", "h0", "--k", "3", "--n", "7")
         assert code == 1

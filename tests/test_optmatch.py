@@ -10,7 +10,9 @@ import pytest
 
 from hypermatch.hypercore import EdgeWeighting, Hypergraph, VertexWeighting
 from hypermatch.optmatch import (
+    _COVER_DP_LIMIT,
     _cover_by_branching,
+    _subset_tables,
     _verify_lp_pair,
     DualityReport,
     cover_number,
@@ -171,6 +173,8 @@ class TestCoverAgainstSubsetLoop:
         "h, cover",
         [
             (Hypergraph(1, 1, [(0,)]), (0,)),
+            (Hypergraph(3, 3, [(0, 1, 2)]), (0,)),
+            (Hypergraph(4, 4, [(0, 1, 2, 3)]), (0,)),
             (Hypergraph(5, 5, [(0, 1, 2, 3, 4)]), (0,)),
             (Hypergraph(1, 6, [(1,), (3,), (4,)]), (1, 3, 4)),
             (Hypergraph(1, 4, [(0,), (1,), (2,), (3,)]), (0, 1, 2, 3)),
@@ -180,6 +184,28 @@ class TestCoverAgainstSubsetLoop:
     )
     def test_corner_cases(self, h, cover):
         assert minimum_cover(h) == cover == oracles.cover_by_complement(h)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tables_shorter_than_one_byte(self, n):
+        # 2^n < 8 positions: the edge table is one partly used byte.
+        for k in range(1, n + 1):
+            pool = list(itertools.combinations(range(n), k))
+            for r in range(1, len(pool) + 1):
+                for edges in itertools.combinations(pool, r):
+                    h = Hypergraph(k, n, edges)
+                    assert minimum_cover(h) == oracles.cover_by_complement(h)
+
+    @pytest.mark.parametrize(
+        "k, density", [(2, 0.1), (3, 0.02), (3, 0.05), (4, 0.005), (4, 0.01)]
+    )
+    def test_largest_table_against_branching(self, k, density):
+        # At the limit the table has 2^20 bits; the subset loop is too slow
+        # there, so the check is a valid cover of the size branching finds.
+        n = _COVER_DP_LIMIT
+        h = seeded_edge_set(k, n, density, [k, n, 7])
+        cover = minimum_cover(h)
+        assert all(set(e) & set(cover) for e in h.edges)
+        assert len(cover) == len(_cover_by_branching(h))
 
     def test_certify_covers_match_pinned_digest(self):
         # The 972 criterion-1 style instances of seed 0 (k in {2, 3, 4},
@@ -199,6 +225,20 @@ class TestCoverAgainstSubsetLoop:
         assert digest.hexdigest() == (
             "ae41ac28e71c0c0101f051aa6fb9cb155c5c92e31f9a038dc8a6df60d9a4d757"
         )
+
+
+class TestSubsetTables:
+    """The cover DP's per-n bit tables against their definitions."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_tables_match_their_definitions(self, n):
+        low, by_size = _subset_tables(n)
+        masks = range(1 << n)
+        assert len(low) == n and len(by_size) == n + 1
+        for b, table in enumerate(low):
+            assert table == sum(1 << x for x in masks if not x >> b & 1)
+        for size, table in enumerate(by_size):
+            assert table == sum(1 << x for x in masks if x.bit_count() == size)
 
 
 class TestFractionalOptima:
@@ -263,6 +303,10 @@ class TestFractionalOptima:
         short = EdgeWeighting(h, [0] * h.num_edges)
         with pytest.raises(AssertionError, match="totals disagree"):
             _verify_lp_pair(h, value, short, cover)
+        # The matching's total is right, the cover's is 1/12 too high.
+        heavy = VertexWeighting([cover[0] + Fraction(1, 12), *cover.weights[1:]])
+        with pytest.raises(AssertionError, match="totals disagree"):
+            _verify_lp_pair(h, value, matching, heavy)
 
     def test_duality_report_chain(self):
         for h in random_small_hypergraphs(25, seed=31):
