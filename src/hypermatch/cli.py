@@ -13,6 +13,7 @@ import collections
 import csv
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -536,6 +537,14 @@ def main(argv: list[str] | None = None) -> int:
     args._started = time.perf_counter()
     try:
         outcome = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point its descriptor at devnull,
+        # so that the interpreter's last flush of the buffer cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         json.dump(
             {"command": args.subcommand, "error": str(exc)}, sys.stdout

@@ -61,7 +61,7 @@ def _draw_threshold(w: Fraction) -> float:
     a u = U / 2^53 with U an integer, U < w * 2^53 iff U < ceil(w * 2^53).
     For 0 <= w <= 1 the numerator is at most 2^53, so t is an exact float.
     Kept out of ``__all__``, whose functions perfbench's tracer wraps: the
-    Monte Carlo and every round-two build call it once per probability.
+    Monte Carlo and every round-two draw plan call it once per probability.
     """
     return math.ldexp(-((-w.numerator << 53) // w.denominator), -53)
 

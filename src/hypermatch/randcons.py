@@ -91,13 +91,23 @@ class CheckResult:
 
 
 class _DrawPlan(NamedTuple):
-    """What every round-two build from one outcome shares; nothing depends on the seed."""
+    """What every round-two build from one outcome shares; nothing depends on the seed.
+
+    The weight-1 support edges are kept by every build, so their vertex
+    degrees and pair codegrees are counted here, once per outcome.  A build
+    copies them and adds only the strictly fractional edges its draws keep;
+    ``codegrees`` is that copy's source and is never handed out.
+    """
 
     supports: tuple[tuple[tuple[int, ...], ...], ...]  # each round's support edges
     bounds: tuple[tuple[int, int], ...]  # each round's slice of the rounds' joined supports
     size: int  # the length of the joined supports
-    fractional: np.ndarray  # positions there of the strictly fractional weights
-    thresholds: np.ndarray  # their exact dyadic thresholds, float64
+    degrees: tuple[int, ...]  # vertex degrees of the weight-1 support edges
+    codegrees: dict[tuple[int, int], int]  # their pair codegrees
+    # One entry per strictly fractional weight, in draw order: its position
+    # in the joined supports, its edge, the edge's pairs and its exact
+    # dyadic threshold.
+    fractional: tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...], float], ...]
     coverage: tuple[int, ...]
     skipped_rounds: tuple[int, ...]
 
@@ -118,32 +128,37 @@ class RoundOneOutcome:
 
     @functools.cached_property
     def _draw_plan(self) -> _DrawPlan:
-        """The round matchings' supports and thresholds, made on the first build.
+        """The round matchings' supports, base counts and draws, made on the first build.
 
         An outcome without matchings solves its round LPs here, once.  Kept
         in the instance dict, outside the dataclass fields, so that
         equality, repr and ``dataclasses.replace`` do not see it.
         """
         solved = self if self.matchings is not None else compute_round_matchings(self)
-        supports, bounds, fractional, thresholds = [], [], [], []
+        n = self.plan.base.n
+        supports, bounds, certain, fractional = [], [], [], []
         start = 0
         for matching in solved.matchings:
             support = () if matching is None else matching.support()
-            for i, (_, w) in enumerate(support, start):
+            for i, (e, w) in enumerate(support, start):
                 # A support weight lies in (0, 1], so it is 1 iff its denominator is.
-                if w.denominator != 1:
-                    fractional.append(i)
-                    thresholds.append(_draw_threshold(w))
+                if w.denominator == 1:
+                    certain.append(e)
+                else:
+                    pairs = tuple(itertools.combinations(e, 2))
+                    fractional.append((i, e, pairs, _draw_threshold(w)))
             supports.append(tuple(e for e, _ in support))
             bounds.append((start, start + len(support)))
             start += len(support)
-        coverage, _ = incidence(self.subsets, self.plan.base.n, pairs=False)
+        degrees, codegrees = incidence(certain, n)
+        coverage, _ = incidence(self.subsets, n, pairs=False)
         return _DrawPlan(
             tuple(supports),
             tuple(bounds),
             start,
-            np.array(fractional, dtype=np.intp),
-            np.array(thresholds, dtype=np.float64),
+            tuple(degrees),
+            codegrees,
+            tuple(fractional),
             tuple(coverage),
             solved.skipped_rounds,
         )
@@ -381,14 +396,15 @@ def build_sparse_subgraph(
 
     Only the generator and its draws depend on the seed.  Everything else
     a build needs is the outcome's draw plan, made on its first build and
-    kept on it: each round's support edges, the positions of the strictly
-    fractional weights among them, their exact dyadic thresholds
-    (``_draw_threshold``) in one float64 array, the coverage and the
-    skipped rounds.  An outcome without matchings has its round LPs
-    solved once, for that plan.  A build takes all of its uniforms in one
-    call, which yields the same doubles as one call per weight, decides
-    every fractional edge by one vector comparison ``u < t`` and picks
-    each round's kept edges from its support in order.
+    kept on it: each round's support edges, the vertex degrees and pair
+    codegrees of the weight-1 support edges (counted once per outcome),
+    each strictly fractional weight's position, edge, pairs and exact
+    dyadic threshold (``_draw_threshold``), the coverage and the skipped
+    rounds.  An outcome without matchings has its round LPs solved once,
+    for that plan.  A build takes all of its uniforms in one call, which
+    yields the same doubles as one call per weight, copies the plan's
+    counts, adds the drawn edges that hit, drops the ones that miss and
+    picks each round's kept edges from its support in order.
     """
     if strict and not outcome.check("edge_multiplicity").passed:
         raise AmbiguousMembershipError(
@@ -398,17 +414,25 @@ def build_sparse_subgraph(
     base = outcome.plan.base
     draws = outcome._draw_plan
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    keep = np.ones(draws.size, dtype=bool)
-    keep[draws.fractional] = rng.random(len(draws.thresholds)) < draws.thresholds
-    keep = keep.tolist()
+    keep = [True] * draws.size
+    degrees = list(draws.degrees)
+    codegrees = draws.codegrees.copy()
+    uniforms = rng.random(len(draws.fractional)).tolist()
+    for (i, edge, pairs, t), u in zip(draws.fractional, uniforms):
+        if u < t:
+            for v in edge:
+                degrees[v] += 1
+            for uv in pairs:
+                codegrees[uv] = codegrees.get(uv, 0) + 1
+        else:
+            keep[i] = False
     selected_all = tuple(
         tuple(itertools.compress(support, keep[a:b]))
         for support, (a, b) in zip(draws.supports, draws.bounds)
     )
-    kept = list(itertools.chain.from_iterable(selected_all))
-    degrees, codegrees = incidence(kept, base.n)
+    kept = set(itertools.chain.from_iterable(selected_all))
     return SparseSubgraph(
-        hypergraph=Hypergraph._canonical(base.k, base.n, tuple(sorted(set(kept)))),
+        hypergraph=Hypergraph._canonical(base.k, base.n, tuple(sorted(kept))),
         degrees=tuple(degrees),
         codegrees=codegrees,
         coverage=draws.coverage,

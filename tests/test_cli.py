@@ -2,16 +2,20 @@
 
 import itertools
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import hypermatch
 from hypermatch.cli import main
-from hypermatch.extremal import CONTEXTS
+from hypermatch.extremal import CONTEXTS, construct_h1
 from hypermatch.hypercore import (
     Hypergraph,
     read_hypergraph,
@@ -57,6 +61,27 @@ class TestEnvelope:
         assert info.value.code == 2
         with pytest.raises(SystemExit):
             main(["no-such-command"])
+
+    @pytest.mark.parametrize("h", [Hypergraph.complete(3, 4), construct_h1(3, 20, 3)])
+    def test_closed_stdout_exits_one_in_silence(self, tmp_path, h):
+        # The read end is closed before the process starts, so every write
+        # to stdout fails.  K_4^3's envelope fits the buffer and fails on
+        # main's flush; h1 on 20 vertices fails inside json.dump.
+        path = tmp_path / "h.hg"
+        write_hypergraph(h, str(path))
+        read, write = os.pipe()
+        os.close(read)
+        # The child imports the package from wherever this process did.
+        where = str(pathlib.Path(hypermatch.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": where}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "hypermatch.cli", "solve", str(path)],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b"")
 
 
 class TestConstruct:

@@ -314,6 +314,26 @@ class TestBuild:
         assert second.codegrees == kept
         assert build_sparse_subgraph(outcome, seed=2) == second
 
+    def test_weight_one_edges_are_counted_once_per_outcome(self, monkeypatch):
+        # incidence runs only while the draw plan is made; the builds after
+        # it count the drawn edges that hit and nothing else.
+        plan = RoundOnePlan(Hypergraph.complete(3, 9), 4, 0.7, 1, seed=5)
+        outcome = sample_rounds(plan, with_matchings=True)
+        calls = []
+        count = randcons.incidence
+        monkeypatch.setattr(
+            randcons,
+            "incidence",
+            lambda *args, **kwargs: calls.append("_draw_plan" in vars(outcome))
+            or count(*args, **kwargs),
+        )
+        first = build_sparse_subgraph(outcome, seed=4)
+        assert calls and not any(calls)
+        del calls[:]
+        second = build_sparse_subgraph(outcome, seed=4)
+        assert calls == []
+        assert first == second == oracles.build_sparse_subgraph(outcome, seed=4)
+
     def test_degrees_decompose_over_rounds(self):
         plan = RoundOnePlan(Hypergraph.complete(3, 9), 5, 0.7, 1, seed=2)
         outcome = sample_rounds(plan, with_matchings=True)
@@ -374,6 +394,24 @@ class TestBuildMatchesOracle:
             assert build_sparse_subgraph(integral, seed=seed) == oracles.build_sparse_subgraph(
                 integral, seed=seed
             )
+
+    def test_one_edge_at_weight_one_and_drawn(self):
+        # (0, 1, 2) is round 0's whole support at weight 1 and one of round
+        # 1's K_4^3 edges at 1/3: the plan's counts and a build's drawn
+        # counts meet on one edge and its pairs.
+        base = Hypergraph.complete(3, 4)
+        outcome = compute_round_matchings(
+            RoundOneOutcome(
+                RoundOnePlan(base, 2, 0.5, 1), subsets=((0, 1, 2), (0, 1, 2, 3)), checks=()
+            )
+        )
+        assert outcome.matchings[0].support() == (((0, 1, 2), 1),)
+        assert dict(outcome.matchings[1].support())[(0, 1, 2)] == Fraction(1, 3)
+        builds = [build_sparse_subgraph(outcome, seed=seed) for seed in range(50)]
+        for seed, built in enumerate(builds):
+            assert built == oracles.build_sparse_subgraph(outcome, seed=seed)
+        twice = [b for b in builds if (0, 1, 2) in b.per_round_selected[1]]
+        assert twice and all(b.degrees[0] >= 2 and b.codegrees[(1, 2)] >= 2 for b in twice)
 
     def test_criterion_9_outcome(self):
         plan = RoundOnePlan(Hypergraph.complete(3, 60), 40, 0.5, 1, seed=7)
