@@ -239,6 +239,18 @@ def _criterion_8() -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
+def _within_3_sigma(deviation: int, reps: int, variance: Fraction) -> bool:
+    """|deviation| / reps <= 3 sigma with sigma^2 = variance / reps, decided
+    exactly in its squared form deviation^2 <= 9 * reps * variance."""
+    return deviation * deviation <= 9 * reps * variance
+
+
+def _below_3_sigma(excess: int, reps: int, variance: Fraction) -> bool:
+    """excess / reps <= 3 sigma with sigma^2 = variance / reps: a sign test,
+    then the squared form."""
+    return excess <= 0 or _within_3_sigma(excess, reps, variance)
+
+
 def _criterion_9() -> tuple[bool, str]:
     """Round-two degree concentration on the complete 3-graph, n=60."""
     base = Hypergraph.complete(3, 60)
@@ -263,19 +275,14 @@ def _criterion_9() -> tuple[bool, str]:
     ]
     degree_sum, codegree_sum = incidence(selected, n)
 
-    vertex_hits = 0
-    for v in range(n):
-        sigma = math.sqrt(variance_v[v] / reps)
-        if abs(degree_sum[v] / reps - coverage[v]) <= 3 * sigma:
-            vertex_hits += 1
-    pair_ok = True
-    for pair, total in codegree_sum.items():
-        bound = pair_coverage.get(pair, 0)
-        sigma = math.sqrt(variance_uv.get(pair, Fraction(0)) / reps)
-        if total / reps > bound + 3 * sigma:
-            pair_ok = False
-            break
-    passed = vertex_hits >= math.ceil(0.95 * n) and pair_ok
+    vertex_hits = sum(
+        _within_3_sigma(degree_sum[v] - reps * coverage[v], reps, variance_v[v]) for v in range(n)
+    )
+    pair_ok = all(
+        _below_3_sigma(total - reps * pair_coverage.get(pair, 0), reps, variance_uv.get(pair, 0))
+        for pair, total in codegree_sum.items()
+    )
+    passed = 20 * vertex_hits >= 19 * n and pair_ok  # 95% of the vertices
     detail = (
         f"40/40 rounds perfect; {vertex_hits}/{n} vertex means within 3 sigma; "
         f"pair means {'all' if pair_ok else 'NOT all'} below coverage + 3 sigma"

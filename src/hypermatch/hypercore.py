@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -82,9 +83,20 @@ class Hypergraph:
     def __init__(self, k: int, n: int, edges: Iterable[Iterable[int]] = ()):
         if not (1 <= k <= n):
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        edges = list(edges)
+        # The sum stays an int only if every vertex is one (bools aside): 1.0
+        # would pass the range test and merge (0, 1.0) with (0, 1).
+        try:
+            ts = [tuple(sorted(e)) for e in edges]
+            exact = type(sum(itertools.chain.from_iterable(ts))) is int
+        except TypeError:
+            exact = False
+        if not exact:
+            # Convert edge by edge, so that the first faulty edge in input
+            # order is the one reported.
+            ts = map(_integer_edge, edges)
         canon = set()
-        for e in edges:
-            t = tuple(sorted(e))
+        for t in ts:
             if len(t) != k or len(set(t)) != k:
                 raise ValueError(f"edge {t} is not a {k}-set")
             if t[0] < 0 or t[-1] >= n:
@@ -131,6 +143,14 @@ class Hypergraph:
 
     def __contains__(self, edge: Iterable[int]) -> bool:
         return tuple(sorted(edge)) in set(self.edges)
+
+
+def _integer_edge(e: Iterable[int]) -> tuple[int, ...]:
+    """The sorted tuple of e's vertices as ints (numpy integers convert)."""
+    try:
+        return tuple(sorted(map(operator.index, e)))
+    except TypeError:
+        raise ValueError(f"edge {e!r} has a vertex that is not an integer") from None
 
 
 def _check_weights(weights: Iterable[Fraction | int | str]) -> tuple[Fraction, ...]:

@@ -6,6 +6,8 @@ criterion's summary detail, and asserts the verdict.  Run with ``-s`` to
 see the lines as they complete; a plain run shows them on failure.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from hypermatch import acceptance
@@ -64,3 +66,20 @@ def test_criterion_09_randomized_construction():
 
 def test_criterion_10_storage_grid_sandwich():
     run(10)
+
+
+def test_criterion_09_sigma_tests_are_exact_at_the_boundary():
+    # With 200 repetitions, a deviation of 30 against variance 1/2 and an
+    # excess of 90 against 9/2 lie exactly on 3 sigma (30^2 = 9 * 200 / 2,
+    # 90^2 = 9 * 200 * 9 / 2), and both pass.  Through math.sqrt, a vertex
+    # of coverage 5 and degree sum 1030 read as outside, and a pair of
+    # coverage 0 and count 90 as above.
+    assert acceptance._within_3_sigma(1030 - 200 * 5, 200, Fraction(1, 2))
+    assert acceptance._within_3_sigma(-30, 200, Fraction(1, 2))
+    assert not acceptance._within_3_sigma(31, 200, Fraction(1, 2))
+    assert acceptance._below_3_sigma(90 - 200 * 0, 200, Fraction(9, 2))
+    assert not acceptance._below_3_sigma(91, 200, Fraction(9, 2))
+    # A pair count at or below its coverage passes whatever the variance.
+    assert acceptance._below_3_sigma(-5, 200, 0)
+    assert acceptance._below_3_sigma(0, 200, 0)
+    assert not acceptance._below_3_sigma(1, 200, 0)

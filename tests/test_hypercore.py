@@ -5,6 +5,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -115,6 +116,23 @@ class TestHypergraph:
         ):
             with pytest.raises(ValueError, match=message):
                 Hypergraph(k, n, edges)
+
+    def test_non_integer_vertices_are_rejected(self):
+        # 1.0 passes the range test: it used to build a graph that the LP
+        # could not index, or merge (1.0, 0) into (0, 1).  The first faulty
+        # edge in input order is named, a malformed one before it first.
+        for edges, message in (
+            ([(0, 1.0), (1.0, 2)], r"edge \(0, 1.0\) has a vertex that is not an integer"),
+            ([(0, 1), (1.0, 0)], r"edge \(1.0, 0\) has a vertex that is not an integer"),
+            ([(0, 1), (2, "a")], r"edge \(2, 'a'\) has a vertex that is not an integer"),
+            ([(0, 1), (0, 0), (0, 1.5)], r"edge \(0, 0\) is not a 2-set"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Hypergraph(2, 3, edges)
+        # Integers of other types are vertices: a numpy integer sends the
+        # edges through the converting pass, which stores ints.
+        h = Hypergraph(2, 3, [(np.int64(2), 0), (True, 0)])
+        assert h.edges == ((0, 1), (0, 2)) and all(type(v) is int for e in h.edges for v in e)
 
     def test_vertices(self):
         assert list(Hypergraph(2, 3, []).vertices()) == [0, 1, 2]

@@ -138,12 +138,20 @@ SLACK_ENTERING = {
 }
 
 
+def packed_size(columns) -> int:
+    """m * ncols * v, which ``solve_unit_packing`` compares with the cut."""
+    m = len({r for col in columns for r in col})
+    return m * len(columns) * simplex._price_width(m, max(map(len, columns)))
+
+
 @pytest.mark.parametrize("index", sorted(ROUNDS))
 def test_criterion_9_rounds_are_pinned(index):
     columns = round_columns(index)
     ncols, value, pivots, digest = ROUNDS[index]
     result = solve_unit_packing(60, columns)
     assert len(columns) == ncols
+    # Packed pricing is slower on LPs this large, so they keep the gather.
+    assert packed_size(columns) >= simplex._PACKED_PRICING_CUT
     assert (result.value, result.pivots) == (value, pivots)
     assert fingerprint(result) == digest
 
@@ -179,7 +187,10 @@ def test_slack_entering_solves_are_pinned(seed):
 
 def test_object_pricing_matches_int64_pricing(monkeypatch):
     # A bound of 0 sends every pivot's pricing through dtype object, which
-    # otherwise runs only once D or |Y| outgrows int64.
+    # otherwise runs only once D or |Y| outgrows int64.  These LPs are small
+    # enough to price on packed integers, so a cut of 0 sends them to the
+    # gather first.
+    monkeypatch.setattr(simplex, "_PACKED_PRICING_CUT", 0)
     corpus = [(n, edges) for _, n, edges in small_corpus()]
     corpus += [k_graph(random.Random(seed)) for seed in sorted(SLACK_ENTERING)]
     int64_results = [solve_unit_packing(n, edges) for n, edges in corpus]
@@ -187,26 +198,22 @@ def test_object_pricing_matches_int64_pricing(monkeypatch):
     assert [solve_unit_packing(n, edges) for n, edges in corpus] == int64_results
 
 
-def test_matches_reference_on_random_k_graphs():
+def random_k_graphs():
     rng = random.Random(1846)
     for _ in range(300):
         k = rng.randint(1, 4)
         n = rng.randint(k, 12)
         density = rng.choice((0.2, 0.5, 0.8))
-        edges = [e for e in itertools.combinations(range(n), k) if rng.random() < density]
-        assert solve_unit_packing(n, edges) == oracles.solve_unit_packing(n, edges)
+        yield n, [e for e in itertools.combinations(range(n), k) if rng.random() < density]
 
 
-def test_matches_reference_on_mixed_unsorted_columns():
+def mixed_unsorted_columns():
     # Columns of widths 1 to 5 in shuffled row order: the short ones are
     # padded with the sentinel row, and no step may rely on sorted rows.
     rng = random.Random(290)
     for _ in range(300):
         n = rng.randint(1, 12)
-        columns = [
-            rng.sample(range(n), rng.randint(1, min(5, n))) for _ in range(rng.randint(1, 40))
-        ]
-        assert solve_unit_packing(n, columns) == oracles.solve_unit_packing(n, columns)
+        yield n, [rng.sample(range(n), rng.randint(1, min(5, n))) for _ in range(rng.randint(1, 40))]
 
 
 def s_matrix_columns(m: int) -> list[list[int]]:
@@ -219,38 +226,70 @@ def s_matrix_columns(m: int) -> list[list[int]]:
     return [[i for i in range(m) if (i - j) % m in squares] for j in range(m)]
 
 
-def test_matches_reference_on_the_largest_minors():
-    # Packed fields must hold every minor of a basis.  The S-matrices' own
-    # columns form the optimal basis (x = y = 2 / (m + 1) everywhere), so
-    # D ends at det 2^17 on 15 rows and 19,531,250 (about 2^24.2) on 19,
-    # the largest for any 0/1 matrix of those orders; shuffled column
-    # orders and extra columns send Bland's rule along other bases.  Random
-    # dense columns of every width up to m on 12-20 rows fill in the rest.
+def largest_minors():
+    """(m, columns, value): value is nu* for an S-matrix alone, else None.
+
+    Packed fields must hold every minor of a basis.  The S-matrices' own
+    columns form the optimal basis (x = y = 2 / (m + 1) everywhere), so D
+    ends at det 2^17 on 15 rows and 19,531,250 (about 2^24.2) on 19, the
+    largest for any 0/1 matrix of those orders; shuffled column orders and
+    extra columns send Bland's rule along other bases.  Random dense
+    columns of every width up to m on 12-20 rows fill in the rest.
+    """
     rng = random.Random(1968)
     for m in (7, 11, 15, 19):
         base = s_matrix_columns(m)
         for extra in (0, 3, m):
             columns = base + [rng.sample(range(m), rng.randint(1, m)) for _ in range(extra)]
             rng.shuffle(columns)
-            result = solve_unit_packing(m, columns)
-            assert result == oracles.solve_unit_packing(m, columns)
-            if not extra:
-                assert result.value == Fraction(2 * m, m + 1)
+            yield m, columns, None if extra else Fraction(2 * m, m + 1)
     for _ in range(40):
         m = rng.randint(12, 20)
-        columns = [rng.sample(range(m), rng.randint(1, m)) for _ in range(rng.randint(m, 3 * m))]
-        assert solve_unit_packing(m, columns) == oracles.solve_unit_packing(m, columns)
+        yield m, [rng.sample(range(m), rng.randint(1, m)) for _ in range(rng.randint(m, 3 * m))], None
+
+
+# One field a column, and the narrowest fields: w = 2 for one row.
+ONE_ROW_AND_WIDTH_ONE = [
+    (1, [(0,)]),
+    (1, [(0,), (0,), (0,)]),
+    (5, [(3,), (3,)]),
+    (4, [(2,), (0,), (2,), (3,), (0,)]),
+    (9, [(r,) for r in range(9)] * 2),
+]
+
+
+def test_matches_reference_on_random_k_graphs():
+    for n, edges in random_k_graphs():
+        assert solve_unit_packing(n, edges) == oracles.solve_unit_packing(n, edges)
+
+
+def test_matches_reference_on_mixed_unsorted_columns():
+    for n, columns in mixed_unsorted_columns():
+        assert solve_unit_packing(n, columns) == oracles.solve_unit_packing(n, columns)
+
+
+def test_matches_reference_on_the_largest_minors():
+    for m, columns, value in largest_minors():
+        result = solve_unit_packing(m, columns)
+        assert result == oracles.solve_unit_packing(m, columns)
+        if value is not None:
+            assert result.value == value
 
 
 def test_matches_reference_on_one_row_and_on_width_one():
-    # One field a column, and the narrowest fields: w = 2 for one row.
-    for n_rows, columns in [
-        (1, [(0,)]),
-        (1, [(0,), (0,), (0,)]),
-        (5, [(3,), (3,)]),
-        (4, [(2,), (0,), (2,), (3,), (0,)]),
-        (9, [(r,) for r in range(9)] * 2),
-    ]:
+    for n_rows, columns in ONE_ROW_AND_WIDTH_ONE:
+        assert solve_unit_packing(n_rows, columns) == oracles.solve_unit_packing(n_rows, columns)
+
+
+@pytest.mark.parametrize("cut", [0, 1 << 40], ids=["gather", "packed"])
+def test_both_pricing_paths_match_reference(monkeypatch, cut):
+    # A cut of 0 prices every LP with the numpy gather, and 2^40 every LP
+    # here on packed integers; by default the two corpora split between
+    # them.
+    monkeypatch.setattr(simplex, "_PACKED_PRICING_CUT", cut)
+    corpus = [*random_k_graphs(), *mixed_unsorted_columns(), *ONE_ROW_AND_WIDTH_ONE]
+    corpus += [(m, columns) for m, columns, _ in largest_minors()]
+    for n_rows, columns in corpus:
         assert solve_unit_packing(n_rows, columns) == oracles.solve_unit_packing(n_rows, columns)
 
 
@@ -263,11 +302,34 @@ def test_field_width_is_the_least_that_holds_every_entry():
             assert 4 ** (w - 2) <= m * width**m < 4 ** (w - 1)
 
 
+def test_price_width_is_the_least_that_holds_every_reduced_cost():
+    # Every priced s_j - D has (s_j - D)^2 <= (width + 1)^(m + 1) (module
+    # docstring), and a field of v bits with bias 2^(v - 1) holds
+    # |s_j - D| < 2^(v - 1).
+    for m in range(1, 65):
+        for width in range(1, m + 1):
+            v = simplex._price_width(m, width)
+            assert 4 ** (v - 2) <= (width + 1) ** (m + 1) < 4 ** (v - 1)
+
+
+def test_a_price_that_spills_its_field_is_refused(monkeypatch):
+    # After the three unit columns enter, s_3 - D = 3 - 1 = 2, which a field
+    # of 2 bits cannot hold: its top bit reads clear, so column 3 would enter
+    # at no gain.  The true width is 6.
+    columns = [(0,), (1,), (2,), (0, 1, 2)]
+    assert solve_unit_packing(3, columns) == oracles.solve_unit_packing(3, columns)
+    monkeypatch.setattr(simplex, "_price_width", lambda m, width: 2)
+    with pytest.raises(ArithmeticError, match="pricing entered column 3 at no gain"):
+        solve_unit_packing(3, columns)
+
+
 def test_matches_reference_where_int64_pricing_would_overflow(monkeypatch):
     # 400 random 12-sets on 60 rows: D and |Y| outgrow 2^62 // 13 on some
-    # pivots, so pricing falls back to dtype object and then returns.
+    # pivots, so pricing falls back to dtype object and then returns.  The
+    # LP is large enough to price with the gather.
     rng = random.Random(60)
     columns = [rng.sample(range(60), 12) for _ in range(400)]
+    assert packed_size(columns) >= simplex._PACKED_PRICING_CUT
     expected = oracles.solve_unit_packing(60, columns)
     dtypes = []
 
@@ -308,6 +370,22 @@ def test_bad_rows_are_rejected(columns):
     for n_rows in (0, 2, 4):
         with pytest.raises(ValueError):
             solve_unit_packing(n_rows, columns)
+
+
+def test_non_integer_rows_are_rejected():
+    # 1.0 passes the range test and used to fail as a list index with a
+    # TypeError; the first faulty column is named.  numpy integers are rows.
+    for n_rows, columns, message in (
+        (3, [(0, 1.0)], r"column \(0, 1.0\) has a row index that is not an integer"),
+        (3, [(0, 1), (1.0, 2)], r"column \(1.0, 2\) has a row index that is not an integer"),
+        (3, [(2, "x"), (0, 1)], r"column \(2, 'x'\) has a row index that is not an integer"),
+        (3, [(0, 3), (1.0,)], r"row index 3 out of range 0..2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            solve_unit_packing(n_rows, columns)
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    as_numpy = [tuple(np.array(col, dtype=np.int64)) for col in triangle]
+    assert solve_unit_packing(3, as_numpy) == solve_unit_packing(3, triangle)
 
 
 def test_first_fault_in_column_order_is_reported_like_the_reference():
