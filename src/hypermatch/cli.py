@@ -483,10 +483,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,  # absent is None, like the flags it stands in for
         help="use p = n^-0.9 and rounds = round(n^1.1)",
     )
-    p.add_argument("--vertex-tolerance", type=float, default=1 / 3)
+    p.add_argument("--vertex-tolerance", type=parse_rational, default=Fraction(1, 3))
     p.add_argument("--pair-cap", type=int, default=2)
-    p.add_argument("--size-tolerance", type=float, default=1 / 3)
-    p.add_argument("--degree-fraction", type=float, default=1 / 2)
+    p.add_argument("--size-tolerance", type=parse_rational, default=Fraction(1, 3))
+    p.add_argument("--degree-fraction", type=parse_rational, default=Fraction(1, 2))
     p.add_argument("--build", action="store_true", help="run round two as well")
     p.add_argument("--build-seed", type=int, default=0)
     p.add_argument("--csv", action="store_true")

@@ -72,13 +72,14 @@ class CheckConfig:
     coverage (check i).  pair_cap: maximum allowed pair coverage
     (check ii).  size_tolerance: relative band around n*p for subset
     sizes (check iv).  degree_fraction: required fraction of
-    C(|R|-d, k-d) for every d-set's induced degree (check v).
+    C(|R|-d, k-d) for every d-set's induced degree (check v).  The checks
+    are decided exactly: a float field counts as the rational it holds.
     """
 
-    vertex_tolerance: float = 1 / 3
+    vertex_tolerance: Fraction | float = Fraction(1, 3)
     pair_cap: int = 2
-    size_tolerance: float = 1 / 3
-    degree_fraction: float = 1 / 2
+    size_tolerance: Fraction | float = Fraction(1, 3)
+    degree_fraction: Fraction | float = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -190,12 +191,18 @@ def _result(name: str, bad: list, detail: str, violations: int | None = None) ->
     )
 
 
-def _check_band(name: str, values, target: float, tolerance: float, what: str) -> CheckResult:
-    """Checks (i) and (iv): every value within tolerance * target of target."""
-    low = (1 - tolerance) * target
-    high = (1 + tolerance) * target
+def _check_band(
+    name: str, values, target: Fraction, tolerance: Fraction | float, what: str
+) -> CheckResult:
+    """Checks (i) and (iv): every integer value within tolerance * target of target.
+
+    The closed band is taken in rationals, so a value on its edge passes.
+    """
+    tolerance = Fraction(tolerance)
+    low = math.ceil((1 - tolerance) * target)
+    high = math.floor((1 + tolerance) * target)
     bad = [(i, v) for i, v in enumerate(values) if not low <= v <= high]
-    return _result(name, bad, f"{what} = {target:g} (tolerance {tolerance:g})")
+    return _result(name, bad, f"{what} = {float(target):g} (tolerance {float(tolerance):g})")
 
 
 def _lex_ranks(edges: np.ndarray, at: tuple[int, ...], n: int) -> np.ndarray:
@@ -271,6 +278,7 @@ def _check_edges(
         for at in itertools.combinations(range(k), d)
     ]
     size = math.comb(n, d)
+    fraction = Fraction(config.degree_fraction)
 
     hits = np.zeros(len(edges), dtype=np.intp)
     short_degrees = []
@@ -281,7 +289,8 @@ def _check_edges(
         deg = np.zeros(size, dtype=np.intp)
         for ranks, rest in choices:
             deg += np.bincount(ranks[inside[:, rest].all(axis=1)], minlength=size)
-        need = config.degree_fraction * math.comb(max(len(r) - d, 0), k - d)
+        # An integer degree falls short of the fraction iff it is below its ceiling.
+        need = math.ceil(fraction * math.comb(max(len(r) - d, 0), k - d))
         short = np.flatnonzero(deg < need)
         violations += len(short)
         for j in short[: _WITNESS_CAP - len(short_degrees)]:
@@ -292,7 +301,7 @@ def _check_edges(
         _result(
             "induced_degrees",
             short_degrees,
-            f"each d-set keeps >= {config.degree_fraction:g} of "
+            f"each d-set keeps >= {float(fraction):g} of "
             f"C(|R|-d, k-d) induced degree in every round",
             violations,
         ),
@@ -339,13 +348,13 @@ def sample_rounds(
     multiplicity, degrees = _check_edges(plan, subsets, config)
     checks = (
         _check_band(
-            "vertex_coverage", coverage, plan.rounds * plan.p, config.vertex_tolerance,
+            "vertex_coverage", coverage, plan.rounds * Fraction(plan.p), config.vertex_tolerance,
             "per-vertex coverage vs rounds*p",
         ),
         _result("pair_coverage", over_cap, f"pair coverage capped at {config.pair_cap}"),
         multiplicity,
         _check_band(
-            "subset_sizes", map(len, subsets), n * plan.p, config.size_tolerance,
+            "subset_sizes", map(len, subsets), n * Fraction(plan.p), config.size_tolerance,
             "subset sizes vs n*p",
         ),
         degrees,

@@ -9,12 +9,20 @@ work in Python integers on the means scaled to one common denominator, which
 ``SamuelsQuery`` computes once while it checks them: candidates are compared
 by cross-multiplying, and only the answer becomes a ``Fraction``.
 
-``monte_carlo_small_sum`` draws each shard in fixed blocks of rows into one
+``monte_carlo_small_sum`` draws each shard in fixed blocks of rows into a
 reused buffer and decides a block column by column with the exact
 ``u < p`` comparison.  The blocks fill the generator's stream in the same
 order as one array of all the draws, so seeded estimates do not depend on
 the block size, and memory stays bounded however many samples are asked
-for.
+for.  A call of at least 2 * ``_MIN_RUN_WORK`` uniforms is cut, its rows
+in shard order, into contiguous runs, one per usable CPU and each of about
+``_MIN_RUN_WORK`` uniforms or more, with its own buffers: the first runs in
+the calling thread, the others in threads joined before the call returns.
+A run that starts ``skip`` rows of ``m`` uniforms into a shard advances that
+shard's PCG64 generator by ``skip * m`` outputs, since ``Generator.random``
+takes one 64-bit output per double and an LCG jumps ahead exactly in
+O(log n) steps.  So every run draws exactly the doubles one pass would, and
+the estimate, a sum of integer counts, is the same for any number of runs.
 
 The uniform-mean boundary where t = 0 stops being the minimiser is located
 numerically by ``boundary_scan``; the grid and bisection run in floating
@@ -25,6 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,19 +55,30 @@ __all__ = [
     "edge_count_bound",
 ]
 
-# Rows of uniforms a Monte Carlo shard draws at a time, so that its buffer
-# holds _CHUNK_ROWS * l floats however many samples are asked for.
+# Rows of uniforms a Monte Carlo run draws at a time (fewer when a call is
+# cut into more than two runs), so that its buffer holds at most
+# _CHUNK_ROWS * l floats however many samples are asked for.
 _CHUNK_ROWS = 1 << 14
 
+# Fewest uniforms a run draws when a call is cut into several.  Starting and
+# joining a thread costs about 0.16 ms on a 2-vCPU Intel Xeon, and the runs
+# pass the interpreter lock back and forth between their numpy calls: there
+# two runs first beat one at about 2e5 uniforms a call, and every family
+# measured ran 17-25% faster in two at 2^19.  So criterion 8 and the CLI
+# default, 100k samples of at most four uniforms, draw in the calling thread.
+_MIN_RUN_WORK = 1 << 18
+
 # Bound on samples times l, the uniforms a Monte Carlo estimate draws.  At
-# the 3.3e8 uniforms/s measured on a 2-vCPU AMD EPYC it admits runs of about
-# 13 s, and refuses 10^11 samples at l = 3 (some 15 min) before drawing any.
+# the 3.3e8 uniforms/s one thread drew on a 2-vCPU AMD EPYC it admits calls
+# of about 13 s on one core, and refuses 10^11 samples at l = 3 (some 15 min
+# there) before drawing any.  A call drawn on more cores ends sooner; the
+# bound counts work, not time.
 _MAX_WORK = 1 << 32
 
 # What each shard after the first adds to the work, in uniforms: a shard's
-# generator set-up (about 12 us on the same machine) costs about as much as
-# drawing 2^12 uniforms.  The one shard every run has is not charged, so a
-# single shard is admitted for exactly _MAX_WORK uniforms, as before.
+# generator set-up (about 12 us on the same machine, one thread) costs about
+# as much as drawing 2^12 uniforms.  The one shard every call has is not
+# charged, so a single shard is admitted for exactly _MAX_WORK uniforms.
 _SHARD_WORK = 1 << 12
 
 # Pitch of the boundary grid x = i * _STEP, i = 1, 2, ... below 1/l.
@@ -257,6 +278,54 @@ def boundary_scan(l: int, tolerance: float = 1e-6) -> float:
     return (lo + hi) / 2
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where that is unknown."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None:
+        return os.cpu_count() or 1
+    return len(affinity(0))
+
+
+def _count_small(
+    probs: list[float], seed: int, shards: int, samples: int, start: int, stop: int, rows: int
+) -> int:
+    """How many of the call's rows start..stop-1, in shard order, gain no jump.
+
+    They are drawn in blocks of ``rows`` rows of ``m = len(probs)`` doubles.
+    A run that starts ``skip`` rows into a shard advances the shard's
+    generator past the ``skip * m`` doubles those rows took, one 64-bit
+    output each.
+    """
+    m = len(probs)
+    base, extra = divmod(samples, shards)
+    rows = min(rows, stop - start)
+    buf = np.empty((rows, m))
+    jumped = np.empty(rows, dtype=bool)
+    column = np.empty(rows, dtype=bool)
+    small = 0
+    shard_stop = 0
+    for i in range(shards):
+        shard_start, shard_stop = shard_stop, shard_stop + base + (i < extra)
+        first, last = max(start, shard_start), min(stop, shard_stop)
+        if first >= last:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        if first > shard_start:
+            rng.bit_generator.advance((first - shard_start) * m)
+        for block in range(first, last, rows):
+            n = min(rows, last - block)
+            u, hit, col = buf[:n], jumped[:n], column[:n]
+            rng.random(out=u)
+            # Sum < 1 iff the constant block (< 1 by construction) gains no
+            # jump: coordinate j jumps when u_j < p_j.
+            np.less(u[:, 0], probs[0], out=hit)
+            for j in range(1, m):
+                np.less(u[:, j], probs[j], out=col)
+                hit |= col
+            small += n - int(np.count_nonzero(hit))
+    return small
+
+
 def monte_carlo_small_sum(
     family: TwoPointFamily,
     samples: int,
@@ -270,10 +339,13 @@ def monte_carlo_small_sum(
     samples, shards); the default plan is a single shard.  The sum
     comparison is decided on the exact jump count, never on accumulated
     floats, and each jump on the exact ``u < p``.  Shards are drawn in
-    blocks of ``_CHUNK_ROWS`` rows, which take the stream in the order of
-    one (count, l) array.  More than ``_MAX_WORK`` uniforms in all, each
-    shard after the first counted as ``_SHARD_WORK`` more, is refused
-    before any is drawn.
+    blocks of at most ``_CHUNK_ROWS`` rows, which take the stream in the
+    order of one (count, l) array.  The rows, in shard order, are cut into
+    one run per usable CPU, each of about ``_MIN_RUN_WORK`` uniforms or
+    more; the first runs in the calling thread and the others in threads
+    joined before the call returns.  More than ``_MAX_WORK`` uniforms in
+    all, each shard after the first counted as ``_SHARD_WORK`` more, is
+    refused before any is drawn.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -285,26 +357,37 @@ def monte_carlo_small_sum(
             f"{samples} samples of {len(probs)} uniforms in {shards} shards "
             f"exceed the work budget of {_MAX_WORK} uniforms"
         )
-    base, extra = divmod(samples, shards)
-    buf = np.empty((_CHUNK_ROWS, len(probs)))
-    jumped = np.empty(_CHUNK_ROWS, dtype=bool)
-    column = np.empty(_CHUNK_ROWS, dtype=bool)
-    small = 0
-    for i in range(shards):
-        count = base + (i < extra)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        for start in range(0, count, _CHUNK_ROWS):
-            n = min(_CHUNK_ROWS, count - start)
-            u, hit, col = buf[:n], jumped[:n], column[:n]
-            rng.random(out=u)
-            # Sum < 1 iff the constant block (< 1 by construction) gains no
-            # jump: coordinate j jumps when u_j < p_j.
-            np.less(u[:, 0], probs[0], out=hit)
-            for j in range(1, len(probs)):
-                np.less(u[:, j], probs[j], out=col)
-                hit |= col
-            small += n - int(np.count_nonzero(hit))
-    return small / samples
+    runs = max(1, min(_usable_cpus(), samples * len(probs) // _MIN_RUN_WORK))
+    # Blocks of _CHUNK_ROWS rows for one or two runs, smaller for more, so
+    # the buffers of all runs hold at most 2 * _CHUNK_ROWS rows together
+    # however many CPUs there are.
+    rows = min(_CHUNK_ROWS, 2 * _CHUNK_ROWS // runs)
+    cuts = [samples * w // runs for w in range(runs + 1)]
+    counts = [0] * runs
+    errors: list[BaseException | None] = [None] * runs
+
+    # A run's exception is kept and raised again here once every run has
+    # been joined, so a failed run can never count as zero.
+    def run(w: int) -> None:
+        try:
+            counts[w] = _count_small(probs, seed, shards, samples, cuts[w], cuts[w + 1], rows)
+        except BaseException as exc:
+            errors[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, runs):
+            thread = threading.Thread(target=run, args=(w,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return sum(counts) / samples
 
 
 def edge_count_bound(

@@ -384,7 +384,7 @@ def check_induced_degrees(
 
     bad = []
     for i, (r, rmask) in enumerate(zip(subsets, vertex_masks(subsets))):
-        need = config.degree_fraction * math.comb(max(len(r) - d, 0), k - d)
+        need = Fraction(config.degree_fraction) * math.comb(max(len(r) - d, 0), k - d)
         deg = dict.fromkeys(dsets, 0)
         for e, em in zip(plan.base.edges, edge_bits):
             for s in itertools.combinations(e, d):
@@ -398,7 +398,7 @@ def check_induced_degrees(
         passed=not bad,
         violations=len(bad),
         witnesses=tuple(bad[:_WITNESS_CAP]),
-        detail=f"each d-set keeps >= {config.degree_fraction:g} of "
+        detail=f"each d-set keeps >= {float(config.degree_fraction):g} of "
         f"C(|R|-d, k-d) induced degree in every round",
     )
 

@@ -326,6 +326,21 @@ class TestRandcons:
         assert payload["num_distinct_edges"] >= 1
         assert "degree_histogram" in payload
 
+    def test_band_flags_are_exact_rationals(self, capsys, tmp_path):
+        # n * p = 9 on 18 vertices: the subset of size 6 lies on the lower
+        # edge of the default band [6, 12], and 5/9 is the band [4, 14].
+        base = tmp_path / "base.hg"
+        write_hypergraph(Hypergraph.complete(2, 18), str(base))
+        argv = ("randcons", "--base", str(base), "--p", "0.5", "--rounds", "3", "--seed", "7")
+        for flags, witnesses in (((), [[1, 14]]), (("--size-tolerance", "5/9"), [])):
+            code, doc = run_json(capsys, *argv, *flags)
+            assert code == 0
+            (sizes,) = [c for c in doc["payload"]["checks"] if c["name"] == "subset_sizes"]
+            assert sizes["witnesses"] == witnesses
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--degree-fraction", "nan"])
+        assert exc.value.code == 2
+
     def test_preset_exponents_flag(self, capsys, tmp_path):
         base = tmp_path / "base.hg"
         write_hypergraph(Hypergraph.complete(2, 6), str(base))
@@ -451,8 +466,9 @@ FLAGS = {  # command: (positional choices, required flags, optional flags)
         {"--base": st.just("input.hg")},
         {
             "--p": FLOAT, "--rounds": INT, "--d": INT, "--seed": INT,
-            "--paper-exponents": None, "--vertex-tolerance": FLOAT, "--pair-cap": INT,
-            "--size-tolerance": FLOAT, "--degree-fraction": FLOAT, "--build": None,
+            "--paper-exponents": None, "--vertex-tolerance": st.one_of(RATIONAL, FLOAT),
+            "--pair-cap": INT, "--size-tolerance": st.one_of(RATIONAL, FLOAT),
+            "--degree-fraction": st.one_of(RATIONAL, FLOAT), "--build": None,
             "--build-seed": INT, "--csv": None,
         },
     ),

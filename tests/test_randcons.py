@@ -82,6 +82,35 @@ class TestChecks:
         assert len(outcome.check("pair_coverage").witnesses) <= 10
 
 
+class TestExactBands:
+    def test_a_size_on_the_band_edge_passes(self):
+        # n * p = 9 with tolerance 1/3 is the band [6, 12]; in floats its
+        # lower edge was (1 - 1/3) * 9 = 6.000000000000001, and 6 failed.
+        outcome = sample_rounds(RoundOnePlan(Hypergraph.complete(2, 18), 3, 0.5, 1, 7))
+        assert [len(r) for r in outcome.subsets] == [6, 14, 10]
+        sizes = outcome.check("subset_sizes")
+        assert sizes.witnesses == ((1, 14),) and sizes.violations == 1
+        assert sizes.detail == "subset sizes vs n*p = 9 (tolerance 0.333333)"
+
+    def test_a_float_counts_as_the_rational_it_holds(self):
+        # The float 0.6 lies just below 3/5, so its band around 5 * 1/2 is
+        # [1.0000000000000000555, 3.9999999999999999445]: 1 and 4 fall out.
+        subsets = [(0,), (0, 1, 2, 3)]
+        exact = randcons._check_band("s", map(len, subsets), Fraction(5, 2), Fraction(3, 5), "w")
+        floated = randcons._check_band("s", map(len, subsets), Fraction(5, 2), 0.6, "w")
+        assert exact.passed and exact.detail == floated.detail == "w = 2.5 (tolerance 0.6)"
+        assert floated.witnesses == ((0, 1), (1, 4))
+
+    def test_induced_degree_on_the_required_fraction_passes(self):
+        # K_4^2 with d = 1 and R = all four vertices: each vertex keeps 3 of
+        # C(3, 1) = 3, so a fraction of exactly 1 passes and any more fails.
+        plan = RoundOnePlan(Hypergraph.complete(2, 4), 1, 1.0, 1)
+        subsets = randcons._sample_subsets(plan)
+        for fraction, violations in ((Fraction(1), 0), (Fraction(1) + Fraction(1, 10**30), 4)):
+            _, degrees = randcons._check_edges(plan, subsets, CheckConfig(degree_fraction=fraction))
+            assert degrees.violations == violations
+
+
 def random_plan(rng: random.Random, k: int, d: int, seed: int) -> RoundOnePlan:
     """A seeded plan on a random k-graph with n <= 10, dense or sparse."""
     n = rng.randint(k, 10)
@@ -163,7 +192,10 @@ def test_outcomes_match_pinned_digest():
     # Pins subsets, every check (witnesses and details included), the round
     # matchings and the skipped rounds.  Each of the five checks both passes
     # and fails on these plans, and each has more violations than witnesses on
-    # some of them.
+    # some of them.  Re-recorded when the checks became exact: the float
+    # tolerances 1/3 and 0.6 lie just below 1/3 and 3/5 and the float 0.2
+    # just above 1/5, so 11 plans whose values sat on a band edge or on a
+    # degree requirement now count them as violations.
     digest = hashlib.sha256()
     passed, capped = {}, set()
     for plan, config in digest_plans():
@@ -176,7 +208,7 @@ def test_outcomes_match_pinned_digest():
     assert len(passed) == len(capped) == 5
     assert all(seen == {True, False} for seen in passed.values())
     assert digest.hexdigest() == (
-        "fcbca12b19877dc74797355ca18825d0fb423fdfbc1278176c32e0b3d8b3f6e1"
+        "a819e35e3628081e23972f4b82ac51ccb134a79de7f2c420c0e5b2085ef58944"
     )
 
 

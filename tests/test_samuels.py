@@ -2,7 +2,10 @@
 
 import hashlib
 import math
+import os
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -343,6 +346,131 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def record_runs(monkeypatch) -> list[tuple[int, int, int, bool]]:
+    """Patch the run function to log (start, stop, rows, in calling thread)."""
+    runs = []
+    count_small = samuels._count_small
+
+    def recorded(probs, seed, shards, samples, start, stop, rows):
+        runs.append((start, stop, rows, threading.current_thread() is threading.main_thread()))
+        return count_small(probs, seed, shards, samples, start, stop, rows)
+
+    monkeypatch.setattr(samuels, "_count_small", recorded)
+    return runs
+
+
+def split_every_call(monkeypatch, cpus: int) -> None:
+    """Cut every call into min(cpus, uniforms) runs, however small."""
+    monkeypatch.setattr(samuels, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(samuels, "_MIN_RUN_WORK", 1)
+
+
+class TestMonteCarloRuns:
+    """The rows of a call, in shard order, are cut into one run per usable CPU."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_run_count_does_not_change_the_estimate(self, monkeypatch, cpus):
+        split_every_call(monkeypatch, cpus)
+        runs = record_runs(monkeypatch)
+        # Threads switch as often as the interpreter allows, so a run that
+        # read or wrote another's state would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.check_against_the_one_pass_oracle(cpus, runs)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def check_against_the_one_pass_oracle(cpus, runs):
+        chunk = samuels._CHUNK_ROWS
+        cut_inside_a_shard = False
+        for l in (1, 3, 5):
+            query = random_query(random.Random(70 + l), l)
+            family = TwoPointFamily(query, 0)
+            for samples in (1, chunk - 1, chunk + 1, 2 * chunk + 3, 5 * chunk + 7):
+                for shards in (1, 5):
+                    if shards > samples:
+                        continue
+                    seed = 7 * l + shards
+                    runs.clear()
+                    assert monte_carlo_small_sum(
+                        family, samples, seed=seed, shards=shards
+                    ) == oracles.monte_carlo_small_sum(family, samples, seed=seed, shards=shards)
+                    count = min(cpus, samples * l)
+                    assert sorted(run[:2] for run in runs) == [
+                        (samples * w // count, samples * (w + 1) // count) for w in range(count)
+                    ]
+                    assert all(rows == min(chunk, 2 * chunk // count) for _, _, rows, _ in runs)
+                    starts = {i * (samples // shards) + min(i, samples % shards) for i in range(shards)}
+                    cut_inside_a_shard |= any(start not in starts for start, _, _, _ in runs)
+        assert cut_inside_a_shard == (cpus > 1)
+
+    def test_small_calls_draw_in_the_calling_thread(self, monkeypatch):
+        # Criterion 8 and the CLI default, 100k samples at l <= 4, draw in one
+        # run; two runs start at 2 * _MIN_RUN_WORK uniforms.
+        assert 100_000 * 4 < 2 * samuels._MIN_RUN_WORK
+        monkeypatch.setattr(samuels, "_usable_cpus", lambda: 2)
+        runs = record_runs(monkeypatch)
+        # Three uniforms a sample: 174,762 samples draw 2^19 - 2 uniforms.
+        family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
+        least = -(-2 * samuels._MIN_RUN_WORK // 3)
+        for samples, in_caller in ((least - 1, [True]), (least, [False, True])):
+            runs.clear()
+            estimate = monte_carlo_small_sum(family, samples, seed=4)
+            assert estimate == oracles.monte_carlo_small_sum(family, samples, seed=4)
+            assert sorted(run[3] for run in runs) == in_caller
+
+    @pytest.mark.parametrize("failing_shard", [0, 4])
+    def test_a_run_that_raises_makes_the_call_raise(self, monkeypatch, failing_shard):
+        # Two runs over five shards: shard 0 is drawn in the calling thread,
+        # shard 4 in the other.
+        split_every_call(monkeypatch, 2)
+        default_rng = np.random.default_rng
+
+        def failing_rng(seed):
+            if seed.spawn_key == (failing_shard,):
+                raise RuntimeError(f"shard {failing_shard} failed")
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", failing_rng)
+        family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"shard {failing_shard} failed"):
+            monte_carlo_small_sum(family, 2 * samuels._CHUNK_ROWS + 3, seed=1, shards=5)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        split_every_call(monkeypatch, 3)
+        family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
+        before = threading.active_count()
+        monte_carlo_small_sum(family, 3 * samuels._CHUNK_ROWS, seed=1)
+        assert threading.active_count() == before
+
+    def test_memory_does_not_grow_with_the_cpu_count(self, monkeypatch):
+        # Twelve runs hold 2 * _CHUNK_ROWS rows between them, as two do.
+        monkeypatch.setattr(samuels, "_usable_cpus", lambda: 12)
+        runs = record_runs(monkeypatch)
+        family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
+        tracemalloc.start()
+        try:
+            monte_carlo_small_sum(family, 4_000_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(runs) == 12
+        assert peak < 4 * 2**20
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert samuels._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert samuels._usable_cpus() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert samuels._usable_cpus() == 1
 
 
 class TestEdgeCountBound:
