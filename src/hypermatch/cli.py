@@ -212,14 +212,12 @@ def _cmd_samuels(args) -> None:
             _emit(
                 args,
                 "samuels scan",
-                {"l": args.l, "x_star": boundary_scan(args.l, args.tolerance)},
+                {"l": args.l, "x_star": boundary_scan(args.l)},
             )
     else:  # mc
         query = _samuels_query(args)
         family = TwoPointFamily(query, args.t)
-        estimate = monte_carlo_small_sum(
-            family, args.samples, seed=args.seed, shards=args.shards
-        )
+        estimate = monte_carlo_small_sum(family, args.samples, seed=args.seed)
         exact = q_t(query, args.t)
         _emit(
             args,
@@ -227,7 +225,6 @@ def _cmd_samuels(args) -> None:
             {
                 "t": args.t,
                 "samples": args.samples,
-                "shards": args.shards,
                 "estimate": estimate,
                 "exact": exact,
                 "exact_float": float(exact),
@@ -437,10 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, help="number of uniform coordinates")
     p.add_argument("--x", help="uniform mean (rational)")
     p.add_argument("--t", type=int, default=0, help="family index (qt/mc)")
-    p.add_argument("--tolerance", type=float, default=1e-6, help="scan bisection width")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--csv", action="store_true", help="scan: emit the full profile")
     p.set_defaults(handler=_cmd_samuels)
 

@@ -33,7 +33,6 @@ __all__ = [
     "CheckResult",
     "RoundOneOutcome",
     "SparseSubgraph",
-    "AmbiguousMembershipError",
     "sample_rounds",
     "compute_round_matchings",
     "build_sparse_subgraph",
@@ -163,10 +162,6 @@ class RoundOneOutcome:
             tuple(coverage),
             solved.skipped_rounds,
         )
-
-
-class AmbiguousMembershipError(RuntimeError):
-    """Some edge lies in several sampled subsets, so "its round" is undefined."""
 
 
 def _sample_subsets(plan: RoundOnePlan) -> tuple[tuple[int, ...], ...]:
@@ -390,18 +385,17 @@ class SparseSubgraph:
 def build_sparse_subgraph(
     outcome: RoundOneOutcome,
     seed: int = 0,
-    strict: bool = False,
 ) -> SparseSubgraph:
     """Keep each induced edge with its round's matching weight as probability.
 
     Every round contributes independently: an edge induced by several
     rounds gets one inclusion trial per round (multiset semantics), which
-    is what makes E[degree of v] equal v's coverage exactly.  With
-    strict=True the edge-multiplicity check must have passed, so each
-    edge belongs to at most one round and the subgraph is an ordinary
-    (simple) sample.  Draws consume one uniform per strictly-fractional
-    weight, rounds in order, edges in canonical order, so results are
-    reproducible bit for bit given the seed.
+    is what makes E[degree of v] equal v's coverage exactly.  When
+    ``outcome.check("edge_multiplicity").passed``, each edge belongs to at
+    most one round and the subgraph is an ordinary (simple) sample.  Draws
+    consume one uniform per strictly-fractional weight, rounds in order,
+    edges in canonical order, so results are reproducible bit for bit given
+    the seed.
 
     Only the generator and its draws depend on the seed.  Everything else
     a build needs is the outcome's draw plan, made on its first build and
@@ -415,11 +409,6 @@ def build_sparse_subgraph(
     counts, adds the drawn edges that hit, drops the ones that miss and
     picks each round's kept edges from its support in order.
     """
-    if strict and not outcome.check("edge_multiplicity").passed:
-        raise AmbiguousMembershipError(
-            "an edge lies in several sampled subsets; rerun with sparser "
-            "rounds or strict=False for per-round multiset semantics"
-        )
     base = outcome.plan.base
     draws = outcome._draw_plan
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

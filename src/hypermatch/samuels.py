@@ -9,24 +9,25 @@ work in Python integers on the means scaled to one common denominator, which
 ``SamuelsQuery`` computes once while it checks them: candidates are compared
 by cross-multiplying, and only the answer becomes a ``Fraction``.
 
-``monte_carlo_small_sum`` draws each shard in fixed blocks of rows into a
+``monte_carlo_small_sum`` draws one stream a call, the PCG64 generator of
+``SeedSequence(seed, spawn_key=(0,))``, in fixed blocks of rows into a
 reused buffer and decides a block column by column with the exact
-``u < p`` comparison.  The blocks fill the generator's stream in the same
-order as one array of all the draws, so seeded estimates do not depend on
-the block size, and memory stays bounded however many samples are asked
-for.  A call of at least 2 * ``_MIN_RUN_WORK`` uniforms is cut, its rows
-in shard order, into contiguous runs, one per usable CPU and each of about
-``_MIN_RUN_WORK`` uniforms or more, with its own buffers: the first runs in
-the calling thread, the others in threads joined before the call returns.
-A run that starts ``skip`` rows of ``m`` uniforms into a shard advances that
-shard's PCG64 generator by ``skip * m`` outputs, since ``Generator.random``
-takes one 64-bit output per double and an LCG jumps ahead exactly in
-O(log n) steps.  So every run draws exactly the doubles one pass would, and
-the estimate, a sum of integer counts, is the same for any number of runs.
+``u < p`` comparison.  The blocks fill the stream in the same order as one
+array of all the draws, so seeded estimates do not depend on the block
+size, and memory stays bounded however many samples are asked for.  A call
+of at least 2 * ``_MIN_RUN_WORK`` uniforms is cut into contiguous runs of
+its rows, one per usable CPU and each of about ``_MIN_RUN_WORK`` uniforms
+or more, with its own buffers: the first runs in the calling thread, the
+others in threads joined before the call returns.  A run that starts
+``start`` rows of ``m`` uniforms into the call advances its own copy of
+the generator by ``start * m`` outputs, since ``Generator.random`` takes
+one 64-bit output per double and an LCG jumps ahead exactly in O(log n)
+steps.  So every run draws exactly the doubles one pass would, and the
+estimate, a sum of integer counts, is the same for any number of runs.
 
 The uniform-mean boundary where t = 0 stops being the minimiser is located
 numerically by ``boundary_scan``; the grid and bisection run in floating
-point with an explicit tolerance, everything else stays rational.
+point to a fixed width ``_TOLERANCE``, everything else stays rational.
 """
 
 from __future__ import annotations
@@ -75,14 +76,12 @@ _MIN_RUN_WORK = 1 << 18
 # bound counts work, not time.
 _MAX_WORK = 1 << 32
 
-# What each shard after the first adds to the work, in uniforms: a shard's
-# generator set-up (about 12 us on the same machine, one thread) costs about
-# as much as drawing 2^12 uniforms.  The one shard every call has is not
-# charged, so a single shard is admitted for exactly _MAX_WORK uniforms.
-_SHARD_WORK = 1 << 12
-
 # Pitch of the boundary grid x = i * _STEP, i = 1, 2, ... below 1/l.
 _STEP = 1e-3
+
+# Width to which ``boundary_scan`` bisects.  On x >= _STEP the floats are
+# far denser than this, so the midpoint always falls between the ends.
+_TOLERANCE = 1e-6
 
 
 def _exact(value: Fraction | int | str) -> Fraction:
@@ -226,19 +225,18 @@ def boundary_profile(l: int) -> list[tuple[float, float, float]]:
     return rows
 
 
-def boundary_scan(l: int, tolerance: float = 1e-6) -> float:
+def boundary_scan(l: int) -> float:
     """Largest uniform mean x for which t = 0 still minimises q_t.
 
     Scans the grid of pitch ``_STEP`` for the first sign change of
     q_0 - min_{t>=1} q_t, confirms the change is unique on the grid (a
     second change is reported as a warning but the first is returned), and
-    bisects to the requested tolerance, or until the floats between the
-    ends run out.
+    bisects to width ``_TOLERANCE``.  If t = 0 still wins at the last grid
+    point, the change lies between that point and 1/l, where q_{l-1} falls
+    to 0 and t = 0 loses, and that interval is bisected.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got l={l}")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
 
     def gap(x: float) -> float:
         return _q_uniform_float(l, 0, x) - min(
@@ -254,23 +252,22 @@ def boundary_scan(l: int, tolerance: float = 1e-6) -> float:
             first_positive = i
             break
     if first_positive is None:
-        return rows[-1][0]
-    if first_positive == 0:
+        lo, hi = rows[-1][0], 1 / l
+    elif first_positive == 0:
         raise ValueError(f"t = 0 already loses at the smallest grid point for l={l}")
-    for x, q0, rest in rows[first_positive:]:
-        if q0 - rest <= 0:
-            warnings.warn(
-                f"multiple sign changes on the l={l} grid; reporting the first",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            break
-    lo = rows[first_positive - 1][0]
-    hi = rows[first_positive][0]
-    while hi - lo > tolerance:
+    else:
+        for x, q0, rest in rows[first_positive:]:
+            if q0 - rest <= 0:
+                warnings.warn(
+                    f"multiple sign changes on the l={l} grid; reporting the first",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                break
+        lo = rows[first_positive - 1][0]
+        hi = rows[first_positive][0]
+    while hi - lo > _TOLERANCE:
         mid = (lo + hi) / 2
-        if not lo < mid < hi:
-            break
         if gap(mid) > 0:
             hi = mid
         else:
@@ -286,75 +283,56 @@ def _usable_cpus() -> int:
     return len(affinity(0))
 
 
-def _count_small(
-    probs: list[float], seed: int, shards: int, samples: int, start: int, stop: int, rows: int
-) -> int:
-    """How many of the call's rows start..stop-1, in shard order, gain no jump.
+def _count_small(probs: list[float], seed: int, start: int, stop: int, rows: int) -> int:
+    """How many of the call's rows start..stop-1 gain no jump.
 
     They are drawn in blocks of ``rows`` rows of ``m = len(probs)`` doubles.
-    A run that starts ``skip`` rows into a shard advances the shard's
-    generator past the ``skip * m`` doubles those rows took, one 64-bit
-    output each.
+    A run that starts past row 0 advances its own generator past the
+    ``start * m`` doubles the rows before it took, one 64-bit output each.
     """
     m = len(probs)
-    base, extra = divmod(samples, shards)
-    rows = min(rows, stop - start)
-    buf = np.empty((rows, m))
-    jumped = np.empty(rows, dtype=bool)
-    column = np.empty(rows, dtype=bool)
+    size = min(rows, stop - start)
+    buf = np.empty((size, m))
+    jumped = np.empty(size, dtype=bool)
+    column = np.empty(size, dtype=bool)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    if start:
+        rng.bit_generator.advance(start * m)
     small = 0
-    shard_stop = 0
-    for i in range(shards):
-        shard_start, shard_stop = shard_stop, shard_stop + base + (i < extra)
-        first, last = max(start, shard_start), min(stop, shard_stop)
-        if first >= last:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        if first > shard_start:
-            rng.bit_generator.advance((first - shard_start) * m)
-        for block in range(first, last, rows):
-            n = min(rows, last - block)
-            u, hit, col = buf[:n], jumped[:n], column[:n]
-            rng.random(out=u)
-            # Sum < 1 iff the constant block (< 1 by construction) gains no
-            # jump: coordinate j jumps when u_j < p_j.
-            np.less(u[:, 0], probs[0], out=hit)
-            for j in range(1, m):
-                np.less(u[:, j], probs[j], out=col)
-                hit |= col
-            small += n - int(np.count_nonzero(hit))
+    for block in range(start, stop, rows):
+        n = min(rows, stop - block)
+        u, hit, col = buf[:n], jumped[:n], column[:n]
+        rng.random(out=u)
+        # Sum < 1 iff the constant block (< 1 by construction) gains no
+        # jump: coordinate j jumps when u_j < p_j.
+        np.less(u[:, 0], probs[0], out=hit)
+        for j in range(1, m):
+            np.less(u[:, j], probs[j], out=col)
+            hit |= col
+        small += n - int(np.count_nonzero(hit))
     return small
 
 
-def monte_carlo_small_sum(
-    family: TwoPointFamily,
-    samples: int,
-    seed: int = 0,
-    shards: int = 1,
-) -> float:
+def monte_carlo_small_sum(family: TwoPointFamily, samples: int, seed: int = 0) -> float:
     """Empirical frequency of sum < 1 over independent draws of the family.
 
-    Reproducible: shard i draws from the i-th child of SeedSequence(seed),
-    made when the shard is drawn, so the result depends only on (seed,
-    samples, shards); the default plan is a single shard.  The sum
-    comparison is decided on the exact jump count, never on accumulated
-    floats, and each jump on the exact ``u < p``.  Shards are drawn in
-    blocks of at most ``_CHUNK_ROWS`` rows, which take the stream in the
-    order of one (count, l) array.  The rows, in shard order, are cut into
-    one run per usable CPU, each of about ``_MIN_RUN_WORK`` uniforms or
-    more; the first runs in the calling thread and the others in threads
-    joined before the call returns.  More than ``_MAX_WORK`` uniforms in
-    all, each shard after the first counted as ``_SHARD_WORK`` more, is
-    refused before any is drawn.
+    Reproducible: the call draws from the first child of
+    SeedSequence(seed), made when it is drawn, so the result depends only
+    on (seed, samples).  The sum comparison is decided on the exact jump
+    count, never on accumulated floats, and each jump on the exact
+    ``u < p``.  The stream is drawn in blocks of at most ``_CHUNK_ROWS``
+    rows, which take it in the order of one (samples, l) array.  The rows
+    are cut into one run per usable CPU, each of about ``_MIN_RUN_WORK``
+    uniforms or more; the first runs in the calling thread and the others
+    in threads joined before the call returns.  More than ``_MAX_WORK``
+    uniforms in all is refused before any is drawn.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if shards < 1 or shards > samples:
-        raise ValueError(f"need 1 <= shards <= samples, got {shards}")
     probs = [_draw_threshold(p) for p in family.success_probabilities()]
-    if samples * len(probs) + (shards - 1) * _SHARD_WORK > _MAX_WORK:
+    if samples * len(probs) > _MAX_WORK:
         raise ValueError(
-            f"{samples} samples of {len(probs)} uniforms in {shards} shards "
+            f"{samples} samples of {len(probs)} uniforms "
             f"exceed the work budget of {_MAX_WORK} uniforms"
         )
     runs = max(1, min(_usable_cpus(), samples * len(probs) // _MIN_RUN_WORK))
@@ -370,7 +348,7 @@ def monte_carlo_small_sum(
     # been joined, so a failed run can never count as zero.
     def run(w: int) -> None:
         try:
-            counts[w] = _count_small(probs, seed, shards, samples, cuts[w], cuts[w + 1], rows)
+            counts[w] = _count_small(probs, seed, cuts[w], cuts[w + 1], rows)
         except BaseException as exc:
             errors[w] = exc
 

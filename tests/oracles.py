@@ -15,7 +15,7 @@ value, primal, dual and pivot count exactly.
 
 ``q_t``, ``q_min`` and ``monte_carlo_small_sum`` are the Samuels kernels
 that ``samuels`` replaced: the first two multiply ``Fraction`` complements
-family by family, the last draws each shard as one (samples, l) array and
+family by family, the last draws its stream as one (samples, l) array and
 reduces it with ``any(axis=1)``.  The fast kernels must return the same
 fractions, the same minimising t and the same seeded estimates.  This
 oracle compares each uniform with ``float(p)`` where the fast kernel uses
@@ -57,7 +57,6 @@ from hypermatch.extremal import (
 from hypermatch.hypercore import Hypergraph, incidence, min_d_degree, vertex_masks
 from hypermatch.randcons import (
     _WITNESS_CAP,
-    AmbiguousMembershipError,
     CheckConfig,
     CheckResult,
     RoundOneOutcome,
@@ -330,25 +329,15 @@ def samuels_query_means(mus) -> tuple[Fraction, ...]:
     return ms
 
 
-def monte_carlo_small_sum(
-    family: TwoPointFamily, samples: int, seed: int = 0, shards: int = 1
-) -> float:
-    """Frequency of no jump over ``samples`` draws, one array per shard."""
+def monte_carlo_small_sum(family: TwoPointFamily, samples: int, seed: int = 0) -> float:
+    """Frequency of no jump over ``samples`` draws, one array from the first
+    child of ``SeedSequence(seed)``."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    if shards < 1 or shards > samples:
-        raise ValueError(f"need 1 <= shards <= samples, got {shards}")
     probs = np.array([float(p) for p in family.success_probabilities()])
-    per_shard = [samples // shards] * shards
-    for i in range(samples % shards):
-        per_shard[i] += 1
-    children = np.random.SeedSequence(seed).spawn(shards)
-    small = 0
-    for child, count in zip(children, per_shard):
-        rng = np.random.default_rng(child)
-        draws = rng.random((count, len(probs))) < probs
-        small += int(np.count_nonzero(~draws.any(axis=1)))
-    return small / samples
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    draws = rng.random((samples, len(probs))) < probs
+    return int(np.count_nonzero(~draws.any(axis=1))) / samples
 
 
 def check_edge_multiplicity(plan: RoundOnePlan, subsets) -> CheckResult:
@@ -406,24 +395,15 @@ def check_induced_degrees(
 def build_sparse_subgraph(
     outcome: RoundOneOutcome,
     seed: int = 0,
-    strict: bool = False,
 ) -> SparseSubgraph:
     """Keep each induced edge with its round's matching weight as probability.
 
     Every round contributes independently: an edge induced by several
     rounds gets one inclusion trial per round (multiset semantics), which
-    is what makes E[degree of v] equal v's coverage exactly.  With
-    strict=True the edge-multiplicity check must have passed, so each
-    edge belongs to at most one round and the subgraph is an ordinary
-    (simple) sample.  Draws consume one uniform per strictly-fractional
-    weight, rounds in order, edges in canonical order, so results are
-    reproducible bit for bit given the seed.
+    is what makes E[degree of v] equal v's coverage exactly.  Draws consume
+    one uniform per strictly-fractional weight, rounds in order, edges in
+    canonical order, so results are reproducible bit for bit given the seed.
     """
-    if strict and not outcome.check("edge_multiplicity").passed:
-        raise AmbiguousMembershipError(
-            "an edge lies in several sampled subsets; rerun with sparser "
-            "rounds or strict=False for per-round multiset semantics"
-        )
     if outcome.matchings is None:
         outcome = compute_round_matchings(outcome)
 

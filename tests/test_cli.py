@@ -165,16 +165,6 @@ class TestSamuels:
         assert set(doc) == {"command", "error"}
         assert "work budget" in doc["error"]
 
-    def test_mc_with_too_many_shards_is_refused_at_once(self, capsys):
-        started = time.perf_counter()
-        code, doc = run_json(
-            capsys, "samuels", "mc", "--l", "3", "--x", "1/5",
-            "--samples", "1000000000", "--shards", "1000000000",
-        )
-        assert time.perf_counter() - started < 5
-        assert code == 1
-        assert "work budget" in doc["error"]
-
     def test_scan_csv_profile(self, capsys):
         code, out = run(capsys, "samuels", "scan", "--l", "2", "--csv")
         assert code == 0
@@ -187,14 +177,9 @@ class TestSamuels:
         assert code == 0
         assert doc["payload"]["x_star"] == pytest.approx(0.381966, abs=1e-4)
 
-    def test_scan_tolerance_below_float_spacing(self, capsys):
-        code, doc = run_json(capsys, "samuels", "scan", "--l", "2", "--tolerance", "1e-20")
-        assert code == 0
-        assert doc["payload"]["x_star"] == pytest.approx(0.381966, abs=1e-6)
-
     @pytest.mark.parametrize(
         "args",
-        [("--l", "2", "--tolerance", "nan"), ("--l", "2", "--tolerance", "inf"), ("--l", "2000000",)],
+        [("--l", "1"), ("--l", "1000"), ("--l", "2000000")],
     )
     def test_scan_bad_input_is_a_computational_error(self, capsys, args):
         code, doc = run_json(capsys, "samuels", "scan", *args)
@@ -365,22 +350,26 @@ class TestSelftest:
 @pytest.mark.parametrize(
     "args",
     [
-        ("threshold", "--mode", "integral", "--k", "2", "--n", "4", "--d", "0", "--s", "1"),
-        ("storage", "optimize", "--n", "4", "--r", "2", "--T", "1"),
-        ("selftest", "--criteria", "2"),
-        ("randcons", "--base", "X", "--p", "0.5", "--rounds", "2"),
-        ("solve", "X"),
-        ("construct", "h0", "--k", "2", "--n", "4"),
-        ("conjecture", "Eq3", "--k", "2", "--n", "4", "--s", "1"),
-        ("samuels", "qmin", "--l", "2", "--x", "1/4"),
-        ("reduce", "--weights", "X", "--k", "2", "--d", "0"),
+        ("threshold", "--mode", "integral", "--k", "2", "--n", "4", "--d", "0", "--s", "1", "--jobs", "2"),
+        ("storage", "optimize", "--n", "4", "--r", "2", "--T", "1", "--jobs", "2"),
+        ("selftest", "--criteria", "2", "--jobs", "2"),
+        ("randcons", "--base", "X", "--p", "0.5", "--rounds", "2", "--jobs", "2"),
+        ("solve", "X", "--jobs", "2"),
+        ("construct", "h0", "--k", "2", "--n", "4", "--jobs", "2"),
+        ("conjecture", "Eq3", "--k", "2", "--n", "4", "--s", "1", "--jobs", "2"),
+        ("samuels", "qmin", "--l", "2", "--x", "1/4", "--jobs", "2"),
+        ("reduce", "--weights", "X", "--k", "2", "--d", "0", "--jobs", "2"),
+        ("samuels", "mc", "--shards", "2"),
+        ("samuels", "scan", "--l", "2", "--tolerance", "1e-3"),
     ],
 )
 def test_no_subcommand_takes_jobs(capsys, args):
+    # Nor does samuels take --shards or --tolerance: each removed flag,
+    # second to last, is a usage error named on stderr.
     with pytest.raises(SystemExit) as info:
-        main([*args, "--jobs", "2"])
+        main(list(args))
     assert info.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    assert args[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -443,8 +432,8 @@ FLAGS = {  # command: (positional choices, required flags, optional flags)
         {},
         {
             "--mus": st.lists(RATIONAL, min_size=1, max_size=4).map(",".join),
-            "--l": INT, "--x": RATIONAL, "--t": INT, "--tolerance": FLOAT,
-            "--samples": INT, "--seed": INT, "--shards": INT, "--csv": None,
+            "--l": INT, "--x": RATIONAL, "--t": INT,
+            "--samples": INT, "--seed": INT, "--csv": None,
         },
     ),
     "threshold": (

@@ -14,7 +14,6 @@ import oracles
 from hypermatch import hypercore, randcons, thresholds
 from hypermatch.hypercore import Hypergraph
 from hypermatch.randcons import (
-    AmbiguousMembershipError,
     CheckConfig,
     RoundOnePlan,
     RoundOneOutcome,
@@ -239,12 +238,11 @@ class TestBuild:
         assert sparse.max_codegree() == 1
         assert sparse.skipped_rounds == ()
 
-    def test_strict_mode_requires_unambiguous_membership(self):
+    def test_an_edge_in_two_rounds_doubles_the_multiset_degree(self):
         plan = RoundOnePlan(TWO_TRIPLES, 2, 1.0, 1)
         outcome = sample_rounds(plan, with_matchings=True)
-        with pytest.raises(AmbiguousMembershipError):
-            build_sparse_subgraph(outcome, strict=True)
-        sparse = build_sparse_subgraph(outcome, strict=False)
+        assert not outcome.check("edge_multiplicity").passed
+        sparse = build_sparse_subgraph(outcome)
         # both rounds keep both weight-1 edges: the multiset degree doubles
         assert sparse.degrees == (2,) * 6
 
@@ -391,16 +389,10 @@ class TestBuildMatchesOracle:
             fractional += any(
                 0 < w < 1 for m in outcome.matchings if m is not None for w in m.weights
             )
-            strict_ok = outcome.check("edge_multiplicity").passed
             for seed in range(3):
-                for strict in (False, True):
-                    if strict and not strict_ok:
-                        with pytest.raises(AmbiguousMembershipError):
-                            build_sparse_subgraph(outcome, seed=seed, strict=True)
-                        continue
-                    assert build_sparse_subgraph(
-                        outcome, seed=seed, strict=strict
-                    ) == oracles.build_sparse_subgraph(outcome, seed=seed, strict=strict)
+                assert build_sparse_subgraph(outcome, seed=seed) == oracles.build_sparse_subgraph(
+                    outcome, seed=seed
+                )
         assert fractional and skipped
 
     def test_all_integral_and_skipped_rounds(self):

@@ -218,10 +218,6 @@ class TestBoundary:
         with pytest.raises(ValueError):
             boundary_scan(1)
 
-    def test_tolerance_below_float_spacing_ends(self):
-        x = boundary_scan(2, 1e-20)
-        assert abs(x - (3 - math.sqrt(5)) / 2) <= 1e-12
-
     def test_default_tolerance_results_are_pinned(self):
         assert [boundary_scan(l).hex() for l in (2, 3, 4, 8)] == [
             "0x1.87222d0e56042p-2",
@@ -230,10 +226,20 @@ class TestBoundary:
             "0x1.dcc3126e978d5p-4",
         ]
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_rejects_non_finite_or_non_positive_tolerance(self, tolerance):
-        with pytest.raises(ValueError):
-            boundary_scan(2, tolerance)
+    @pytest.mark.parametrize("l", [25, 40, 100, 999])
+    def test_a_change_past_the_last_grid_point_is_bisected(self, l):
+        # t = 0 still wins at the last grid point below 1/l, so the change
+        # lies between that point and 1/l.  Bisect q_0 - min_{t>=1} q_t
+        # there independently, with q_t = (1 - x / (1 - t x))^(l - t).
+        def gap(x):
+            return (1 - x) ** l - min((1 - x / (1 - t * x)) ** (l - t) for t in range(1, l))
+
+        assert gap(boundary_profile(l)[-1][0]) <= 0
+        lo, hi = 0.0, 1 / l
+        while hi - lo > 1e-12:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if gap(mid) > 0 else (mid, hi)
+        assert abs(boundary_scan(l) - lo) <= 1e-6
 
     @pytest.mark.parametrize("l", [1000, 2_000_000])
     def test_rejects_l_with_an_empty_grid(self, l):
@@ -249,12 +255,6 @@ class TestMonteCarlo:
         b = monte_carlo_small_sum(family, 20_000, seed=4)
         assert a == b
 
-    def test_sharding_changes_stream_not_contract(self):
-        family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
-        exact = float(q_t(SamuelsQuery.uniform(3, Fraction(1, 5)), 0))
-        sharded = monte_carlo_small_sum(family, 50_000, seed=9, shards=5)
-        assert abs(sharded - exact) < 0.02
-
     def test_close_to_exact(self):
         query = SamuelsQuery(MUS)
         family = TwoPointFamily(query, 1)
@@ -265,8 +265,6 @@ class TestMonteCarlo:
         family = TwoPointFamily(SamuelsQuery(MUS), 0)
         with pytest.raises(ValueError):
             monte_carlo_small_sum(family, 0)
-        with pytest.raises(ValueError):
-            monte_carlo_small_sum(family, 10, shards=11)
 
     @pytest.mark.parametrize("l", range(1, 9))
     def test_same_estimates_as_one_array_per_shard(self, l):
@@ -275,16 +273,13 @@ class TestMonteCarlo:
         for t in sorted({0, l - 1}):
             family = TwoPointFamily(query, t)
             for samples in (1, 5, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-                for shards in (1, 5):
-                    if shards > samples:
-                        continue
-                    seed = 10 * l + t
-                    assert monte_carlo_small_sum(
-                        family, samples, seed=seed, shards=shards
-                    ) == oracles.monte_carlo_small_sum(family, samples, seed=seed, shards=shards)
+                seed = 10 * l + t
+                assert monte_carlo_small_sum(
+                    family, samples, seed=seed
+                ) == oracles.monte_carlo_small_sum(family, samples, seed=seed)
 
     def test_pinned_estimates(self):
-        # Recorded with the one-array-per-shard draw now in oracles.py.
+        # Recorded with the one-array draw now in oracles.py.
         rng = random.Random(12)
         lines = []
         for l in range(1, 9):
@@ -292,13 +287,10 @@ class TestMonteCarlo:
             for t in sorted({0, l // 2, l - 1}):
                 family = TwoPointFamily(query, t)
                 for samples in (9, (1 << 14) + 7, 3 * (1 << 14) - 1):
-                    for shards in (1, 5):
-                        estimate = monte_carlo_small_sum(
-                            family, samples, seed=100 * l + t, shards=shards
-                        )
-                        lines.append(f"{l} {t} {samples} {shards} {estimate.hex()}")
+                    estimate = monte_carlo_small_sum(family, samples, seed=100 * l + t)
+                    lines.append(f"{l} {t} {samples} {estimate.hex()}")
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "4c56f60aa37b37a71dc4057b520a9d110762a03f1ec0cd4a29d5196059c2a13e"
+        assert digest == "2bfdf0ddd221a2c13890a100f68451111a1d0fd3fdee6284b6bfc0efdcc69410"
 
     def test_work_budget_refuses_before_drawing(self, monkeypatch):
         family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
@@ -311,17 +303,6 @@ class TestMonteCarlo:
         assert monte_carlo_small_sum(family, 10, seed=2) == oracles.monte_carlo_small_sum(family, 10, seed=2)
         with pytest.raises(ValueError, match="work budget"):
             monte_carlo_small_sum(family, 11, seed=2)
-
-    def test_shards_are_charged_against_the_work_budget(self, monkeypatch):
-        family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
-        # Ten samples of three uniforms, and four shards past the first.
-        monkeypatch.setattr(samuels, "_MAX_WORK", 30 + 4 * samuels._SHARD_WORK)
-        for shards in (1, 5):
-            assert monte_carlo_small_sum(
-                family, 10, seed=3, shards=shards
-            ) == oracles.monte_carlo_small_sum(family, 10, seed=3, shards=shards)
-        with pytest.raises(ValueError, match="work budget"):
-            monte_carlo_small_sum(family, 10, seed=3, shards=6)
 
     def test_jumps_are_decided_on_the_exact_probability(self, monkeypatch):
         # u = float(2/3) lies just below p = 2/3, so the coordinate jumps and
@@ -353,9 +334,9 @@ def record_runs(monkeypatch) -> list[tuple[int, int, int, bool]]:
     runs = []
     count_small = samuels._count_small
 
-    def recorded(probs, seed, shards, samples, start, stop, rows):
+    def recorded(probs, seed, start, stop, rows):
         runs.append((start, stop, rows, threading.current_thread() is threading.main_thread()))
-        return count_small(probs, seed, shards, samples, start, stop, rows)
+        return count_small(probs, seed, start, stop, rows)
 
     monkeypatch.setattr(samuels, "_count_small", recorded)
     return runs
@@ -368,7 +349,7 @@ def split_every_call(monkeypatch, cpus: int) -> None:
 
 
 class TestMonteCarloRuns:
-    """The rows of a call, in shard order, are cut into one run per usable CPU."""
+    """The rows of a call are cut into one run per usable CPU."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     def test_run_count_does_not_change_the_estimate(self, monkeypatch, cpus):
@@ -386,27 +367,24 @@ class TestMonteCarloRuns:
     @staticmethod
     def check_against_the_one_pass_oracle(cpus, runs):
         chunk = samuels._CHUNK_ROWS
-        cut_inside_a_shard = False
+        # A run that starts past row 0 jumps its generator ahead.
+        jumped_ahead = False
         for l in (1, 3, 5):
             query = random_query(random.Random(70 + l), l)
             family = TwoPointFamily(query, 0)
             for samples in (1, chunk - 1, chunk + 1, 2 * chunk + 3, 5 * chunk + 7):
-                for shards in (1, 5):
-                    if shards > samples:
-                        continue
-                    seed = 7 * l + shards
-                    runs.clear()
-                    assert monte_carlo_small_sum(
-                        family, samples, seed=seed, shards=shards
-                    ) == oracles.monte_carlo_small_sum(family, samples, seed=seed, shards=shards)
-                    count = min(cpus, samples * l)
-                    assert sorted(run[:2] for run in runs) == [
-                        (samples * w // count, samples * (w + 1) // count) for w in range(count)
-                    ]
-                    assert all(rows == min(chunk, 2 * chunk // count) for _, _, rows, _ in runs)
-                    starts = {i * (samples // shards) + min(i, samples % shards) for i in range(shards)}
-                    cut_inside_a_shard |= any(start not in starts for start, _, _, _ in runs)
-        assert cut_inside_a_shard == (cpus > 1)
+                seed = 7 * l + 1
+                runs.clear()
+                assert monte_carlo_small_sum(
+                    family, samples, seed=seed
+                ) == oracles.monte_carlo_small_sum(family, samples, seed=seed)
+                count = min(cpus, samples * l)
+                assert sorted(run[:2] for run in runs) == [
+                    (samples * w // count, samples * (w + 1) // count) for w in range(count)
+                ]
+                assert all(rows == min(chunk, 2 * chunk // count) for _, _, rows, _ in runs)
+                jumped_ahead |= any(start > 0 for start, _, _, _ in runs)
+        assert jumped_ahead == (cpus > 1)
 
     def test_small_calls_draw_in_the_calling_thread(self, monkeypatch):
         # Criterion 8 and the CLI default, 100k samples at l <= 4, draw in one
@@ -423,23 +401,26 @@ class TestMonteCarloRuns:
             assert estimate == oracles.monte_carlo_small_sum(family, samples, seed=4)
             assert sorted(run[3] for run in runs) == in_caller
 
-    @pytest.mark.parametrize("failing_shard", [0, 4])
-    def test_a_run_that_raises_makes_the_call_raise(self, monkeypatch, failing_shard):
-        # Two runs over five shards: shard 0 is drawn in the calling thread,
-        # shard 4 in the other.
-        split_every_call(monkeypatch, 2)
-        default_rng = np.random.default_rng
+    @pytest.mark.parametrize("failing_run", [0, 4])
+    def test_a_run_that_raises_makes_the_call_raise(self, monkeypatch, failing_run):
+        # Five runs: run 0 is drawn in the calling thread, run 4 in a helper.
+        split_every_call(monkeypatch, 5)
+        samples = 2 * samuels._CHUNK_ROWS + 3
+        count_small = samuels._count_small
+        in_caller = []
 
-        def failing_rng(seed):
-            if seed.spawn_key == (failing_shard,):
-                raise RuntimeError(f"shard {failing_shard} failed")
-            return default_rng(seed)
+        def failing(probs, seed, start, stop, rows):
+            if start == samples * failing_run // 5:
+                in_caller.append(threading.current_thread() is threading.main_thread())
+                raise RuntimeError(f"run {failing_run} failed")
+            return count_small(probs, seed, start, stop, rows)
 
-        monkeypatch.setattr(np.random, "default_rng", failing_rng)
+        monkeypatch.setattr(samuels, "_count_small", failing)
         family = TwoPointFamily(SamuelsQuery.uniform(3, Fraction(1, 5)), 0)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"shard {failing_shard} failed"):
-            monte_carlo_small_sum(family, 2 * samuels._CHUNK_ROWS + 3, seed=1, shards=5)
+        with pytest.raises(RuntimeError, match=f"run {failing_run} failed"):
+            monte_carlo_small_sum(family, samples, seed=1)
+        assert in_caller == [failing_run == 0]
         assert threading.active_count() == before
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
