@@ -54,7 +54,7 @@ from .randcons import (
     preset_scale_parameters,
     sample_rounds,
 )
-from .thresholds import ThresholdQuery, brute_force_threshold
+from .thresholds import ThresholdQuery, brute_force_threshold, reduce_fractional_instance
 
 __all__ = ["main"]
 
@@ -256,16 +256,12 @@ def _cmd_threshold(args) -> None:
             "value": result.value,
             "witness_file": out,
             "witness": result.witness,
-            "instances_examined": result.instances_examined,
             "lp_calls": result.lp_calls,
-            "runtime_seconds": result.runtime_seconds,
         },
     )
 
 
 def _cmd_reduce(args) -> None:
-    from .thresholds import reduce_fractional_instance
-
     weights = read_weighting(args.weights)
     reduction = reduce_fractional_instance(weights, args.k, args.d)
     _emit(
@@ -368,13 +364,26 @@ def _cmd_randcons(args) -> None:
     _emit(args, "randcons", payload, seed=args.seed)
 
 
+def _criteria(text: str) -> list[int]:
+    """Sorted distinct criterion numbers from a comma-separated list."""
+    from . import acceptance
+
+    count = len(acceptance.CRITERIA)
+    try:
+        numbers = sorted({int(tok) for tok in text.split(",")})
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        ) from None
+    if not all(1 <= number <= count for number in numbers):
+        raise argparse.ArgumentTypeError(f"criterion numbers are 1..{count}, got {text!r}")
+    return numbers
+
+
 def _cmd_selftest(args) -> int:
     from . import acceptance
 
-    numbers = None
-    if args.criteria:
-        numbers = sorted({int(tok) for tok in args.criteria.split(",")})
-    results = acceptance.run_all(numbers)
+    results = acceptance.run_all(args.criteria)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -488,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_randcons)
 
     p = sub.add_parser("selftest", help="run the acceptance battery")
-    p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,8")
+    p.add_argument("--criteria", type=_criteria, help="comma-separated subset, e.g. 1,2,8")
     p.set_defaults(handler=_cmd_selftest)
 
     return parser

@@ -26,8 +26,9 @@ steps.  So every run draws exactly the doubles one pass would, and the
 estimate, a sum of integer counts, is the same for any number of runs.
 
 The uniform-mean boundary where t = 0 stops being the minimiser is located
-numerically by ``boundary_scan``; the grid and bisection run in floating
-point to a fixed width ``_TOLERANCE``, everything else stays rational.
+numerically by ``boundary_scan``: it walks a float grid up to the first
+crossing and bisects to a fixed width ``_TOLERANCE``; everything else stays
+rational.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ import itertools
 import math
 import os
 import threading
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -136,7 +136,10 @@ class TwoPointFamily:
 
     Coordinate i <= t is the constant mu_i; coordinate i > t takes the value
     c = 1 - (mu_1 + ... + mu_t) with probability mu_i / c and 0 otherwise,
-    so every coordinate keeps its prescribed mean exactly.
+    so every coordinate keeps its prescribed mean exactly.  Only t needs
+    checking: a valid query has nonnegative means summing below 1, so for
+    every j > t, c = (sum of mu_i over i > t) + (1 - sum of all mu_i) > mu_j
+    >= 0, and each success probability mu_j / c lies in [0, 1).
     """
 
     query: SamuelsQuery
@@ -145,9 +148,6 @@ class TwoPointFamily:
     def __post_init__(self) -> None:
         if not 0 <= self.t < self.query.l:
             raise ValueError(f"need 0 <= t < l={self.query.l}, got t={self.t}")
-        for p in self.success_probabilities():
-            if not 0 <= p <= 1:
-                raise ValueError(f"success probability {p} outside [0, 1]")
 
     def jump_value(self) -> Fraction:
         return 1 - sum(self.query.mus[: self.t], Fraction(0))
@@ -209,63 +209,52 @@ def _q_uniform_float(l: int, t: int, x: float) -> float:
     return ((1 - (t + 1) * x) / (1 - t * x)) ** (l - t)
 
 
+def _grid(l: int) -> Iterator[float]:
+    """The boundary grid x = i * _STEP, i = 1, 2, ..., below 1/l."""
+    for i in itertools.count(1):
+        x = i * _STEP
+        if x * l >= 1:
+            return
+        yield x
+
+
 def boundary_profile(l: int) -> list[tuple[float, float, float]]:
     """Rows (x, q_0(x), min over t >= 1 of q_t(x)) at x = i * _STEP below 1/l."""
     if l < 2:
         raise ValueError(f"need l >= 2 so that t >= 1 exists, got l={l}")
-    rows = []
-    count = int(1 / (l * _STEP))
-    for i in range(1, count + 1):
-        x = i * _STEP
-        if x * l >= 1:
-            break
-        q0 = _q_uniform_float(l, 0, x)
-        rest = min(_q_uniform_float(l, t, x) for t in range(1, l))
-        rows.append((x, q0, rest))
-    return rows
+    return [
+        (x, _q_uniform_float(l, 0, x), min(_q_uniform_float(l, t, x) for t in range(1, l)))
+        for x in _grid(l)
+    ]
 
 
 def boundary_scan(l: int) -> float:
     """Largest uniform mean x for which t = 0 still minimises q_t.
 
-    Scans the grid of pitch ``_STEP`` for the first sign change of
-    q_0 - min_{t>=1} q_t, confirms the change is unique on the grid (a
-    second change is reported as a warning but the first is returned), and
-    bisects to width ``_TOLERANCE``.  If t = 0 still wins at the last grid
-    point, the change lies between that point and 1/l, where q_{l-1} falls
-    to 0 and t = 0 loses, and that interval is bisected.
+    Walks the grid of pitch ``_STEP`` up to the first point where
+    q_0 - min_{t>=1} q_t is positive and bisects the interval before it to
+    width ``_TOLERANCE``.  If t = 0 still wins at the last grid point, the
+    change lies between that point and 1/l, where q_{l-1} falls to 0 and
+    t = 0 loses, and that interval is bisected.  On every admitted l,
+    2..999, the gap is not positive at the first grid point and changes
+    sign at most once on the grid, so the walk stops at the only crossing.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got l={l}")
+    if l * _STEP >= 1:
+        raise ValueError(f"the {_STEP} grid has no point below 1/l for l={l}")
 
     def gap(x: float) -> float:
         return _q_uniform_float(l, 0, x) - min(
             _q_uniform_float(l, t, x) for t in range(1, l)
         )
 
-    rows = boundary_profile(l)
-    if not rows:
-        raise ValueError(f"the {_STEP} grid has no point below 1/l for l={l}")
-    first_positive = None
-    for i, (x, q0, rest) in enumerate(rows):
-        if q0 - rest > 0:
-            first_positive = i
+    lo, hi = 0.0, 1 / l
+    for x in _grid(l):
+        if gap(x) > 0:
+            hi = x
             break
-    if first_positive is None:
-        lo, hi = rows[-1][0], 1 / l
-    elif first_positive == 0:
-        raise ValueError(f"t = 0 already loses at the smallest grid point for l={l}")
-    else:
-        for x, q0, rest in rows[first_positive:]:
-            if q0 - rest <= 0:
-                warnings.warn(
-                    f"multiple sign changes on the l={l} grid; reporting the first",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
-        lo = rows[first_positive - 1][0]
-        hi = rows[first_positive][0]
+        lo = x
     while hi - lo > _TOLERANCE:
         mid = (lo + hi) / 2
         if gap(mid) > 0:

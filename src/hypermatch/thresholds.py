@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .extremal import construct_h0
+from .extremal import conjecture_values, construct_h0
 from .hypercore import Hypergraph, VertexWeighting, link, min_d_degree, threshold_hypergraph
 from .optmatch import fractional_matching, matching_number
 from .simplex import solve_unit_packing
@@ -102,9 +101,8 @@ _MAX_WORK = 1 << 33
 class BudgetExceededError(RuntimeError):
     """Enumeration would overrun the budget; carries the free bounds."""
 
-    def __init__(self, query: ThresholdQuery, search_space: int, overrun: str):
+    def __init__(self, query: ThresholdQuery, overrun: str):
         self.query = query
-        self.search_space = search_space
         self.lower_bound = _construction_floor(query)
         self.upper_bound = math.comb(query.n - query.d, query.k - query.d) + 1
         super().__init__(
@@ -127,8 +125,6 @@ class ThresholdResult:
     query: ThresholdQuery
     value: int
     witness: Hypergraph
-    instances_examined: int
-    runtime_seconds: float
     lp_calls: int
 
 
@@ -348,7 +344,7 @@ def brute_force_threshold(query: ThresholdQuery, jobs: int = 1) -> ThresholdResu
     work = space * math.comb(query.n, query.d)
     if work > _MAX_WORK:
         raise BudgetExceededError(
-            query, space,
+            query,
             f"enumerating {space} edge sets takes {work} d-set counts, "
             f"over the work budget of {_MAX_WORK}",
         )
@@ -358,7 +354,6 @@ def brute_force_threshold(query: ThresholdQuery, jobs: int = 1) -> ThresholdResu
     if cached is not None:
         return cached
 
-    started = time.perf_counter()
     best, best_mask, lp_calls = _scan_range(
         query.k, query.n, query.d, query.mode, query.s, 0, space
     )
@@ -375,8 +370,6 @@ def brute_force_threshold(query: ThresholdQuery, jobs: int = 1) -> ThresholdResu
         query=query,
         value=best + 1,
         witness=witness,
-        instances_examined=space,
-        runtime_seconds=time.perf_counter() - started,
         lp_calls=lp_calls,
     )
     _memo[key] = result
@@ -567,8 +560,6 @@ def compare_with_conjecture(query: ThresholdQuery, jobs: int = 1) -> ThresholdCo
     web: fractional <= integral, and each brute-forced value at least its
     construction bounds.  ``jobs`` is accepted for compatibility and ignored.
     """
-    from .extremal import conjecture_values
-
     s = query.s
     s_ceil = math.ceil(s)
     integral = brute_force_threshold(

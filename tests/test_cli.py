@@ -61,6 +61,12 @@ class TestEnvelope:
         assert info.value.code == 2
         with pytest.raises(SystemExit):
             main(["no-such-command"])
+        capsys.readouterr()
+        for criteria in ("x", ",", "", "0", "11", "2,11"):
+            with pytest.raises(SystemExit) as info:
+                main(["selftest", "--criteria", criteria])
+            assert info.value.code == 2
+            assert "--criteria" in capsys.readouterr().err
 
     @pytest.mark.parametrize("h", [Hypergraph.complete(3, 4), construct_h1(3, 20, 3)])
     def test_closed_stdout_exits_one_in_silence(self, tmp_path, h):
@@ -209,6 +215,9 @@ class TestThreshold:
             "--witness-out", str(tmp_path / "w.hg"),
         )
         assert code == 0
+        assert set(doc["payload"]) == {
+            "mode", "k", "n", "d", "s", "value", "witness_file", "witness", "lp_calls",
+        }
         assert doc["payload"]["lp_calls"] == 14
 
     def test_budget_option_is_a_usage_error(self, capsys, tmp_path):

@@ -165,6 +165,7 @@ class TestExactProbabilities:
         query = SamuelsQuery.uniform(l, x)
         for t in range(l):
             assert 0 <= q_t(query, t) <= 1
+            assert all(0 <= p < 1 for p in TwoPointFamily(query, t).success_probabilities())
 
 
 class TestAgainstFractionProducts:
@@ -184,6 +185,7 @@ class TestAgainstFractionProducts:
             assert q_min(query) == oracles.q_min(query)
             for t in range(l):
                 assert q_t(query, t) == oracles.q_t(query, t)
+                assert all(0 <= p < 1 for p in TwoPointFamily(query, t).success_probabilities())
 
     def test_zero_means(self):
         zero = Fraction(0)
@@ -213,6 +215,13 @@ class TestBoundary:
         signs = [q0 >= rest for _, q0, rest in rows]
         flips = sum(a != b for a, b in zip(signs, signs[1:]))
         assert flips == 1
+        # On every admitted l the gap is not positive at the first grid
+        # point and turns positive at most once, so the scan's walk up to
+        # the first positive point finds the only crossing.
+        for l in range(2, 1000):
+            positive = [q0 - rest > 0 for _, q0, rest in boundary_profile(l)]
+            assert not positive[0], l
+            assert sum(a != b for a, b in zip(positive, positive[1:])) <= 1, l
 
     def test_scan_needs_at_least_two_families(self):
         with pytest.raises(ValueError):
@@ -225,6 +234,11 @@ class TestBoundary:
             "0x1.bd2d4fdf3b646p-3",
             "0x1.dcc3126e978d5p-4",
         ]
+        # Every admitted l, pinned as one digest of "l hex" lines.
+        lines = "".join(f"{l} {boundary_scan(l).hex()}\n" for l in range(2, 1000))
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "5ef3c4c7c6d90710ab28115208fb857080d04c44684b4875fe0cc3ba3f352c3c"
+        )
 
     @pytest.mark.parametrize("l", [25, 40, 100, 999])
     def test_a_change_past_the_last_grid_point_is_bisected(self, l):
