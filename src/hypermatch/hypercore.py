@@ -180,6 +180,15 @@ class VertexWeighting:
     def __init__(self, weights: Iterable[Fraction | int | str]):
         object.__setattr__(self, "weights", _check_weights(weights))
 
+    @classmethod
+    def _trusted(cls, weights: tuple[Fraction, ...]) -> "VertexWeighting":
+        """A VertexWeighting on a tuple of Fractions in [0, 1], not checked
+        again: ``optmatch.fractional_matching`` has checked them in integers.
+        Input from outside goes through ``VertexWeighting(weights)``."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "weights", weights)
+        return w
+
     def __len__(self) -> int:
         return len(self.weights)
 
@@ -221,6 +230,24 @@ class EdgeWeighting:
         object.__setattr__(self, "hypergraph", hypergraph)
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "_support", support)
+
+    @classmethod
+    def _trusted(
+        cls,
+        hypergraph: Hypergraph,
+        weights: tuple[Fraction, ...],
+        support: tuple[tuple[tuple[int, ...], Fraction], ...],
+    ) -> "EdgeWeighting":
+        """An EdgeWeighting not checked again: ``weights`` is a tuple of
+        Fractions in [0, 1], one per edge, with every vertex load at most 1,
+        as ``optmatch.fractional_matching`` has checked in integers, and
+        ``support`` its nonzero (edge, weight) pairs in edge order.  Input
+        from outside goes through ``EdgeWeighting(hypergraph, weights)``."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "hypergraph", hypergraph)
+        object.__setattr__(w, "weights", weights)
+        object.__setattr__(w, "_support", support)
+        return w
 
     def __len__(self) -> int:
         return len(self.weights)

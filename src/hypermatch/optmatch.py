@@ -4,8 +4,15 @@ Provides the integral matching number (branch and bound), the integral
 vertex cover number, and the fractional matching/cover LP pair solved
 exactly over rationals.  One LP solve produces both the optimal fractional
 matching and the optimal fractional cover, which is why the two optimal
-values are equal by construction; the report re-verifies every certificate
-anyway so a bug cannot go unnoticed.
+values are equal by construction; every certificate is re-verified anyway
+so a bug cannot go unnoticed.
+
+The LP pair is checked once, in ``fractional_matching``, by
+``_check_lp_pair`` on the solver's integers over its one denominator D:
+weights in range, equal totals, every vertex load at most D and every
+edge's cover sum at least D.  The two weightings are then built without a
+second check.  The integral matching and cover are checked by
+``_verify_integral`` in ``fractional_optimum``.
 """
 
 from __future__ import annotations
@@ -13,10 +20,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
-from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, _over_lcm, vertex_masks
-from .simplex import solve_unit_packing
+from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, vertex_masks
+from .simplex import PackingResult, solve_unit_packing
 
 __all__ = [
     "DualityReport",
@@ -201,29 +209,46 @@ def fractional_matching(
     """Solve the fractional matching LP exactly.
 
     Returns (optimal value, optimal fractional matching, optimal fractional
-    cover).  Both certificates are feasible by construction and share the
-    same total weight, which pins the value from both sides.
+    cover).  Both certificates pass ``_check_lp_pair`` before they are
+    built, and share the same total weight, which pins the value from both
+    sides.
     """
     result = solve_unit_packing(h.n, h.edges)
-    matching = EdgeWeighting(h, result.primal)
-    cover = VertexWeighting(result.dual)
-    _verify_lp_pair(h, result.value, matching, cover)
+    _check_lp_pair(h, result)
+    support = tuple(zip(compress(h.edges, result.x), compress(result.primal, result.x)))
+    matching = EdgeWeighting._trusted(h, result.primal, support)
+    cover = VertexWeighting._trusted(result.dual)
     return result.value, matching, cover
 
 
-def _verify_lp_pair(
-    h: Hypergraph, value: Fraction, matching: EdgeWeighting, cover: VertexWeighting
-) -> None:
-    # Scale the cover to its common denominator once: its total and each
-    # edge's cover weight >= 1 are then compared as integer sums.
-    scaled, common = _over_lcm(cover.weights)
-    if matching.total() != value or Fraction(sum(scaled), common) != value:
+def _check_lp_pair(h: Hypergraph, result: PackingResult) -> None:
+    """Check the solver's optimum in integers over its one denominator D.
+
+    With primal X/D, dual Y/D and value Z/D: every X_e >= 0, every
+    0 <= Y_v <= D, sum X = sum Y = Z, every vertex load sum(X_e for e
+    containing v) <= D (so each X_e <= D too, an edge having a vertex), and
+    every edge's cover sum(Y_v for v in e) >= D.  Then X/D is a fractional
+    matching, Y/D a fractional cover, and their equal totals prove both
+    optimal.
+    """
+    denom, xs, ys, z = result.denom, result.x, result.y, result.z
+    if len(xs) != h.num_edges or len(ys) != h.n:
+        raise AssertionError("certificate lengths disagree with the hypergraph")
+    if denom <= 0 or min(xs, default=0) < 0 or min(ys) < 0 or max(ys) > denom:
+        raise AssertionError("certificate weight outside [0, 1]")
+    if sum(xs) != z or sum(ys) != z:
         raise AssertionError("certificate totals disagree with the LP value")
-    get = scaled.__getitem__
+    loads = [0] * h.n
+    for e, x in zip(compress(h.edges, xs), filter(None, xs)):
+        for v in e:
+            loads[v] += x
+    for v, load in enumerate(loads):
+        if load > denom:
+            raise AssertionError(f"vertex {v} carries load {Fraction(load, denom)} > 1")
+    get = ys.__getitem__
     for e in h.edges:
-        if sum(map(get, e)) < common:
+        if sum(map(get, e)) < denom:
             raise AssertionError(f"cover misses edge {e}")
-    # EdgeWeighting construction already enforced loads <= 1 and weight range.
 
 
 @dataclass(frozen=True)

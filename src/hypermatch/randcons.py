@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -290,9 +291,14 @@ def _check_edges(
         violations += len(short)
         for j in short[: _WITNESS_CAP - len(short_degrees)]:
             short_degrees.append((i, _lex_unrank(int(j), n, d), int(deg[j])))
-    shared = [(base.edges[j], int(hits[j])) for j in np.flatnonzero(hits > 1)]
+    shared = np.flatnonzero(hits > 1)
     return (
-        _result("edge_multiplicity", shared, "every base edge inside at most one sampled subset"),
+        _result(
+            "edge_multiplicity",
+            [(base.edges[j], int(hits[j])) for j in shared[:_WITNESS_CAP]],
+            "every base edge inside at most one sampled subset",
+            len(shared),
+        ),
         _result(
             "induced_degrees",
             short_degrees,
@@ -339,14 +345,19 @@ def sample_rounds(
     subsets = _sample_subsets(plan)
     n = plan.base.n
     coverage, pair_coverage = incidence(subsets, n)
-    over_cap = sorted((pair, c) for pair, c in pair_coverage.items() if c > config.pair_cap)
+    over_cap = [(pair, c) for pair, c in pair_coverage.items() if c > config.pair_cap]
     multiplicity, degrees = _check_edges(plan, subsets, config)
     checks = (
         _check_band(
             "vertex_coverage", coverage, plan.rounds * Fraction(plan.p), config.vertex_tolerance,
             "per-vertex coverage vs rounds*p",
         ),
-        _result("pair_coverage", over_cap, f"pair coverage capped at {config.pair_cap}"),
+        _result(
+            "pair_coverage",
+            heapq.nsmallest(_WITNESS_CAP, over_cap),
+            f"pair coverage capped at {config.pair_cap}",
+            len(over_cap),
+        ),
         multiplicity,
         _check_band(
             "subset_sizes", map(len, subsets), n * Fraction(plan.p), config.size_tolerance,

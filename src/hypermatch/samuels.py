@@ -218,10 +218,17 @@ def _grid(l: int) -> Iterator[float]:
         yield x
 
 
-def boundary_profile(l: int) -> list[tuple[float, float, float]]:
-    """Rows (x, q_0(x), min over t >= 1 of q_t(x)) at x = i * _STEP below 1/l."""
+def _admit(l: int) -> None:
+    """Refuse an l with no t >= 1, or one whose grid has no point below 1/l."""
     if l < 2:
         raise ValueError(f"need l >= 2 so that t >= 1 exists, got l={l}")
+    if l * _STEP >= 1:
+        raise ValueError(f"the {_STEP} grid has no point below 1/l for l={l}")
+
+
+def boundary_profile(l: int) -> list[tuple[float, float, float]]:
+    """Rows (x, q_0(x), min over t >= 1 of q_t(x)) at x = i * _STEP below 1/l."""
+    _admit(l)
     return [
         (x, _q_uniform_float(l, 0, x), min(_q_uniform_float(l, t, x) for t in range(1, l)))
         for x in _grid(l)
@@ -239,10 +246,7 @@ def boundary_scan(l: int) -> float:
     2..999, the gap is not positive at the first grid point and changes
     sign at most once on the grid, so the walk stops at the only crossing.
     """
-    if l < 2:
-        raise ValueError(f"need l >= 2, got l={l}")
-    if l * _STEP >= 1:
-        raise ValueError(f"the {_STEP} grid has no point below 1/l for l={l}")
+    _admit(l)
 
     def gap(x: float) -> float:
         return _q_uniform_float(l, 0, x) - min(

@@ -19,8 +19,10 @@ By Sylvester's identity every such division is exact (Edmonds 1967;
 Bareiss 1968): D stays |det B|, so M = D*B^-1 is the adjugate up to sign,
 and as the pivot is positive D never changes sign.  Pricing reads the
 exact signs of the reduced costs from Y and D: a column enters iff
-sum(Y[r] for r in column) < D, a slack i iff Y[i] < 0.  Rationals are
-formed once, from the final X, Y, Z and D.
+sum(Y[r] for r in column) < D, a slack i iff Y[i] < 0.  The result
+carries the final D, X (per column, 0 off the basis), Y (per row) and Z
+as integers, and its rationals are formed once from them, one Fraction
+per distinct numerator.
 
 Pricing computes s_j = sum(Y[r] for r in column j) for every column and
 takes the first j with s_j < D.  It takes one of two paths, chosen by the
@@ -96,6 +98,19 @@ t^2 <= m * width^m, and a signed field holds it when
 with the least such w.  These bounds hold for every basis the solver
 visits, so no field ever spills into its neighbour.
 
+The ratio test reads two sign masks off the packed d and X.  Field r of
+d + bias is d[r] + 2^(w-1), which is at least 1 as |d[r]| < 2^(w-1), so
+subtracting ``ones`` (a 1 in every field) borrows across no field, and
+the top bit of field r of d + bias - ones is set iff d[r] >= 1: masked
+with the top bits, which ``bias`` holds, these are the rows the test
+admits.  X >= 0 always, as it starts at 1 and the ratio test keeps x_B
+feasible, so the top bit of field r of X + bias - ones is clear iff
+X[r] = 0, which gives the second mask.  A row in both masks has ratio 0,
+the least there is, so if there are such rows only they are visited and
+the one with the least basis id among them leaves; otherwise only the
+rows of the first mask are visited.  Either way the leaving row is
+Bland's, the one a scan of every row picks.
+
 Only the rows that some column touches enter the tableau.  A row that no
 column touches keeps a basic slack, a zero dual and an untouched row of
 B^-1 throughout, so leaving it out changes nothing; the dual is expanded
@@ -110,7 +125,7 @@ rule's choices are those on the full row set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import index, mul
@@ -157,6 +172,14 @@ class PackingResult:
     primal: tuple[Fraction, ...]  # one weight per column
     dual: tuple[Fraction, ...]  # one weight per row
     pivots: int
+    # The same optimum in integers over one denominator D > 0:
+    # value = Z/D, primal[j] = X[j]/D and dual[i] = Y[i]/D, the Fractions
+    # being formed from exactly these integers.  None when a result is made
+    # from its Fractions alone; left out of equality and repr.
+    denom: int | None = field(default=None, compare=False, repr=False)
+    x: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    y: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    z: int | None = field(default=None, compare=False, repr=False)
 
 
 def solve_unit_packing(
@@ -198,7 +221,9 @@ def solve_unit_packing(
                 raise ValueError(f"column {col} repeats a row")
         touched = sorted(set().union(*cols))
     if ncols == 0 or n_rows == 0:
-        return PackingResult(_ZERO, (_ZERO,) * ncols, (_ZERO,) * n_rows, 0)
+        return PackingResult(
+            _ZERO, (_ZERO,) * ncols, (_ZERO,) * n_rows, 0, 1, (0,) * ncols, (0,) * n_rows, 0
+        )
 
     # The tableau holds only the rows some column touches, relabelled in
     # increasing order so that slack ids keep their order.  An untouched
@@ -283,17 +308,24 @@ def solve_unit_packing(
                 raise ArithmeticError(f"pricing entered column {entering} at no gain")
 
         # Ratio test on X[r] / d[r], which is x_B[r] / (B^-1 a)[r] with D
-        # cancelled, compared cross-multiplied.
-        lr = -1
+        # cancelled, compared cross-multiplied.  It visits only the rows with
+        # d[r] > 0 and, if any of them has X[r] = 0 and so the least ratio,
+        # only those (sign masks, see the module docstring).
         du = d + bias
         xu = packed[m] + bias
-        for r, f in enumerate([(du >> sh & mask) - half for sh in shifts]):
-            if f > 0:
-                x = (xu >> shifts[r] & mask) - half
-                if lr < 0 or x * fl < xl * f or (x * fl == xl * f and basis[r] < basis[lr]):
-                    lr, fl, xl = r, f, x
-        if lr < 0:
+        rising = (du - ones) & bias
+        if not rising:
             raise ArithmeticError("unit packing LP cannot be unbounded")
+        visit = rising & ~(xu - ones) or rising
+        lr = -1
+        while visit:
+            low = visit & -visit
+            visit ^= low
+            r = low.bit_length() // w - 1
+            f = (du >> shifts[r] & mask) - half
+            x = (xu >> shifts[r] & mask) - half
+            if lr < 0 or x * fl < xl * f or (x * fl == xl * f and basis[r] < basis[lr]):
+                lr, fl, xl = r, f, x
 
         # Every column, X and [Y | Z] too, by the one rule: b is the
         # column's pivot-row entry, and e is d with its pivot field p
@@ -313,12 +345,20 @@ def solve_unit_packing(
         basis[lr] = entering
         pivots += 1
 
+    # X over the columns, Y over all rows (an untouched row's is 0) and Z,
+    # then one Fraction, one gcd, per distinct numerator.
     xu = packed[m] + bias
-    primal = [_ZERO] * ncols
+    x_col = [0] * ncols
     for r, sh in enumerate(shifts):
         if basis[r] < ncols:
-            primal[basis[r]] = Fraction((xu >> sh & mask) - half, denom)
-    dual = [_ZERO] * n_rows
-    for r, v in zip(touched, ys):
-        dual[r] = Fraction(v, denom)
-    return PackingResult(Fraction(ys[m], denom), tuple(primal), tuple(dual), pivots)
+            x_col[basis[r]] = (xu >> sh & mask) - half
+    y_row = [0] * n_rows
+    for r, t in zip(touched, ys):
+        y_row[r] = t
+    z = ys[m]
+    frac = {t: Fraction(t, denom) for t in {*x_col, *y_row, z}}
+    get = frac.__getitem__
+    return PackingResult(
+        frac[z], tuple(map(get, x_col)), tuple(map(get, y_row)), pivots,
+        denom, tuple(x_col), tuple(y_row), z,
+    )

@@ -192,6 +192,12 @@ class TestSamuels:
         assert code == 1
         assert set(doc) == {"command", "error"}
 
+    @pytest.mark.parametrize("view", [(), ("--csv",)], ids=["json", "csv"])
+    def test_scan_refuses_an_empty_grid_in_both_views(self, capsys, view):
+        code, doc = run_json(capsys, "samuels", "scan", "--l", "1000", *view)
+        assert code == 1
+        assert "the 0.001 grid has no point below 1/l for l=1000" in doc["error"]
+
 
 class TestThreshold:
     def test_value_and_witness_file(self, capsys, tmp_path):

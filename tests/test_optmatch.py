@@ -8,12 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypermatch import optmatch
 from hypermatch.hypercore import EdgeWeighting, Hypergraph, VertexWeighting
 from hypermatch.optmatch import (
     _COVER_DP_LIMIT,
+    _check_lp_pair,
     _cover_by_branching,
     _subset_tables,
-    _verify_lp_pair,
     DualityReport,
     cover_number,
     fractional_matching,
@@ -23,6 +24,7 @@ from hypermatch.optmatch import (
     maximum_matching,
     minimum_cover,
 )
+from hypermatch.simplex import PackingResult, solve_unit_packing
 
 import oracles
 
@@ -34,6 +36,21 @@ def _pairwise_disjoint(edges) -> bool:
             return False
         seen.update(e)
     return True
+
+
+def integer_pair(denom: int, xs, ys, z: int | None = None) -> PackingResult:
+    """A solver result with the given integers over ``denom`` (Z = sum xs by default)."""
+    z = sum(xs) if z is None else z
+    return PackingResult(
+        Fraction(z, denom),
+        tuple(Fraction(x, denom) for x in xs),
+        tuple(Fraction(y, denom) for y in ys),
+        0,
+        denom,
+        tuple(xs),
+        tuple(ys),
+        z,
+    )
 
 
 def oracle_matching_number(h: Hypergraph) -> int:
@@ -287,26 +304,66 @@ class TestFractionalOptima:
     def test_recheck_rejects_a_cover_short_on_one_edge(self):
         # Both totals are 35/12, but edge (0, 1) is covered only 11/12.
         h = Hypergraph(2, 6, ((0, 1), (2, 3), (4, 5)))
-        matching = EdgeWeighting(h, [Fraction(11, 12), 1, 1])
-        cover = VertexWeighting(
-            [Fraction(1, 4), Fraction(2, 3)] + [Fraction(1, 2)] * 4
-        )
         with pytest.raises(AssertionError, match=r"cover misses edge \(0, 1\)"):
-            _verify_lp_pair(h, Fraction(35, 12), matching, cover)
+            _check_lp_pair(h, integer_pair(12, [11, 12, 12], [3, 8, 6, 6, 6, 6]))
 
     def test_recheck_rejects_totals_that_disagree(self):
         h = Hypergraph.complete(3, 4)
-        value, matching, cover = fractional_matching(h)
-        _verify_lp_pair(h, value, matching, cover)
+        result = solve_unit_packing(h.n, h.edges)
+        _check_lp_pair(h, result)
+        d, xs, ys = result.denom, list(result.x), list(result.y)
         with pytest.raises(AssertionError, match="totals disagree"):
-            _verify_lp_pair(h, value + Fraction(1, 12), matching, cover)
-        short = EdgeWeighting(h, [0] * h.num_edges)
+            _check_lp_pair(h, integer_pair(d, xs, ys, z=result.z + 1))
         with pytest.raises(AssertionError, match="totals disagree"):
-            _verify_lp_pair(h, value, short, cover)
-        # The matching's total is right, the cover's is 1/12 too high.
-        heavy = VertexWeighting([cover[0] + Fraction(1, 12), *cover.weights[1:]])
+            _check_lp_pair(h, integer_pair(d, [0] * h.num_edges, ys, z=result.z))
+        # The matching's total is right, the cover's is 1/D too high.
         with pytest.raises(AssertionError, match="totals disagree"):
-            _verify_lp_pair(h, value, matching, heavy)
+            _check_lp_pair(h, integer_pair(d, xs, [ys[0] + 1, *ys[1:]], z=result.z))
+
+    def test_recheck_rejects_a_load_above_one(self):
+        # Both edges at weight 1 load vertex 0 twice; the cover (1, 1, 0)
+        # meets both edges and has the same total 2.
+        h = Hypergraph(2, 3, ((0, 1), (0, 2)))
+        with pytest.raises(AssertionError, match="vertex 0 carries load 2 > 1"):
+            _check_lp_pair(h, integer_pair(1, [1, 1], [1, 1, 0]))
+
+    @pytest.mark.parametrize(
+        "xs, ys, match",
+        [
+            ([5, -1], [2, 0, 2, 0], "outside"),  # an edge below 0
+            ([3, 1], [2, 0, 2, 0], "vertex 0 carries load 3/2 > 1"),  # an edge above 1
+            ([2, 2], [2, 0, 3, -1], "outside"),  # vertices below 0 and above 1
+            ([2, 2], [3, 0, 1, 0], "outside"),  # a vertex above 1
+        ],
+    )
+    def test_recheck_rejects_weights_outside_the_unit_interval(self, xs, ys, match):
+        # D = 2 and every total is 4/2; the optimum is xs = (2, 2), ys = (2, 0, 2, 0).
+        h = Hypergraph(2, 4, ((0, 1), (2, 3)))
+        _check_lp_pair(h, integer_pair(2, [2, 2], [2, 0, 2, 0]))
+        with pytest.raises(AssertionError, match=match):
+            _check_lp_pair(h, integer_pair(2, xs, ys))
+
+    def test_fractional_matching_checks_what_the_solver_returns(self, monkeypatch):
+        h = Hypergraph(2, 6, ((0, 1), (2, 3), (4, 5)))
+        tampered = integer_pair(12, [11, 12, 12], [3, 8, 6, 6, 6, 6])
+        monkeypatch.setattr(optmatch, "solve_unit_packing", lambda n, columns: tampered)
+        with pytest.raises(AssertionError, match="cover misses edge"):
+            fractional_matching(h)
+
+    def test_checked_weightings_equal_validated_ones(self):
+        # The private constructors used after the integer check build the
+        # same objects that the validating public constructors build.
+        corpus = [Hypergraph(3, 5, []), Hypergraph.complete(3, 6), *random_small_hypergraphs(40, seed=29)]
+        for h in corpus:
+            value, matching, cover = fractional_matching(h)
+            public_matching = EdgeWeighting(h, matching.weights)
+            public_cover = VertexWeighting(cover.weights)
+            assert matching == public_matching and cover == public_cover
+            assert matching.support() == public_matching.support()
+            assert matching.total() == public_matching.total() == value
+            assert cover.total() == public_cover.total() == value
+            assert type(matching.weights) is tuple and type(cover.weights) is tuple
+            assert all(type(w) is Fraction for w in (*matching.weights, *cover.weights))
 
     def test_duality_report_chain(self):
         for h in random_small_hypergraphs(25, seed=31):

@@ -257,8 +257,10 @@ class TestBoundary:
 
     @pytest.mark.parametrize("l", [1000, 2_000_000])
     def test_rejects_l_with_an_empty_grid(self, l):
-        assert boundary_profile(l) == []
-        with pytest.raises(ValueError):
+        message = f"the 0.001 grid has no point below 1/l for l={l}"
+        with pytest.raises(ValueError, match=message):
+            boundary_profile(l)
+        with pytest.raises(ValueError, match=message):
             boundary_scan(l)
 
 

@@ -281,6 +281,26 @@ def test_matches_reference_on_one_row_and_on_width_one():
         assert solve_unit_packing(n_rows, columns) == oracles.solve_unit_packing(n_rows, columns)
 
 
+def test_ratio_zero_tie_leaves_by_basis_id_not_by_row():
+    # At the fifth pivot rows 2 and 4 both have X = 0 and d > 0, and their
+    # basic variables are columns 3 and 1: the row of the least basis id,
+    # row 4, leaves, not the first tied row.
+    columns = [(0, 2), (0, 4), (1, 4), (2, 4), (3, 4)]
+    result = solve_unit_packing(5, columns)
+    assert result == oracles.solve_unit_packing(5, columns)
+    assert result.value == 2 and result.pivots == 5
+
+
+def test_integers_over_one_denominator_give_the_fractions():
+    corpus = [*random_k_graphs(), *mixed_unsorted_columns(), *ONE_ROW_AND_WIDTH_ONE, (4, []), (0, [])]
+    for n_rows, columns in corpus:
+        result = solve_unit_packing(n_rows, columns)
+        d = result.denom
+        assert d > 0 and result.value == Fraction(result.z, d)
+        assert result.primal == tuple(Fraction(x, d) for x in result.x)
+        assert result.dual == tuple(Fraction(y, d) for y in result.y)
+
+
 @pytest.mark.parametrize("cut", [0, 1 << 40], ids=["gather", "packed"])
 def test_both_pricing_paths_match_reference(monkeypatch, cut):
     # A cut of 0 prices every LP with the numpy gather, and 2^40 every LP
