@@ -34,9 +34,9 @@ from .randcons import RoundOnePlan, build_sparse_subgraph, sample_rounds
 from .samuels import (
     SamuelsQuery,
     TwoPointFamily,
+    _small_count,
     boundary_scan,
     edge_count_bound,
-    monte_carlo_small_sum,
     q_min,
     q_t,
 )
@@ -223,15 +223,18 @@ def _criterion_8() -> tuple[bool, str]:
     """Monte Carlo estimates sit on the exact values, 20 seeds per case."""
     parts = []
     ok = True
+    samples = 100_000
     for l, x, t, expected in _MC_CASES:
         query = SamuelsQuery.uniform(l, x)
         exact = q_t(query, t)
         if exact != expected:
             return False, f"closed form off at l={l}, x={x}, t={t}"
         family = TwoPointFamily(query, t)
+        num, den = exact.as_integer_ratio()
+        # |count / samples - num / den| <= 1/100, decided in integers.
         hits = sum(
-            abs(monte_carlo_small_sum(family, 100_000, seed=seed) - float(exact))
-            <= 0.01
+            100 * abs(_small_count(family, samples, seed) * den - samples * num)
+            <= samples * den
             for seed in range(20)
         )
         ok &= hits >= 19

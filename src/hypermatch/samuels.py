@@ -11,19 +11,22 @@ by cross-multiplying, and only the answer becomes a ``Fraction``.
 
 ``monte_carlo_small_sum`` draws one stream a call, the PCG64 generator of
 ``SeedSequence(seed, spawn_key=(0,))``, in fixed blocks of rows into a
-reused buffer and decides a block column by column with the exact
-``u < p`` comparison.  The blocks fill the stream in the same order as one
-array of all the draws, so seeded estimates do not depend on the block
-size, and memory stays bounded however many samples are asked for.  A call
-of at least 2 * ``_MIN_RUN_WORK`` uniforms is cut into contiguous runs of
-its rows, one per usable CPU and each of about ``_MIN_RUN_WORK`` uniforms
-or more, with its own buffers: the first runs in the calling thread, the
-others in threads joined before the call returns.  A run that starts
-``start`` rows of ``m`` uniforms into the call advances its own copy of
-the generator by ``start * m`` outputs, since ``Generator.random`` takes
-one 64-bit output per double and an LCG jumps ahead exactly in O(log n)
-steps.  So every run draws exactly the doubles one pass would, and the
-estimate, a sum of integer counts, is the same for any number of runs.
+reused buffer.  It decides a block one group of equal jump probabilities
+at a time: a row gains no jump in a group iff the least of the group's
+uniforms is at least the group's dyadic threshold, which is the exact
+``u < p`` comparison for every column of the group at once.  The blocks
+fill the stream in the same order as one array of all the draws, so
+seeded estimates do not depend on the block size, and memory stays
+bounded however many samples are asked for.  A call of at least
+2 * ``_MIN_RUN_WORK`` uniforms is cut into contiguous runs of its rows,
+one per usable CPU and each of about ``_MIN_RUN_WORK`` uniforms or more,
+with its own buffers: the first runs in the calling thread, the others in
+threads joined before the call returns.  A run that starts ``start`` rows
+of ``m`` uniforms into the call advances its own copy of the generator by
+``start * m`` outputs, since ``Generator.random`` takes one 64-bit output
+per double and an LCG jumps ahead exactly in O(log n) steps.  So every
+run draws exactly the doubles one pass would, and the estimate, a sum of
+integer counts, is the same for any number of runs.
 
 The uniform-mean boundary where t = 0 stops being the minimiser is located
 numerically by ``boundary_scan``: it walks a float grid up to the first
@@ -64,9 +67,12 @@ _CHUNK_ROWS = 1 << 14
 # Fewest uniforms a run draws when a call is cut into several.  Starting and
 # joining a thread costs about 0.16 ms on a 2-vCPU Intel Xeon, and the runs
 # pass the interpreter lock back and forth between their numpy calls: there
-# two runs first beat one at about 2e5 uniforms a call, and every family
-# measured ran 17-25% faster in two at 2^19.  So criterion 8 and the CLI
-# default, 100k samples of at most four uniforms, draw in the calling thread.
+# two runs first beat one at about 2e5 uniforms a call.  At 2^19, in medians
+# of interleaved calls, families of two to four uniforms a row ran 12-25%
+# faster in two in 8 of 9 passes (2% slower in the ninth); one uniform a row
+# ranged from 28% slower to 19% faster as the load on the second core moved.
+# So criterion 8 and the CLI default, 100k samples of at most four uniforms,
+# draw in the calling thread.
 _MIN_RUN_WORK = 1 << 18
 
 # Bound on samples times l, the uniforms a Monte Carlo estimate draws.  At
@@ -282,27 +288,42 @@ def _count_small(probs: list[float], seed: int, start: int, stop: int, rows: int
     They are drawn in blocks of ``rows`` rows of ``m = len(probs)`` doubles.
     A run that starts past row 0 advances its own generator past the
     ``start * m`` doubles the rows before it took, one 64-bit output each.
+    The sum stays below 1 iff the constant block (< 1 by construction)
+    gains no jump, and column j jumps when u_j < t_j.  A row gains no jump
+    in the columns of one threshold t iff their least uniform is >= t, so a
+    block takes one running minimum and one compare per distinct threshold:
+    m + 1 numpy calls for uniform means.  Thresholds and doubles are both
+    multiples of 2^-53, so thresholds that decide alike are equal floats.
     """
     m = len(probs)
+    groups: dict[float, list[int]] = {}
+    for j, t in enumerate(probs):
+        groups.setdefault(t, []).append(j)
+    plan = [(t, cols[0], cols[1:]) for t, cols in groups.items()]
     size = min(rows, stop - start)
     buf = np.empty((size, m))
-    jumped = np.empty(size, dtype=bool)
-    column = np.empty(size, dtype=bool)
+    # Contiguous: a minimum into a strided column of buf took twice as long.
+    least = np.empty(size)
+    kept = np.empty(size, dtype=bool)
+    group_kept = np.empty(size, dtype=bool)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     if start:
         rng.bit_generator.advance(start * m)
     small = 0
     for block in range(start, stop, rows):
         n = min(rows, stop - block)
-        u, hit, col = buf[:n], jumped[:n], column[:n]
+        u, keep = buf[:n], kept[:n]
         rng.random(out=u)
-        # Sum < 1 iff the constant block (< 1 by construction) gains no
-        # jump: coordinate j jumps when u_j < p_j.
-        np.less(u[:, 0], probs[0], out=hit)
-        for j in range(1, m):
-            np.less(u[:, j], probs[j], out=col)
-            hit |= col
-        small += n - int(np.count_nonzero(hit))
+        for g, (t, first, rest) in enumerate(plan):
+            column = u[:, first]
+            for j in rest:
+                column = np.minimum(column, u[:, j], out=least[:n])
+            if g:
+                np.greater_equal(column, t, out=group_kept[:n])
+                keep &= group_kept[:n]
+            else:
+                np.greater_equal(column, t, out=keep)
+        small += int(np.count_nonzero(keep))
     return small
 
 
@@ -320,6 +341,11 @@ def monte_carlo_small_sum(family: TwoPointFamily, samples: int, seed: int = 0) -
     in threads joined before the call returns.  More than ``_MAX_WORK``
     uniforms in all is refused before any is drawn.
     """
+    return _small_count(family, samples, seed) / samples
+
+
+def _small_count(family: TwoPointFamily, samples: int, seed: int) -> int:
+    """How many of ``monte_carlo_small_sum``'s draws have sum < 1."""
     if samples < 1:
         raise ValueError("need at least one sample")
     probs = [_draw_threshold(p) for p in family.success_probabilities()]
@@ -358,7 +384,7 @@ def monte_carlo_small_sum(family: TwoPointFamily, samples: int, seed: int = 0) -
     for exc in errors:
         if exc is not None:
             raise exc
-    return sum(counts) / samples
+    return sum(counts)
 
 
 def edge_count_bound(

@@ -402,6 +402,28 @@ class TestMonteCarloRuns:
                 jumped_ahead |= any(start > 0 for start, _, _, _ in runs)
         assert jumped_ahead == (cpus > 1)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "mus",
+        [(Fraction(1, 10),) * l for l in range(1, 9)]
+        + [
+            # Tied means: groups of two and two, and of one, three and one.
+            tuple(map(Fraction, ("1/10", "1/10", "1/5", "1/5"))),
+            tuple(map(Fraction, ("1/20", "1/10", "1/10", "1/10", "1/5"))),
+            # A zero mean never jumps.
+            tuple(map(Fraction, ("0", "1/10", "1/5"))),
+        ],
+    )
+    def test_grouped_thresholds_give_the_one_pass_estimates(self, monkeypatch, cpus, mus):
+        split_every_call(monkeypatch, cpus)
+        family = TwoPointFamily(SamuelsQuery(mus), 0)
+        chunk = samuels._CHUNK_ROWS
+        for samples in (1, chunk - 1, chunk + 1, 2 * chunk + 3):
+            seed = 31 * len(mus) + samples % 7
+            assert monte_carlo_small_sum(
+                family, samples, seed=seed
+            ) == oracles.monte_carlo_small_sum(family, samples, seed=seed)
+
     def test_small_calls_draw_in_the_calling_thread(self, monkeypatch):
         # Criterion 8 and the CLI default, 100k samples at l <= 4, draw in one
         # run; two runs start at 2 * _MIN_RUN_WORK uniforms.
