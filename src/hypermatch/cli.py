@@ -48,7 +48,6 @@ from .samuels import (
 from .storage import Allocation, candidate_allocations, optimize_grid
 from .storage import phi as storage_phi
 from .randcons import (
-    CheckConfig,
     RoundOnePlan,
     build_sparse_subgraph,
     preset_scale_parameters,
@@ -316,13 +315,7 @@ def _cmd_randcons(args) -> None:
     if args.paper_exponents:
         p, rounds = preset_scale_parameters(base.n)
     plan = RoundOnePlan(base, rounds=rounds, p=p, d=args.d, seed=args.seed)
-    config = CheckConfig(
-        vertex_tolerance=args.vertex_tolerance,
-        pair_cap=args.pair_cap,
-        size_tolerance=args.size_tolerance,
-        degree_fraction=args.degree_fraction,
-    )
-    outcome = sample_rounds(plan, config, with_matchings=args.build)
+    outcome = sample_rounds(plan, with_matchings=args.build)
     payload = {
         "n": base.n,
         "k": base.k,
@@ -487,10 +480,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,  # absent is None, like the flags it stands in for
         help="use p = n^-0.9 and rounds = round(n^1.1)",
     )
-    p.add_argument("--vertex-tolerance", type=parse_rational, default=Fraction(1, 3))
-    p.add_argument("--pair-cap", type=int, default=2)
-    p.add_argument("--size-tolerance", type=parse_rational, default=Fraction(1, 3))
-    p.add_argument("--degree-fraction", type=parse_rational, default=Fraction(1, 2))
     p.add_argument("--build", action="store_true", help="run round two as well")
     p.add_argument("--build-seed", type=int, default=0)
     p.add_argument("--csv", action="store_true")

@@ -30,7 +30,6 @@ from .optmatch import fractional_matching
 
 __all__ = [
     "RoundOnePlan",
-    "CheckConfig",
     "CheckResult",
     "RoundOneOutcome",
     "SparseSubgraph",
@@ -41,6 +40,14 @@ __all__ = [
 ]
 
 _WITNESS_CAP = 10
+
+# The bands of the sample checks: per-vertex coverage within 1/3 of
+# rounds*p (i), pair coverage at most 2 (ii), subset sizes within 1/3 of
+# n*p (iv), and every d-set keeping 1/2 of C(|R|-d, k-d) induced degree (v).
+_VERTEX_TOLERANCE = Fraction(1, 3)
+_PAIR_CAP = 2
+_SIZE_TOLERANCE = Fraction(1, 3)
+_DEGREE_FRACTION = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -62,24 +69,6 @@ class RoundOnePlan:
             raise ValueError(
                 f"need 0 <= d <= k-1 = {self.base.k - 1}, got {self.d}"
             )
-
-
-@dataclass(frozen=True)
-class CheckConfig:
-    """Tolerances for the five sample checks.
-
-    vertex_tolerance: relative band around rounds*p for per-vertex
-    coverage (check i).  pair_cap: maximum allowed pair coverage
-    (check ii).  size_tolerance: relative band around n*p for subset
-    sizes (check iv).  degree_fraction: required fraction of
-    C(|R|-d, k-d) for every d-set's induced degree (check v).  The checks
-    are decided exactly: a float field counts as the rational it holds.
-    """
-
-    vertex_tolerance: Fraction | float = Fraction(1, 3)
-    pair_cap: int = 2
-    size_tolerance: Fraction | float = Fraction(1, 3)
-    degree_fraction: Fraction | float = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -188,13 +177,12 @@ def _result(name: str, bad: list, detail: str, violations: int | None = None) ->
 
 
 def _check_band(
-    name: str, values, target: Fraction, tolerance: Fraction | float, what: str
+    name: str, values, target: Fraction, tolerance: Fraction, what: str
 ) -> CheckResult:
     """Checks (i) and (iv): every integer value within tolerance * target of target.
 
     The closed band is taken in rationals, so a value on its edge passes.
     """
-    tolerance = Fraction(tolerance)
     low = math.ceil((1 - tolerance) * target)
     high = math.floor((1 + tolerance) * target)
     bad = [(i, v) for i, v in enumerate(values) if not low <= v <= high]
@@ -249,15 +237,13 @@ def _inside(edges: np.ndarray, n: int, subset) -> np.ndarray:
     return members[edges]
 
 
-def _check_edges(
-    plan: RoundOnePlan, subsets, config: CheckConfig
-) -> tuple[CheckResult, CheckResult]:
+def _check_edges(plan: RoundOnePlan, subsets) -> tuple[CheckResult, CheckResult]:
     """Checks (iii) and (v), edge multiplicity and induced degrees.
 
     (iii): no base edge lies inside two sampled subsets.  (v): for a d-set
     D and a sampled subset R, the induced degree counts base edges f with
     D inside f and all other vertices of f inside R; every D must keep
-    degree_fraction * C(|R|-d, k-d) of them in every round.
+    1/2 of C(|R|-d, k-d) of them in every round.
 
     Per round one boolean "inside R" array is gathered through the (E, k)
     array of the base edges.  An edge with all k entries inside is a hit
@@ -274,7 +260,6 @@ def _check_edges(
         for at in itertools.combinations(range(k), d)
     ]
     size = math.comb(n, d)
-    fraction = Fraction(config.degree_fraction)
 
     hits = np.zeros(len(edges), dtype=np.intp)
     short_degrees = []
@@ -286,7 +271,7 @@ def _check_edges(
         for ranks, rest in choices:
             deg += np.bincount(ranks[inside[:, rest].all(axis=1)], minlength=size)
         # An integer degree falls short of the fraction iff it is below its ceiling.
-        need = math.ceil(fraction * math.comb(max(len(r) - d, 0), k - d))
+        need = math.ceil(_DEGREE_FRACTION * math.comb(max(len(r) - d, 0), k - d))
         short = np.flatnonzero(deg < need)
         violations += len(short)
         for j in short[: _WITNESS_CAP - len(short_degrees)]:
@@ -302,7 +287,7 @@ def _check_edges(
         _result(
             "induced_degrees",
             short_degrees,
-            f"each d-set keeps >= {float(fraction):g} of "
+            f"each d-set keeps >= {float(_DEGREE_FRACTION):g} of "
             f"C(|R|-d, k-d) induced degree in every round",
             violations,
         ),
@@ -336,31 +321,27 @@ def compute_round_matchings(outcome: RoundOneOutcome) -> RoundOneOutcome:
     )
 
 
-def sample_rounds(
-    plan: RoundOnePlan,
-    config: CheckConfig = CheckConfig(),
-    with_matchings: bool = False,
-) -> RoundOneOutcome:
+def sample_rounds(plan: RoundOnePlan, with_matchings: bool = False) -> RoundOneOutcome:
     """Sample the subsets and run the five checks; never raises on failure."""
     subsets = _sample_subsets(plan)
     n = plan.base.n
     coverage, pair_coverage = incidence(subsets, n)
-    over_cap = [(pair, c) for pair, c in pair_coverage.items() if c > config.pair_cap]
-    multiplicity, degrees = _check_edges(plan, subsets, config)
+    over_cap = [(pair, c) for pair, c in pair_coverage.items() if c > _PAIR_CAP]
+    multiplicity, degrees = _check_edges(plan, subsets)
     checks = (
         _check_band(
-            "vertex_coverage", coverage, plan.rounds * Fraction(plan.p), config.vertex_tolerance,
+            "vertex_coverage", coverage, plan.rounds * Fraction(plan.p), _VERTEX_TOLERANCE,
             "per-vertex coverage vs rounds*p",
         ),
         _result(
             "pair_coverage",
             heapq.nsmallest(_WITNESS_CAP, over_cap),
-            f"pair coverage capped at {config.pair_cap}",
+            f"pair coverage capped at {_PAIR_CAP}",
             len(over_cap),
         ),
         multiplicity,
         _check_band(
-            "subset_sizes", map(len, subsets), n * Fraction(plan.p), config.size_tolerance,
+            "subset_sizes", map(len, subsets), n * Fraction(plan.p), _SIZE_TOLERANCE,
             "subset sizes vs n*p",
         ),
         degrees,

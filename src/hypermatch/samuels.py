@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .hypercore import _draw_threshold
+from .hypercore import _draw_threshold, _over_lcm
 
 __all__ = [
     "SamuelsQuery",
@@ -108,14 +108,12 @@ class SamuelsQuery:
         ms = tuple(m if type(m) is Fraction else _exact(m) for m in mus)
         if not ms:
             raise ValueError("need at least one mean")
-        # Decided on integers: every denominator is positive.
-        ratios = [m.as_integer_ratio() for m in ms]
-        if any(a < 0 for a, _ in ratios):
+        # Decided on integers, over the positive common denominator.
+        scaled, common = _over_lcm(ms)
+        if any(a < 0 for a in scaled):
             raise ValueError("means must be nonnegative")
-        if any(a * q > c * p for (a, p), (c, q) in zip(ratios, ratios[1:])):
+        if any(a > b for a, b in zip(scaled, scaled[1:])):
             raise ValueError("means must be sorted nondecreasingly")
-        common = math.lcm(*[p for _, p in ratios])
-        scaled = tuple(a * (common // p) for a, p in ratios)
         total = sum(scaled)
         if total >= common:
             raise ValueError(f"means must sum below 1, got {Fraction(total, common)}")
@@ -123,7 +121,7 @@ class SamuelsQuery:
         # (L, a) with mu_i = a_i / L over the common denominator L, for the
         # q_t kernels; an attribute, not a field, so eq, repr and hash see
         # only the means.
-        object.__setattr__(self, "_scaled", (common, scaled))
+        object.__setattr__(self, "_scaled", (common, tuple(scaled)))
 
     @classmethod
     def uniform(cls, l: int, x: Fraction | int | str) -> "SamuelsQuery":

@@ -228,10 +228,9 @@ def sandwich(
     n: int,
     r: int,
     budget: int,
-    q: int | None = None,
     jobs: int = 1,
 ) -> SandwichReport:
-    """Bracket the grid optimum by thresholds at the budget and above it.
+    """Bracket the optimum on the 1/(2r) grid by thresholds at the budget and above it.
 
     ``jobs`` is accepted for compatibility and ignored.
     """
@@ -239,7 +238,7 @@ def sandwich(
         raise ValueError(f"sandwich needs budget >= 1, got {budget}")
     lower = brute_force_threshold(ThresholdQuery(r, n, 0, budget, "fractional")).value
     upper = brute_force_threshold(ThresholdQuery(r, n, 0, budget + 1, "fractional")).value
-    grid = optimize_grid(n, r, budget, q)
+    grid = optimize_grid(n, r, budget)
     return SandwichReport(
         n=n,
         r=r,

@@ -57,7 +57,6 @@ from hypermatch.extremal import (
 from hypermatch.hypercore import Hypergraph, incidence, min_d_degree, vertex_masks
 from hypermatch.randcons import (
     _WITNESS_CAP,
-    CheckConfig,
     CheckResult,
     RoundOneOutcome,
     RoundOnePlan,
@@ -356,15 +355,13 @@ def check_edge_multiplicity(plan: RoundOnePlan, subsets) -> CheckResult:
     )
 
 
-def check_induced_degrees(
-    plan: RoundOnePlan, subsets, config: CheckConfig
-) -> CheckResult:
-    """Check (v): every d-set keeps a fraction of its possible degree.
+def check_induced_degrees(plan: RoundOnePlan, subsets) -> CheckResult:
+    """Check (v): every d-set keeps half of its possible degree.
 
     For a d-set D and a sampled subset R, the induced degree counts base
     edges f with D inside f and all other vertices of f inside R; the
-    requirement is degree_fraction * C(|R|-d, k-d) of them, for every D
-    and every round.
+    requirement is 1/2 * C(|R|-d, k-d) of them, for every D and every
+    round.
     """
     k, d = plan.base.k, plan.d
     edge_bits = vertex_masks(plan.base.edges)
@@ -373,7 +370,7 @@ def check_induced_degrees(
 
     bad = []
     for i, (r, rmask) in enumerate(zip(subsets, vertex_masks(subsets))):
-        need = Fraction(config.degree_fraction) * math.comb(max(len(r) - d, 0), k - d)
+        need = Fraction(1, 2) * math.comb(max(len(r) - d, 0), k - d)
         deg = dict.fromkeys(dsets, 0)
         for e, em in zip(plan.base.edges, edge_bits):
             for s in itertools.combinations(e, d):
@@ -387,8 +384,7 @@ def check_induced_degrees(
         passed=not bad,
         violations=len(bad),
         witnesses=tuple(bad[:_WITNESS_CAP]),
-        detail=f"each d-set keeps >= {float(config.degree_fraction):g} of "
-        f"C(|R|-d, k-d) induced degree in every round",
+        detail="each d-set keeps >= 0.5 of C(|R|-d, k-d) induced degree in every round",
     )
 
 

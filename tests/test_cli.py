@@ -326,20 +326,18 @@ class TestRandcons:
         assert payload["num_distinct_edges"] >= 1
         assert "degree_histogram" in payload
 
-    def test_band_flags_are_exact_rationals(self, capsys, tmp_path):
+    def test_size_on_the_band_edge_passes(self, capsys, tmp_path):
         # n * p = 9 on 18 vertices: the subset of size 6 lies on the lower
-        # edge of the default band [6, 12], and 5/9 is the band [4, 14].
+        # edge of the band [6, 12], and only the size 14 falls out.
         base = tmp_path / "base.hg"
         write_hypergraph(Hypergraph.complete(2, 18), str(base))
-        argv = ("randcons", "--base", str(base), "--p", "0.5", "--rounds", "3", "--seed", "7")
-        for flags, witnesses in (((), [[1, 14]]), (("--size-tolerance", "5/9"), [])):
-            code, doc = run_json(capsys, *argv, *flags)
-            assert code == 0
-            (sizes,) = [c for c in doc["payload"]["checks"] if c["name"] == "subset_sizes"]
-            assert sizes["witnesses"] == witnesses
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--degree-fraction", "nan"])
-        assert exc.value.code == 2
+        code, doc = run_json(
+            capsys, "randcons", "--base", str(base), "--p", "0.5", "--rounds", "3", "--seed", "7"
+        )
+        assert code == 0
+        assert doc["payload"]["subset_sizes"] == [6, 14, 10]
+        (sizes,) = [c for c in doc["payload"]["checks"] if c["name"] == "subset_sizes"]
+        assert sizes["witnesses"] == [[1, 14]]
 
     def test_preset_exponents_flag(self, capsys, tmp_path):
         base = tmp_path / "base.hg"
@@ -376,11 +374,16 @@ class TestSelftest:
         ("reduce", "--weights", "X", "--k", "2", "--d", "0", "--jobs", "2"),
         ("samuels", "mc", "--shards", "2"),
         ("samuels", "scan", "--l", "2", "--tolerance", "1e-3"),
+        ("randcons", "--base", "X", "--vertex-tolerance", "1/2"),
+        ("randcons", "--base", "X", "--pair-cap", "3"),
+        ("randcons", "--base", "X", "--size-tolerance", "1/2"),
+        ("randcons", "--base", "X", "--degree-fraction", "1/3"),
     ],
 )
 def test_no_subcommand_takes_jobs(capsys, args):
-    # Nor does samuels take --shards or --tolerance: each removed flag,
-    # second to last, is a usage error named on stderr.
+    # Nor does samuels take --shards or --tolerance, nor randcons its check
+    # bands: each removed flag, second to last, is a usage error named on
+    # stderr.
     with pytest.raises(SystemExit) as info:
         main(list(args))
     assert info.value.code == 2
@@ -470,10 +473,7 @@ FLAGS = {  # command: (positional choices, required flags, optional flags)
         {"--base": st.just("input.hg")},
         {
             "--p": FLOAT, "--rounds": INT, "--d": INT, "--seed": INT,
-            "--paper-exponents": None, "--vertex-tolerance": st.one_of(RATIONAL, FLOAT),
-            "--pair-cap": INT, "--size-tolerance": st.one_of(RATIONAL, FLOAT),
-            "--degree-fraction": st.one_of(RATIONAL, FLOAT), "--build": None,
-            "--build-seed": INT, "--csv": None,
+            "--paper-exponents": None, "--build": None, "--build-seed": INT, "--csv": None,
         },
     ),
 }

@@ -14,7 +14,6 @@ import oracles
 from hypermatch import hypercore, randcons, thresholds
 from hypermatch.hypercore import Hypergraph
 from hypermatch.randcons import (
-    CheckConfig,
     RoundOnePlan,
     RoundOneOutcome,
     build_sparse_subgraph,
@@ -91,23 +90,43 @@ class TestExactBands:
         assert sizes.witnesses == ((1, 14),) and sizes.violations == 1
         assert sizes.detail == "subset sizes vs n*p = 9 (tolerance 0.333333)"
 
-    def test_a_float_counts_as_the_rational_it_holds(self):
-        # The float 0.6 lies just below 3/5, so its band around 5 * 1/2 is
-        # [1.0000000000000000555, 3.9999999999999999445]: 1 and 4 fall out.
-        subsets = [(0,), (0, 1, 2, 3)]
-        exact = randcons._check_band("s", map(len, subsets), Fraction(5, 2), Fraction(3, 5), "w")
-        floated = randcons._check_band("s", map(len, subsets), Fraction(5, 2), 0.6, "w")
-        assert exact.passed and exact.detail == floated.detail == "w = 2.5 (tolerance 0.6)"
-        assert floated.witnesses == ((0, 1), (1, 4))
+    def test_check_band_keeps_both_edges_at_one_third(self):
+        # Within 1/3 of 3 is the band [2, 4], and within 1/3 of 5/2 the band
+        # [5/3, 10/3]: its integers are 2 and 3.
+        for target, values, witnesses in (
+            (Fraction(3), (1, 2, 3, 4, 5), ((0, 1), (4, 5))),
+            (Fraction(5, 2), (1, 2, 3, 4), ((0, 1), (3, 4))),
+        ):
+            for tolerance in (randcons._VERTEX_TOLERANCE, randcons._SIZE_TOLERANCE):
+                band = randcons._check_band("s", values, target, tolerance, "w")
+                assert band.witnesses == witnesses and band.violations == 2
+                assert band.detail == f"w = {float(target):g} (tolerance 0.333333)"
 
     def test_induced_degree_on_the_required_fraction_passes(self):
-        # K_4^2 with d = 1 and R = all four vertices: each vertex keeps 3 of
-        # C(3, 1) = 3, so a fraction of exactly 1 passes and any more fails.
-        plan = RoundOnePlan(Hypergraph.complete(2, 4), 1, 1.0, 1)
-        subsets = randcons._sample_subsets(plan)
-        for fraction, violations in ((Fraction(1), 0), (Fraction(1) + Fraction(1, 10**30), 4)):
-            _, degrees = randcons._check_edges(plan, subsets, CheckConfig(degree_fraction=fraction))
-            assert degrees.violations == violations
+        # K_6^2 with d = 1 and R = all six vertices: a vertex needs
+        # ceil(C(5, 1) / 2) = 3 of its edges.  With (0, 1) and (0, 2) gone,
+        # vertex 0 keeps exactly 3 and passes; with (0, 3) gone too it keeps
+        # 2 and is the one violation.
+        for missing, witnesses in ((2, ()), (3, ((0, (0,), 2),))):
+            gone = [(0, v) for v in range(1, missing + 1)]
+            base = Hypergraph(
+                2, 6, [e for e in itertools.combinations(range(6), 2) if e not in gone]
+            )
+            plan = RoundOnePlan(base, 1, 1.0, 1)
+            subsets = randcons._sample_subsets(plan)
+            assert subsets == (tuple(range(6)),)
+            _, degrees = randcons._check_edges(plan, subsets)
+            assert degrees.witnesses == witnesses
+            assert degrees == oracles.check_induced_degrees(plan, subsets)
+
+    def test_subset_sizes_caps_its_witnesses_at_ten(self):
+        # n * p = 1 on two vertices: the band is [1, 1], and 12 of these 30
+        # rounds draw 0 or 2 vertices.
+        outcome = sample_rounds(RoundOnePlan(Hypergraph.complete(2, 2), 30, 0.5, 1))
+        bad = [(i, len(r)) for i, r in enumerate(outcome.subsets) if len(r) != 1]
+        sizes = outcome.check("subset_sizes")
+        assert sizes.violations == len(bad) == 12
+        assert sizes.witnesses == tuple(bad[:10])
 
 
 def random_plan(rng: random.Random, k: int, d: int, seed: int) -> RoundOnePlan:
@@ -129,12 +148,11 @@ class TestRoundOneAuditsMatchOracles:
         passed = {True: 0, False: 0}
         for trial in range(40):
             plan = random_plan(rng, k, d, seed=trial)
-            config = CheckConfig(degree_fraction=rng.choice((0.0, 0.2, 0.5, 1.0)))
             subsets = randcons._sample_subsets(plan)
-            multiplicity, degrees = randcons._check_edges(plan, subsets, config)
+            multiplicity, degrees = randcons._check_edges(plan, subsets)
             # Equal reprs: the same types too, ints rather than numpy scalars.
             assert repr(multiplicity) == repr(oracles.check_edge_multiplicity(plan, subsets))
-            assert repr(degrees) == repr(oracles.check_induced_degrees(plan, subsets, config))
+            assert repr(degrees) == repr(oracles.check_induced_degrees(plan, subsets))
             passed[multiplicity.passed] += 1
             passed[degrees.passed] += 1
         assert passed[True] and passed[False]
@@ -142,16 +160,14 @@ class TestRoundOneAuditsMatchOracles:
     def test_criterion_9_plan(self):
         # Four rounds at rate 1/2 on K_60^3: 2974 edges lie in two rounds.  A
         # vertex keeps C(|R|-1, 2) induced edges if it is in R and C(|R|, 2)
-        # if not, so asking for 1.05 times C(|R|-1, 2) fails the members.
+        # if not, so every vertex keeps more than half.
         plan = RoundOnePlan(Hypergraph.complete(3, 60), 4, 0.5, 1, seed=7)
         subsets = randcons._sample_subsets(plan)
-        for fraction, violations in ((1.0, 0), (1.05, sum(map(len, subsets)))):
-            config = CheckConfig(degree_fraction=fraction)
-            multiplicity, degrees = randcons._check_edges(plan, subsets, config)
-            assert multiplicity.violations == 2974
-            assert multiplicity == oracles.check_edge_multiplicity(plan, subsets)
-            assert degrees.violations == violations
-            assert degrees == oracles.check_induced_degrees(plan, subsets, config)
+        multiplicity, degrees = randcons._check_edges(plan, subsets)
+        assert multiplicity.violations == 2974
+        assert multiplicity == oracles.check_edge_multiplicity(plan, subsets)
+        assert degrees.passed
+        assert degrees == oracles.check_induced_degrees(plan, subsets)
 
     def test_lex_ranks_number_the_dsets_in_order(self):
         # (70, 68): C(70, 35) overflows int64, C(70, 68) does not.
@@ -164,7 +180,7 @@ class TestRoundOneAuditsMatchOracles:
 
 
 def digest_plans():
-    """120 seeded plans and configs: k 2-4, n <= 14, 0-12 rounds, every d."""
+    """120 seeded plans: k 2-4, n <= 14, 0-12 rounds, every d."""
     rng = random.Random(2024)
     for trial in range(120):
         k = rng.randint(2, 4)
@@ -178,36 +194,30 @@ def digest_plans():
             rng.randint(0, k - 1),
             seed=trial,
         )
-        config = CheckConfig(
-            vertex_tolerance=rng.choice((0.2, 1 / 3, 0.6)),
-            pair_cap=rng.choice((1, 2, 4)),
-            size_tolerance=rng.choice((0.2, 1 / 3, 0.6)),
-            degree_fraction=rng.choice((0.0, 0.2, 0.5, 1.0)),
-        )
-        yield plan, config
+        # Four draws once chose check bands; they stay so the plans do.
+        for choices in ((0.2, 1 / 3, 0.6), (1, 2, 4), (0.2, 1 / 3, 0.6), (0.0, 0.2, 0.5, 1.0)):
+            rng.choice(choices)
+        yield plan
 
 
 def test_outcomes_match_pinned_digest():
     # Pins subsets, every check (witnesses and details included), the round
     # matchings and the skipped rounds.  Each of the five checks both passes
-    # and fails on these plans, and each has more violations than witnesses on
-    # some of them.  Re-recorded when the checks became exact: the float
-    # tolerances 1/3 and 0.6 lie just below 1/3 and 3/5 and the float 0.2
-    # just above 1/5, so 11 plans whose values sat on a band edge or on a
-    # degree requirement now count them as violations.
+    # and fails on these plans, and each but subset_sizes, which sees at most
+    # nine bad rounds, has more violations than witnesses on some of them.
     digest = hashlib.sha256()
     passed, capped = {}, set()
-    for plan, config in digest_plans():
-        outcome = sample_rounds(plan, config, with_matchings=True)
+    for plan in digest_plans():
+        outcome = sample_rounds(plan, with_matchings=True)
         for c in outcome.checks:
             passed.setdefault(c.name, set()).add(c.passed)
             if c.violations > len(c.witnesses):
                 capped.add(c.name)
         digest.update(repr(outcome).encode())
-    assert len(passed) == len(capped) == 5
+    assert len(passed) == 5 and capped == set(passed) - {"subset_sizes"}
     assert all(seen == {True, False} for seen in passed.values())
     assert digest.hexdigest() == (
-        "a819e35e3628081e23972f4b82ac51ccb134a79de7f2c420c0e5b2085ef58944"
+        "78319ea8ad5618787fbf084667324a09c65d6bff2c32e8271bc156f9e11aa6c3"
     )
 
 
@@ -471,7 +481,7 @@ class TestCanonicalSubHypergraphs:
     def test_induced_and_kept_edges_equal_validated_hypergraphs(self):
         # Round matchings are solved on induced hypergraphs, and builds
         # return the kept edges, both made without re-validation.
-        for plan, _ in itertools.islice(digest_plans(), 40):
+        for plan in itertools.islice(digest_plans(), 40):
             k, n = plan.base.k, plan.base.n
             outcome = sample_rounds(plan, with_matchings=True)
             for r, matching in zip(outcome.subsets, outcome.matchings):
@@ -504,7 +514,7 @@ def test_searches_and_round_lps_start_no_process(monkeypatch):
     thresholds._memo.clear()
     assert brute_force_threshold(ThresholdQuery(1, 22, 0, 11, "fractional"), jobs=2).value == 11
     assert optimize_grid(5, 2, 2, q=4, jobs=3).phi == 7
-    assert sandwich(5, 2, 2, q=4, jobs=3).holds
+    assert sandwich(5, 2, 2, jobs=3).holds
     plan = RoundOnePlan(Hypergraph.complete(3, 9), 4, 0.7, 1, seed=5)
     solved = sample_rounds(plan, with_matchings=True)
     assert len(solved.matchings) == 4

@@ -166,14 +166,14 @@ class TestGridAgainstOracle:
 
 class TestSandwich:
     def test_tiny_instance_holds(self):
-        report = sandwich(4, 2, 1, q=4)
+        report = sandwich(4, 2, 1)
         assert report.holds
         assert report.lower <= report.grid.phi <= report.upper
         assert (report.lower, report.grid.phi, report.upper) == (1, 3, 4)
 
     def test_bigger_budget(self):
-        report = sandwich(5, 2, 2, q=4)
-        assert report.holds
+        report = sandwich(5, 2, 2)
+        assert report.holds and report.grid == optimize_grid(5, 2, 2, q=4)
         assert (report.lower, report.grid.phi, report.upper) == (5, 7, 11)
 
     def test_budget_validation(self):
