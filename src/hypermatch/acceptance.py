@@ -36,11 +36,10 @@ from .samuels import (
     TwoPointFamily,
     _small_count,
     boundary_scan,
-    edge_count_bound,
     q_min,
     q_t,
 )
-from .storage import candidate_allocations, optimize_grid, sandwich
+from .storage import Allocation, candidate_allocations, optimize_grid, phi, sandwich
 from .thresholds import ThresholdQuery, brute_force_threshold, compare_with_conjecture
 
 __all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
@@ -203,13 +202,12 @@ def _criterion_7() -> tuple[bool, str]:
         )
         w = VertexWeighting(weights)
         h = threshold_hypergraph(w, l)
-        below, at_least = edge_count_bound(weights, l)
-        if h.num_edges != at_least or below + at_least != math.comb(m, l):
+        if h.num_edges != phi(Allocation(w, l, math.ceil(w.total()))).phi:
             return False, f"edge count mismatch at m={m}, l={l}"
         value, _, _ = fractional_matching(h)
         if value > w.total():
             return False, f"fractional value {value} exceeds total weight {w.total()}"
-    return True, "100 weightings: |H_w| = C(m,l) - N and nu*(H_w) <= total weight"
+    return True, "100 weightings: |H_w| = phi(w) and nu*(H_w) <= total weight"
 
 
 _MC_CASES = (

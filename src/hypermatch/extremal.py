@@ -40,13 +40,15 @@ class ConstructionInfeasibleError(ValueError):
 
 
 def construct_h0(k: int, n: int) -> Hypergraph:
-    """The parity obstruction on a near-balanced split, when one exists.
+    """The parity obstruction on a near-balanced split.
 
     Requires k | n.  The first class is A = {0..a-1} where a is chosen with
     |a - (n - a)| <= 2 and parity(a) != parity(n/k); ties prefer the a
-    closest to n/2 and then the smaller a.  Edges are exactly the k-sets
-    with an odd intersection with A.  Any perfect matching would need n/k
-    odd numbers summing to |A|, which the parity choice forbids.
+    closest to n/2 and then the smaller a.  Such an a always exists:
+    floor(n/2) and floor(n/2) + 1 both qualify on size and differ in
+    parity.  Edges are exactly the k-sets with an odd intersection with A.
+    Any perfect matching would need n/k odd numbers summing to |A|, which
+    the parity choice forbids.
     """
     if k < 1 or n < k:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -58,10 +60,6 @@ def construct_h0(k: int, n: int) -> Hypergraph:
         for a in range(n + 1)
         if abs(2 * a - n) <= 2 and a % 2 == target_parity
     ]
-    if not candidates:
-        raise ConstructionInfeasibleError(
-            f"no class size near n/2 has parity != parity(n/k) for k={k}, n={n}"
-        )
     a = min(candidates, key=lambda c: (abs(2 * c - n), c))
     a_set = frozenset(range(a))
     edges = tuple(

@@ -37,12 +37,11 @@ rational.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -56,7 +55,6 @@ __all__ = [
     "boundary_scan",
     "boundary_profile",
     "monte_carlo_small_sum",
-    "edge_count_bound",
 ]
 
 # Rows of uniforms a Monte Carlo run draws at a time (fewer when a call is
@@ -383,24 +381,3 @@ def _small_count(family: TwoPointFamily, samples: int, seed: int) -> int:
         if exc is not None:
             raise exc
     return sum(counts)
-
-
-def edge_count_bound(
-    weights: Sequence[Fraction], l: int
-) -> tuple[int, int]:
-    """(N, binom(n, l) - N) where N counts l-subsets of total weight < 1.
-
-    The second component is the edge count of the weight-threshold
-    hypergraph, hence an upper bound for any hypergraph whose fractional
-    cover the weights form.
-    """
-    ws = [Fraction(w) for w in weights]
-    n = len(ws)
-    if not 1 <= l <= n:
-        raise ValueError(f"need 1 <= l <= n={n}, got l={l}")
-    small = sum(
-        1
-        for combo in itertools.combinations(ws, l)
-        if sum(combo, Fraction(0)) < 1
-    )
-    return small, math.comb(n, l) - small

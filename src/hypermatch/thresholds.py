@@ -30,7 +30,14 @@ from fractions import Fraction
 import numpy as np
 
 from .extremal import conjecture_values, construct_h0
-from .hypercore import Hypergraph, VertexWeighting, link, min_d_degree, threshold_hypergraph
+from .hypercore import (
+    Hypergraph,
+    VertexWeighting,
+    link,
+    min_d_degree,
+    threshold_hypergraph,
+    vertex_masks,
+)
 from .optmatch import fractional_matching, matching_number
 from .simplex import solve_unit_packing
 
@@ -128,34 +135,31 @@ class ThresholdResult:
     lp_calls: int
 
 
-def _edge_universe(k: int, n: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(n), k))
+def _scan_masks(
+    edges: tuple[tuple[int, ...], ...], n: int, d: int
+) -> tuple[list[int], list[int]]:
+    """Each edge's mask of the edges disjoint from it, and each d-set's edge mask.
 
-
-def _dset_edge_masks(edges: list[tuple[int, ...]], n: int, d: int) -> list[int]:
-    if d == 0:
-        return [(1 << len(edges)) - 1]
-    masks = []
-    for s in itertools.combinations(range(n), d):
-        ss = frozenset(s)
+    Bit j of a mask stands for edges[j].  On vertex masks two edges are
+    disjoint iff a & b == 0, and a d-set S lies in edge e iff e & S == S; at
+    d = 0 the one d-set is empty, so its mask holds every edge.
+    """
+    vertex_sets = vertex_masks(edges)
+    disj = []
+    for a in vertex_sets:
         m = 0
-        for i, e in enumerate(edges):
-            if ss <= frozenset(e):
-                m |= 1 << i
-        masks.append(m)
-    return masks
-
-
-def _disjointness_masks(edges: list[tuple[int, ...]]) -> list[int]:
-    sets = [frozenset(e) for e in edges]
-    out = []
-    for i, a in enumerate(sets):
-        m = 0
-        for j, b in enumerate(sets):
-            if a.isdisjoint(b):
+        for j, b in enumerate(vertex_sets):
+            if a & b == 0:
                 m |= 1 << j
-        out.append(m)
-    return out
+        disj.append(m)
+    dset_masks = []
+    for ds in vertex_masks(itertools.combinations(range(n), d)):
+        m = 0
+        for j, e in enumerate(vertex_sets):
+            if e & ds == ds:
+                m |= 1 << j
+        dset_masks.append(m)
+    return disj, dset_masks
 
 
 # Each window of 2^_LOW_BITS masks is one fixed high part joined with every
@@ -232,16 +236,16 @@ def _scan_range(
     LPs run one by one in mask order, so the LP count is that of a
     mask-by-mask walk of the range.
     """
-    edges = _edge_universe(k, n)
+    edges = Hypergraph.complete(k, n).edges
     low = min(_LOW_BITS, len(edges))
     width = 1 << low
     low_mask = width - 1
-    disj = _disjointness_masks(edges)
+    disj, dset_masks = _scan_masks(edges, n, d)
     nu = _low_matching_numbers([m & low_mask for m in disj[:low]], low)
     # d-sets sharing their low edges share a table; the high parts of a
     # group matter only through their least count.
     groups: dict[int, list[int]] = {}
-    for sm in _dset_edge_masks(edges, n, d):
+    for sm in dset_masks:
         groups.setdefault(sm & low_mask, []).append(sm >> low)
     patterns = list(groups)
     highs = list(groups.values())
@@ -359,7 +363,7 @@ def brute_force_threshold(query: ThresholdQuery, jobs: int = 1) -> ThresholdResu
     )
     if best < 0 or best_mask < 0:
         raise AssertionError("the empty edge set always qualifies")
-    edges = _edge_universe(query.k, query.n)
+    edges = Hypergraph.complete(query.k, query.n).edges
     witness = Hypergraph(
         query.k,
         query.n,
@@ -405,10 +409,7 @@ def _construction_bounds(
     if 1 <= s_ceil <= n // k + 1:
         int_bounds["h1"] = frac_bounds["h1"] = _h1_min_degree(k, n, d, s_ceil - 1) + 1
     if n % k == 0 and s == n // k:
-        try:
-            int_bounds["h0"] = min_d_degree(construct_h0(k, n), d) + 1
-        except ValueError:
-            pass
+        int_bounds["h0"] = min_d_degree(construct_h0(k, n), d) + 1
     if k * s_ceil - 1 <= n:
         int_bounds["clique"] = _clique_min_degree(k, n, d, k * s_ceil - 1) + 1
     frac_clique_span = math.ceil(k * s) - 1

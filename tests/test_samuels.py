@@ -20,7 +20,6 @@ from hypermatch.samuels import (
     TwoPointFamily,
     boundary_profile,
     boundary_scan,
-    edge_count_bound,
     monte_carlo_small_sum,
     q_min,
     q_t,
@@ -491,36 +490,3 @@ class TestMonteCarloRuns:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert samuels._usable_cpus() == 1
 
-
-class TestEdgeCountBound:
-    def test_pinned_example(self):
-        weights = (
-            Fraction(1, 2),
-            Fraction(1, 2),
-            Fraction(1, 2),
-            Fraction(1, 5),
-        )
-        assert edge_count_bound(weights, 2) == (3, 3)
-
-    @given(
-        st.lists(
-            st.fractions(min_value=0, max_value=1, max_denominator=10),
-            min_size=2,
-            max_size=8,
-        ),
-        st.integers(min_value=2, max_value=3),
-    )
-    @settings(max_examples=60)
-    def test_partition_property(self, weights, l):
-        if len(weights) < l:
-            weights = weights + [Fraction(0)] * (l - len(weights))
-        below, at_least = edge_count_bound(tuple(weights), l)
-        assert below + at_least == math.comb(len(weights), l)
-        import itertools
-
-        brute_below = sum(
-            1
-            for e in itertools.combinations(weights, l)
-            if sum(e) < 1
-        )
-        assert below == brute_below

@@ -1,9 +1,11 @@
 """Allocation counting, closed-form candidates, and grid optimisation."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermatch import storage
 from hypermatch.hypercore import VertexWeighting, threshold_hypergraph
@@ -56,6 +58,41 @@ class TestAllocation:
         h = threshold_hypergraph(x, 2)
         value, _, _ = fractional_matching(h)
         assert value <= a.x.total() <= a.budget
+
+
+class TestThresholdCount:
+    """|H_w| = phi(w): the threshold hypergraph of w and an allocation of w
+    count the same l-sets, each by its own loop."""
+
+    @staticmethod
+    def counts(weights, l):
+        w = VertexWeighting(weights)
+        edges = threshold_hypergraph(w, l).num_edges
+        return edges, phi(Allocation(w, l, math.ceil(w.total()))).phi
+
+    def test_pinned_example(self):
+        half = Fraction(1, 2)
+        assert self.counts((half, half, half, Fraction(1, 5)), 2) == (3, 3)
+
+    def test_sets_summing_to_exactly_one_count(self):
+        third = Fraction(1, 3)
+        assert self.counts((third, third, third, Fraction(1, 6)), 3) == (1, 1)
+        assert self.counts((Fraction(2, 5), Fraction(3, 5), Fraction(1, 5), 0), 2) == (1, 1)
+
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=10),
+            min_size=2,
+            max_size=8,
+        ),
+        st.integers(min_value=2, max_value=3),
+    )
+    @settings(max_examples=60)
+    def test_identity_on_random_weights(self, weights, l):
+        if len(weights) < l:
+            weights = weights + [Fraction(0)] * (l - len(weights))
+        brute = sum(1 for e in itertools.combinations(weights, l) if sum(e) >= 1)
+        assert self.counts(tuple(weights), l) == (brute, brute)
 
 
 class TestCandidates:

@@ -1,6 +1,7 @@
 """Exhaustive threshold search, reductions, and formula comparisons."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -277,6 +278,25 @@ class TestScanAgainstOracle:
         s = Fraction(s)
         expected = oracles.scan_range(1, 14, 0, mode, s, 0, 1 << 14)
         assert thresholds._scan_range(1, 14, 0, mode, s, 0, 1 << 14) == expected
+
+
+def test_scan_masks_follow_the_set_definitions():
+    # Bit j stands for edge j: an edge's mask holds the edges disjoint from
+    # it, a d-set's the edges containing it (all of them for the empty set).
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            edges = list(itertools.combinations(range(n), k))
+            sets = [frozenset(e) for e in edges]
+            disj = [
+                sum(1 << j for j, b in enumerate(sets) if a.isdisjoint(b)) for a in sets
+            ]
+            for d in range(k + 1):
+                contained = [
+                    sum(1 << j for j, e in enumerate(sets) if frozenset(ds) <= e)
+                    for ds in itertools.combinations(range(n), d)
+                ]
+                got = thresholds._scan_masks(tuple(edges), n, d)
+                assert got == (disj, contained), (k, n, d)
 
 
 # (k, n, d, mode, s, start, stop) -> (delta, witness mask, LP calls),
