@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Sequence
 
-from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, vertex_masks
+from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, incidence, vertex_masks
 from .simplex import PackingResult, solve_unit_packing
 
 __all__ = [
@@ -238,10 +238,7 @@ def _check_lp_pair(h: Hypergraph, result: PackingResult) -> None:
         raise AssertionError("certificate weight outside [0, 1]")
     if sum(xs) != z or sum(ys) != z:
         raise AssertionError("certificate totals disagree with the LP value")
-    loads = [0] * h.n
-    for e, x in zip(compress(h.edges, xs), filter(None, xs)):
-        for v in e:
-            loads[v] += x
+    loads, _ = incidence(compress(h.edges, xs), h.n, filter(None, xs), pairs=False)
     for v, load in enumerate(loads):
         if load > denom:
             raise AssertionError(f"vertex {v} carries load {Fraction(load, denom)} > 1")

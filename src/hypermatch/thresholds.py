@@ -503,7 +503,9 @@ class FractionalReduction:
 def reduce_fractional_instance(
     w: VertexWeighting, k: int, d: int
 ) -> FractionalReduction:
-    """Average the d lightest weights, remap, and restrict to the link."""
+    """Average the d lightest weights, remap, and restrict to the link.
+
+    ``linear_remap`` refuses a mean that reaches 1/k: it is the averaged minimum."""
     n = len(w)
     if not 1 <= d <= k - 1:
         raise ValueError(f"need 1 <= d <= k-1, got d={d}")
@@ -515,10 +517,6 @@ def reduce_fractional_instance(
     averaged = VertexWeighting(
         tuple(mean if v in l_set else w[v] for v in range(n))
     )
-    if k * mean >= 1:
-        raise ReductionInfeasibleError(
-            f"averaged floor {mean} reaches 1/k for k={k}"
-        )
     w_prime = linear_remap(averaged, k)
     hypergraph = threshold_hypergraph(w_prime, k)
     link_graph = link(hypergraph, l_set)

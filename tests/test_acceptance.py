@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypermatch import acceptance
+from hypermatch import acceptance, optmatch
 
 
 def report(result):
@@ -66,6 +66,35 @@ def test_criterion_09_randomized_construction():
 
 def test_criterion_10_storage_grid_sandwich():
     run(10)
+
+
+def test_criteria_names_and_runtime_limits_are_pinned():
+    # The runtime gates are never loosened, and the CLI numbers criteria by
+    # their position in this table.
+    assert [(name, limit) for name, limit, _ in acceptance.CRITERIA] == [
+        ("duality_chain", 60.0),
+        ("boundary_windows", 5.0),
+        ("argmin_at_zero", 5.0),
+        ("exhaustive_thresholds", 600.0),
+        ("inequality_web", None),
+        ("construction_invariants", None),
+        ("threshold_hypergraph_bridge", None),
+        ("monte_carlo_closed_form", 10.0),
+        ("randomized_construction", 300.0),
+        ("storage_grid_sandwich", 120.0),
+    ]
+    assert all(callable(check) for _, _, check in acceptance.CRITERIA)
+
+
+def test_failed_certificate_check_is_a_failed_criterion(monkeypatch):
+    def refuse(h, matching, cover):
+        raise AssertionError("matching certificate edges intersect")
+
+    monkeypatch.setattr(optmatch, "_verify_integral", refuse)
+    result = acceptance.run_criterion(1)
+    assert not result.passed
+    assert result.detail == "certificate check failed: matching certificate edges intersect"
+    assert (result.number, result.name, result.runtime_limit) == (1, "duality_chain", 60.0)
 
 
 def test_criterion_09_sigma_tests_are_exact_at_the_boundary():

@@ -268,6 +268,15 @@ class TestReduce:
         assert payload["link"]["edges"] == [[1, 2]]
         assert payload["link_cover"] == ["1/7", "3/7", "4/7"]
 
+    def test_floor_at_one_over_k_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "w.wt"
+        write_weighting(VertexWeighting((Fraction(1, 2),) * 4), str(path))
+        code, doc = run_json(
+            capsys, "reduce", "--weights", str(path), "--k", "3", "--d", "1"
+        )
+        assert code == 1
+        assert doc["error"] == "weight floor 1/2 reaches 1/k for k=3; remap undefined"
+
 
 class TestStorage:
     def test_phi_of_an_allocation_file(self, capsys, tmp_path):
@@ -358,6 +367,19 @@ class TestSelftest:
         assert any("boundary_windows" in line and "PASS" in line for line in lines)
         assert any("argmin_at_zero" in line and "PASS" in line for line in lines)
         assert lines[-1].strip() == "2/2 criteria passed"
+
+    def test_failed_certificate_check_is_a_fail_line(self, capsys, monkeypatch):
+        def refuse(h, matching, cover):
+            raise AssertionError("cover certificate misses edge (0, 1)")
+
+        monkeypatch.setattr(hypermatch.optmatch, "_verify_integral", refuse)
+        code, out = run(capsys, "selftest", "--criteria", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert "duality_chain" in lines[0] and "FAIL" in lines[0]
+        assert lines[0].endswith("certificate check failed: cover certificate misses edge (0, 1)")
+        assert lines[-1].strip() == "0/1 criteria passed"
 
 
 @pytest.mark.parametrize(

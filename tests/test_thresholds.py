@@ -370,11 +370,19 @@ class TestLinearRemap:
             assert sum(red.link_cover[v] for v in edge) >= 1
 
     def test_infeasible_floor(self):
+        # The mean of the d lightest weights is the averaged minimum, so the
+        # reduction refuses through linear_remap with the same message.
         heavy = VertexWeighting((Fraction(1, 2),) * 4)
-        with pytest.raises(ReductionInfeasibleError):
+        message = "weight floor 1/2 reaches 1/k for k=3; remap undefined"
+        with pytest.raises(ReductionInfeasibleError, match=message):
             reduce_fractional_instance(heavy, 3, 1)
-        with pytest.raises(ReductionInfeasibleError):
+        with pytest.raises(ReductionInfeasibleError, match=message):
             linear_remap(heavy, 3)
+        # Two light vertices averaging exactly 1/3 reach 1/k as well.
+        with pytest.raises(ReductionInfeasibleError, match="weight floor 1/3 reaches"):
+            reduce_fractional_instance(
+                VertexWeighting((Fraction(1, 6), Fraction(1, 2), Fraction(1, 2))), 3, 2
+            )
 
     def test_remap_caps_at_one(self):
         w = VertexWeighting((Fraction(0), Fraction(9, 10)))
