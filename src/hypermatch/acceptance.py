@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .extremal import construct_h0, construct_h1, conjecture_values
+from .extremal import _h1_min_degree, construct_h0, construct_h1, conjecture_values
 from .hypercore import (
     Hypergraph,
     VertexWeighting,
@@ -44,7 +44,6 @@ from .samuels import (
 from .storage import Allocation, candidate_allocations, optimize_grid, phi, sandwich
 from .thresholds import (
     ThresholdQuery,
-    _h1_min_degree,
     brute_force_threshold,
     compare_with_conjecture,
 )
@@ -119,8 +118,8 @@ def _criterion_4() -> tuple[bool, str]:
     pinned = (  # (mode, k, n, d, s, expected, closed form)
         ("integral", 3, 6, 0, 2, 11, conjecture_values("Conj1.8", k=3, n=6, s=2).count),
         ("fractional", 3, 6, 2, 2, 2, conjecture_values("f_{k-1}-exact", k=3, n=6).count),
-        ("integral", 2, 4, 1, 2, 2, 4 // 2),
-        ("integral", 2, 6, 1, 3, 3, 6 // 2),
+        ("integral", 2, 4, 1, 2, 2, conjecture_values("f_{k-1}-exact", k=2, n=4).count),
+        ("integral", 2, 6, 1, 3, 3, conjecture_values("f_{k-1}-exact", k=2, n=6).count),
     )
     ok = True
     parts = []

@@ -147,7 +147,7 @@ def _cmd_construct(args) -> None:
         h = construct_clique_plus_isolated(args.k, args.n, args.s)
     out = args.out
     if out is None:
-        suffix = "" if args.s is None else f"_s{args.s}"
+        suffix = "" if args.family == "h0" else f"_s{args.s}"
         out = f"{args.family}_k{args.k}_n{args.n}{suffix}.hg"
     write_hypergraph(h, out)
     _emit(args, "construct", {"family": args.family, "file": out, "hypergraph": h})

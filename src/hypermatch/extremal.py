@@ -11,8 +11,9 @@ Three families recur in everything downstream:
 * a clique obstruction (``construct_clique_plus_isolated``): a complete
   k-graph on ks-1 vertices padded with isolated vertices.
 
-``conjecture_values`` evaluates the closed-form threshold predictions that
-these families support, keyed by short context labels.
+The cover and clique families' min d-degrees have one closed form each,
+read by ``conjecture_values`` (the threshold predictions these families
+support, keyed by short context labels) and by ``thresholds`` and ``storage``.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ def construct_h0(k: int, n: int) -> Hypergraph:
     Any perfect matching would need n/k odd numbers summing to |A|, which
     the parity choice forbids.
     """
-    if k < 1 or n < k:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    universe = Hypergraph.complete(k, n).edges
     if n % k != 0:
         raise ConstructionInfeasibleError(f"k={k} must divide n={n}")
     target_parity = 1 - (n // k) % 2
@@ -62,25 +62,29 @@ def construct_h0(k: int, n: int) -> Hypergraph:
     ]
     a = min(candidates, key=lambda c: (abs(2 * c - n), c))
     a_set = frozenset(range(a))
-    edges = tuple(
-        e
-        for e in itertools.combinations(range(n), k)
-        if len(a_set.intersection(e)) % 2 == 1
-    )
+    edges = tuple(e for e in universe if len(a_set.intersection(e)) % 2 == 1)
     return Hypergraph._canonical(k, n, edges)
 
 
 def construct_h1(k: int, n: int, s: int) -> Hypergraph:
     """Every k-set meeting the fixed core {0..s-2}; no s disjoint edges fit."""
-    if k < 1 or n < k:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    universe = Hypergraph.complete(k, n).edges
     if not 1 <= s <= n // k + 1:
         raise ConstructionInfeasibleError(f"need 1 <= s <= n/k + 1, got s={s}")
     core = frozenset(range(s - 1))
-    edges = tuple(
-        e for e in itertools.combinations(range(n), k) if core.intersection(e)
-    )
+    edges = tuple(e for e in universe if core.intersection(e))
     return Hypergraph._canonical(k, n, edges)
+
+
+def _h1_min_degree(k: int, n: int, d: int, core: int) -> int:
+    """Min d-degree of ``construct_h1``: the k-sets meeting a ``core``-set.
+
+    A d-set meeting the core lies in all C(n-d, k-d) k-sets through it; one
+    avoiding the core misses the C(n-d-core, k-d) of them that avoid the
+    core too.  When every d-set meets the core, n-d-core < 0 and the clamp
+    to C(0, k-d) = 0 (d < k) subtracts nothing.
+    """
+    return math.comb(n - d, k - d) - math.comb(max(n - d - core, 0), k - d)
 
 
 def construct_clique_plus_isolated(k: int, n: int, s: int) -> Hypergraph:
@@ -98,6 +102,19 @@ def construct_clique_plus_isolated(k: int, n: int, s: int) -> Hypergraph:
     # An in-order filter of the k-subsets of 0..n-1: those inside 0..ks-2.
     edges = tuple(itertools.combinations(range(k * s - 1), k))
     return Hypergraph._canonical(k, n, edges)
+
+
+def _clique_min_degree(k: int, n: int, d: int, span: int) -> int:
+    """Min d-degree of the complete k-graph on 0..span-1 padded to n vertices.
+
+    For d >= 1 a d-set through an isolated vertex has degree 0, and with
+    none isolated every d-set has degree C(n-d, k-d).
+    """
+    if d == 0:
+        return math.comb(span, k)
+    if span < n:
+        return 0
+    return math.comb(n - d, k - d)
 
 
 @dataclass(frozen=True)
@@ -123,23 +140,21 @@ class ConjectureValue:
             raise AssertionError(f"count {self.count} negative")
 
 
-def _survival_coefficient(k: int, d: int) -> Fraction:
-    # Probability mass a random k-set leaves behind: 1 - ((k-1)/k)^(k-d).
-    return 1 - Fraction(k - 1, k) ** (k - d)
-
-
 _COR17_PAIRS = {(4, 1), (5, 1), (5, 2), (6, 2), (7, 3)}
 
-CONTEXTS = (
-    "Eq3",
-    "Eq4",
-    "Conj1.2",
-    "Conj1.5",
-    "Conj1.8",
-    "Conj1.9",
-    "Cor1.7",
-    "f_{k-1}-exact",
-)
+# The parameters each context reads, in the order a missing one is named.
+_PARAMETERS = {
+    "Eq3": ("k", "d"),
+    "Eq4": ("k", "d"),
+    "Conj1.2": ("k", "d"),
+    "Conj1.5": ("k", "d"),
+    "Conj1.8": ("k", "n", "s"),
+    "Conj1.9": ("l", "m", "s"),
+    "Cor1.7": ("k", "d"),
+    "f_{k-1}-exact": ("k", "n"),
+}
+
+CONTEXTS = tuple(_PARAMETERS)
 
 
 def conjecture_values(
@@ -160,62 +175,50 @@ def conjecture_values(
     are exact extremal counts plus one; "f_{k-1}-exact" (k, n) is the known
     codegree threshold ceil(n/k).
     """
-    if context in ("Eq3", "Conj1.2", "Cor1.7"):
-        _need(context, k=k, d=d)
-        assert k is not None and d is not None
-        if not 1 <= d <= k - 1:
-            raise ValueError(f"need 1 <= d <= k-1, got k={k}, d={d}")
-        if context == "Cor1.7" and (k, d) not in _COR17_PAIRS:
-            raise ValueError(
-                f"Cor1.7 is established only at {sorted(_COR17_PAIRS)}, got {(k, d)}"
-            )
-        coeff = max(Fraction(1, 2), _survival_coefficient(k, d))
-        return ConjectureValue(context, {"k": k, "d": d}, coefficient=coeff)
-
-    if context in ("Eq4", "Conj1.5"):
-        _need(context, k=k, d=d)
-        assert k is not None and d is not None
-        if not 1 <= d <= k - 1:
-            raise ValueError(f"need 1 <= d <= k-1, got k={k}, d={d}")
-        return ConjectureValue(
-            context, {"k": k, "d": d}, coefficient=_survival_coefficient(k, d)
-        )
-
-    if context == "Conj1.8":
-        _need(context, k=k, n=n, s=s)
-        assert k is not None and n is not None and s is not None
-        s_int = int(s)
-        if s_int != s or s_int < 1 or k * s_int > n:
-            raise ValueError(f"need integral 1 <= s <= n/k, got s={s}")
-        clique = math.comb(k * s_int - 1, k)
-        cover = math.comb(n, k) - math.comb(n - s_int + 1, k)
-        return ConjectureValue(
-            context, {"k": k, "n": n, "s": s_int}, count=max(clique, cover) + 1
-        )
-
-    if context == "Conj1.9":
-        _need(context, l=l, m=m, s=s)
-        assert l is not None and m is not None and s is not None
-        s_frac = Fraction(s)
-        if s_frac <= 0 or l * s_frac > m:
-            raise ValueError(f"need 0 < s <= m/l, got s={s}")
-        clique = math.comb(math.ceil(l * s_frac) - 1, l)
-        cover = math.comb(m, l) - math.comb(max(m - math.ceil(s_frac) + 1, 0), l)
-        return ConjectureValue(
-            context, {"l": l, "m": m, "s": s_frac}, count=max(clique, cover) + 1
-        )
+    if context not in _PARAMETERS:
+        raise ValueError(f"unknown context {context!r}; known: {', '.join(CONTEXTS)}")
+    given = {"k": k, "n": n, "s": s, "d": d, "l": l, "m": m}
+    missing = [name for name in _PARAMETERS[context] if given[name] is None]
+    if missing:
+        raise ValueError(f"context {context} requires parameters: {', '.join(missing)}")
 
     if context == "f_{k-1}-exact":
-        _need(context, k=k, n=n)
-        assert k is not None and n is not None
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         return ConjectureValue(context, {"k": k, "n": n}, count=-(-n // k))
 
-    raise ValueError(f"unknown context {context!r}; known: {', '.join(CONTEXTS)}")
+    if context in ("Conj1.8", "Conj1.9"):
+        # Conj1.9 is Conj1.8's fractional form, on an l-graph with m vertices.
+        uniformity, order, _ = _PARAMETERS[context]
+        if context == "Conj1.8":
+            target = int(s)
+            if target != s or target < 1 or k * target > n:
+                raise ValueError(f"need integral 1 <= s <= n/k, got s={s}")
+        else:
+            k, n, target = l, m, Fraction(s)
+            if target <= 0 or k * target > n:
+                raise ValueError(f"need 0 < s <= m/l, got s={s}")
+        if not 1 <= k <= n:
+            raise ValueError(
+                f"need 1 <= {uniformity} <= {order}, got {uniformity}={k}, {order}={n}"
+            )
+        clique = _clique_min_degree(k, n, 0, math.ceil(k * target) - 1)
+        cover = _h1_min_degree(k, n, 0, math.ceil(target) - 1)
+        return ConjectureValue(
+            context,
+            {uniformity: k, order: n, "s": target},
+            count=max(clique, cover) + 1,
+        )
 
-
-def _need(context: str, **params: object) -> None:
-    missing = [name for name, value in params.items() if value is None]
-    if missing:
-        raise ValueError(f"context {context} requires parameters: {', '.join(missing)}")
+    # The five coefficient contexts: the mass a random k-set leaves behind,
+    # 1 - ((k-1)/k)^(k-d), floored at 1/2 in Eq3 and its two restatements.
+    if not 1 <= d <= k - 1:
+        raise ValueError(f"need 1 <= d <= k-1, got k={k}, d={d}")
+    if context == "Cor1.7" and (k, d) not in _COR17_PAIRS:
+        raise ValueError(
+            f"Cor1.7 is established only at {sorted(_COR17_PAIRS)}, got {(k, d)}"
+        )
+    coeff = 1 - Fraction(k - 1, k) ** (k - d)
+    if context in ("Eq3", "Conj1.2", "Cor1.7"):
+        coeff = max(Fraction(1, 2), coeff)
+    return ConjectureValue(context, {"k": k, "d": d}, coefficient=coeff)

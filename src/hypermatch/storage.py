@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .extremal import _clique_min_degree, _h1_min_degree
 from .hypercore import VertexWeighting
 from .thresholds import ThresholdQuery, brute_force_threshold
 
@@ -115,7 +116,7 @@ def candidate_allocations(n: int, r: int, budget: int) -> list[AllocationReport]
             budget,
         )
         report = phi(clique)
-        if report.phi != math.comb(support, r):
+        if report.phi != _clique_min_degree(r, n, 0, support):
             raise AssertionError("concentrated allocation misses its closed form")
         reports.append(report)
     if budget <= n:
@@ -127,7 +128,7 @@ def candidate_allocations(n: int, r: int, budget: int) -> list[AllocationReport]
             budget,
         )
         report = phi(spread)
-        if report.phi != math.comb(n, r) - math.comb(n - budget, r):
+        if report.phi != _h1_min_degree(r, n, 0, budget):
             raise AssertionError("spread allocation misses its closed form")
         reports.append(report)
     return reports

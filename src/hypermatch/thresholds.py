@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .extremal import conjecture_values, construct_h0
+from .extremal import _clique_min_degree, _h1_min_degree, conjecture_values, construct_h0
 from .hypercore import (
     Hypergraph,
     VertexWeighting,
@@ -416,30 +416,6 @@ def _construction_bounds(
     if k <= frac_clique_span <= n:
         frac_bounds["clique"] = _clique_min_degree(k, n, d, frac_clique_span) + 1
     return int_bounds, frac_bounds
-
-
-def _h1_min_degree(k: int, n: int, d: int, core: int) -> int:
-    """Min d-degree of ``construct_h1``: the k-sets meeting a ``core``-set.
-
-    A d-set meeting the core lies in all C(n-d, k-d) k-sets through it; one
-    avoiding the core misses the C(n-d-core, k-d) of them that avoid the
-    core too.  When every d-set meets the core, n-d-core < 0 and the clamp
-    to C(0, k-d) = 0 (d < k) subtracts nothing.
-    """
-    return math.comb(n - d, k - d) - math.comb(max(n - d - core, 0), k - d)
-
-
-def _clique_min_degree(k: int, n: int, d: int, span: int) -> int:
-    """Min d-degree of the complete k-graph on 0..span-1 padded to n vertices.
-
-    For d >= 1 a d-set through an isolated vertex has degree 0, and with
-    none isolated every d-set has degree C(n-d, k-d).
-    """
-    if d == 0:
-        return math.comb(span, k)
-    if span < n:
-        return 0
-    return math.comb(n - d, k - d)
 
 
 def _construction_floor(query: ThresholdQuery) -> int:

@@ -117,6 +117,22 @@ class TestConstruct:
         assert doc["payload"]["tau"] == 2
         assert doc["payload"]["cover"] == [0, 1]
 
+    def test_default_name_carries_s_only_for_families_that_take_it(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        for family, s, name in (
+            ("h0", "3", "h0_k2_n4.hg"),
+            ("h1", "2", "h1_k2_n4_s2.hg"),
+            ("clique", "2", "clique_k2_n4_s2.hg"),
+        ):
+            code, doc = run_json(
+                capsys, "construct", family, "--k", "2", "--n", "4", "--s", s
+            )
+            assert code == 0
+            assert doc["payload"]["file"] == name
+            assert (tmp_path / name).exists()
+
     def test_infeasible_construction_is_an_error(self, capsys):
         code, doc = run_json(capsys, "construct", "h0", "--k", "3", "--n", "7")
         assert code == 1
@@ -136,6 +152,14 @@ class TestConjecture:
         )
         assert code == 0
         assert doc["payload"]["count"] == 11
+
+    def test_fractional_count_needs_l_at_most_m(self, capsys):
+        # A 3-graph on 2 vertices has no edges to count.
+        code, doc = run_json(
+            capsys, "conjecture", "Conj1.9", "--l", "3", "--m", "2", "--s", "1/2"
+        )
+        assert code == 1
+        assert doc["error"] == "need 1 <= l <= m, got l=3, m=2"
 
 
 class TestSamuels:

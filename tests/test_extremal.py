@@ -1,5 +1,6 @@
 """Extremal families and the closed-form threshold values."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -166,11 +167,51 @@ class TestConjectureValues:
         ) + 1
         assert value.count == expected
 
+    def test_conj_1_8_is_one_more_than_the_larger_family(self):
+        for k in range(1, 5):
+            for n in range(k, 11):
+                for s in range(1, n // k + 1):
+                    largest = max(
+                        construct_h1(k, n, s).num_edges,
+                        construct_clique_plus_isolated(k, n, s).num_edges,
+                    )
+                    value = conjecture_values("Conj1.8", k=k, n=n, s=s)
+                    assert value.count == largest + 1, (k, n, s)
+
+    def test_conj_1_9_is_one_more_than_the_larger_family(self):
+        # At s = j/l the clique spans j - 1 vertices and the cover's core
+        # has ceil(s) - 1 of them.
+        for l in range(1, 5):
+            for m in range(l, 11):
+                for j in range(1, m + 1):
+                    s = Fraction(j, l)
+                    clique = sum(1 for _ in itertools.combinations(range(j - 1), l))
+                    cover = construct_h1(l, m, math.ceil(s)).num_edges
+                    value = conjecture_values("Conj1.9", l=l, m=m, s=s)
+                    assert value.count == max(clique, cover) + 1, (l, m, s)
+
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            conjecture_values("Eq3", k=3)  # missing d
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^context Eq3 requires parameters: d$"):
+            conjecture_values("Eq3", k=3)
+        with pytest.raises(ValueError, match=r"^context Conj1.9 requires parameters: l, s$"):
+            conjecture_values("Conj1.9", m=4)
+        with pytest.raises(
+            ValueError, match=r"^unknown context 'nonsense'; known: Eq3, Eq4, Conj1.2, "
+        ):
             conjecture_values("nonsense", k=3, d=1)
+
+    @pytest.mark.parametrize(
+        "context, params, message",
+        [
+            ("Conj1.9", {"l": 3, "m": 2, "s": Fraction(1, 2)}, "need 1 <= l <= m, got l=3, m=2"),
+            ("Conj1.9", {"l": 0, "m": 4, "s": Fraction(1)}, "need 1 <= l <= m, got l=0, m=4"),
+            ("Conj1.8", {"k": 0, "n": 4, "s": 1}, "need 1 <= k <= n, got k=0, n=4"),
+        ],
+    )
+    def test_counts_need_an_order_at_least_the_uniformity(self, context, params, message):
+        with pytest.raises(ValueError) as info:
+            conjecture_values(context, **params)
+        assert str(info.value) == message
 
     def test_context_list_is_stable(self):
         assert "Eq3" in CONTEXTS and "Conj1.9" in CONTEXTS
