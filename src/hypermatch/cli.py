@@ -502,6 +502,9 @@ _REQUIRED = {
     ("storage", "optimize"): ("n", "T"),
 }
 
+# Flags that argparse accepts for the subcommand but this action ignores.
+_UNUSED = {("construct", "h0"): ("s",)}
+
 # Actions that need one of two groups of flags, each group in full.
 _SAMUELS_QUERY = (("mus",), ("l", "x"))
 _EITHER = {
@@ -524,6 +527,9 @@ def main(argv: list[str] | None = None) -> int:
     missing = [f"--{name}" for name in _REQUIRED.get(action, ()) if getattr(args, name) is None]
     if missing:
         parser.error(f"{command} requires {', '.join(missing)}")
+    unused = [f"--{name}" for name in _UNUSED.get(action, ()) if getattr(args, name) is not None]
+    if unused:
+        parser.error(f"{command} does not take {', '.join(unused)}")
     groups = _EITHER.get(action)
     if groups and not any(all(getattr(args, n) is not None for n in group) for group in groups):
         parser.error(f"{command} requires {_flags(groups[0])}, or {_flags(groups[1])}")

@@ -74,6 +74,18 @@ class Hypergraph:
     Edges are deduplicated, each sorted, and the edge tuple is sorted
     lexicographically.  The index of an edge in ``edges`` is its canonical
     index everywhere in this package (bitmask enumerations, LP columns).
+
+    Input is checked where it enters the package: here, in ``complete``,
+    in ``read_hypergraph`` (which builds through this constructor) and in
+    ``simplex.solve_unit_packing``.  A list that is canonical already
+    passes a few bulk checks and is kept as given; any other input is
+    converted and checked edge by edge, and the first faulty edge is named.
+    Past the constructors the invariant is trusted.  ``_canonical`` builds
+    a sub-hypergraph without a check, and ``optmatch.fractional_matching``
+    and ``thresholds._scan_range`` hand ``edges``, or an in-order selection
+    of them, to the solver's unchecked entry: such columns are sorted,
+    distinct and inside 0..n-1, which is all that the solver's check would
+    establish.
     """
 
     k: int
@@ -84,27 +96,29 @@ class Hypergraph:
         if not (1 <= k <= n):
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         edges = list(edges)
-        # The sum stays an int only if every vertex is one (bools aside): 1.0
-        # would pass the range test and merge (0, 1.0) with (0, 1).
-        try:
-            ts = [tuple(sorted(e)) for e in edges]
-            exact = type(sum(itertools.chain.from_iterable(ts))) is int
-        except TypeError:
-            exact = False
-        if not exact:
-            # Convert edge by edge, so that the first faulty edge in input
-            # order is the one reported.
-            ts = map(_integer_edge, edges)
-        canon = set()
-        for t in ts:
-            if len(t) != k or len(set(t)) != k:
-                raise ValueError(f"edge {t} is not a {k}-set")
-            if t[0] < 0 or t[-1] >= n:
-                raise ValueError(f"edge {t} out of vertex range 0..{n - 1}")
-            canon.add(t)
+        if not _is_canonical(k, n, edges):
+            # The sum stays an int only if every vertex is one (bools aside):
+            # 1.0 would pass the range test and merge (0, 1.0) with (0, 1).
+            try:
+                ts = [tuple(sorted(e)) for e in edges]
+                exact = type(sum(itertools.chain.from_iterable(ts))) is int
+            except TypeError:
+                exact = False
+            if not exact:
+                # Convert edge by edge, so that the first faulty edge in
+                # input order is the one reported.
+                ts = map(_integer_edge, edges)
+            canon = set()
+            for t in ts:
+                if len(t) != k or len(set(t)) != k:
+                    raise ValueError(f"edge {t} is not a {k}-set")
+                if t[0] < 0 or t[-1] >= n:
+                    raise ValueError(f"edge {t} out of vertex range 0..{n - 1}")
+                canon.add(t)
+            edges = sorted(canon)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        object.__setattr__(self, "edges", tuple(edges))
 
     @classmethod
     def _canonical(cls, k: int, n: int, edges: tuple[tuple[int, ...], ...]) -> "Hypergraph":
@@ -143,6 +157,35 @@ class Hypergraph:
 
     def __contains__(self, edge: Iterable[int]) -> bool:
         return tuple(sorted(edge)) in set(self.edges)
+
+
+def _is_canonical(k: int, n: int, edges: list) -> bool:
+    """Whether ``edges`` is canonical already, by bulk checks only.
+
+    Canonical means: plain tuples of k vertices whose sum is an int (so
+    every vertex is one, bools aside), each tuple strictly increasing
+    inside 0..n-1, and the list in strictly increasing lex order, hence
+    free of repeats.  The constructor's general path would build the same
+    tuples from such a list.
+    """
+    if not edges:
+        return True
+    if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {k}:
+        return False
+    # Column i holds every edge's i-th vertex: each edge is strictly
+    # increasing iff every column is below the next, position by position.
+    columns = list(zip(*edges))
+    try:
+        if type(sum(map(sum, columns))) is not int:
+            return False
+    except TypeError:
+        return False
+    return (
+        all(all(map(operator.lt, a, b)) for a, b in zip(columns, columns[1:]))
+        and min(columns[0]) >= 0
+        and max(columns[-1]) < n
+        and all(map(operator.lt, edges, edges[1:]))
+    )
 
 
 def _integer_edge(e: Iterable[int]) -> tuple[int, ...]:

@@ -38,12 +38,18 @@ induced degrees, every d-subset of it) against every sampled subset's
 bitmask; the build draws one scalar uniform per strictly fractional weight
 and compares it with the exact ``Fraction``.  The fast ones must return
 equal ``CheckResult``s and equal builds.
+
+``hypergraph_edges`` is the ``Hypergraph`` constructor's edge check as it
+was before canonical lists were accepted by bulk checks: every edge sorted,
+checked and put in a set, the set sorted.  The constructor must store the
+same tuples, with the same vertex types, or raise the same message.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -68,6 +74,35 @@ from hypermatch.simplex import PackingResult
 from hypermatch.storage import _phi_on_grid
 
 _ZERO = Fraction(0)
+
+
+def _integer_edge(e) -> tuple[int, ...]:
+    try:
+        return tuple(sorted(map(operator.index, e)))
+    except TypeError:
+        raise ValueError(f"edge {e!r} has a vertex that is not an integer") from None
+
+
+def hypergraph_edges(k: int, n: int, edges) -> tuple[tuple[int, ...], ...]:
+    if not (1 <= k <= n):
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    edges = list(edges)
+    try:
+        ts = [tuple(sorted(e)) for e in edges]
+        exact = type(sum(itertools.chain.from_iterable(ts))) is int
+    except TypeError:
+        exact = False
+    if not exact:
+        # Converted lazily, so that the first faulty edge is the one named.
+        ts = map(_integer_edge, edges)
+    canon = set()
+    for t in ts:
+        if len(t) != k or len(set(t)) != k:
+            raise ValueError(f"edge {t} is not a {k}-set")
+        if t[0] < 0 or t[-1] >= n:
+            raise ValueError(f"edge {t} out of vertex range 0..{n - 1}")
+        canon.add(t)
+    return tuple(sorted(canon))
 
 
 def has_matching_of_size(mask: int, need: int, disj: list[int]) -> bool:

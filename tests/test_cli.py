@@ -122,16 +122,24 @@ class TestConstruct:
     ):
         monkeypatch.chdir(tmp_path)
         for family, s, name in (
-            ("h0", "3", "h0_k2_n4.hg"),
-            ("h1", "2", "h1_k2_n4_s2.hg"),
-            ("clique", "2", "clique_k2_n4_s2.hg"),
+            ("h0", (), "h0_k2_n4.hg"),
+            ("h1", ("--s", "2"), "h1_k2_n4_s2.hg"),
+            ("clique", ("--s", "2"), "clique_k2_n4_s2.hg"),
         ):
-            code, doc = run_json(
-                capsys, "construct", family, "--k", "2", "--n", "4", "--s", s
-            )
+            code, doc = run_json(capsys, "construct", family, "--k", "2", "--n", "4", *s)
             assert code == 0
             assert doc["payload"]["file"] == name
             assert (tmp_path / name).exists()
+
+    def test_h0_refuses_s(self, capsys, tmp_path, monkeypatch):
+        # h0 is the parity family and has no s: a given --s used to be
+        # ignored, and the parity family written all the same.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["construct", "h0", "--k", "2", "--n", "4", "--s", "3"])
+        assert info.value.code == 2
+        assert "construct h0 does not take --s" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_infeasible_construction_is_an_error(self, capsys):
         code, doc = run_json(capsys, "construct", "h0", "--k", "3", "--n", "7")

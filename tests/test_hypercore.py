@@ -3,11 +3,15 @@
 import itertools
 import math
 import pickle
+import random
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+import oracles
 
 from hypermatch.hypercore import (
     EdgeWeighting,
@@ -113,6 +117,9 @@ class TestHypergraph:
             (2, 3, [(0, 1), (3, 0)], r"edge \(0, 3\) out of vertex range 0..2"),
             (2, 3, [(1, 1)], r"edge \(1, 1\) is not a 2-set"),
             (2, 3, [(0, 1, 2)], r"edge \(0, 1, 2\) is not a 2-set"),
+            # Several faults, after a canonical start: the first is named.
+            (2, 4, [(0, 1), (0, 2), (0, 9), (1, 1)], r"edge \(0, 9\) out of vertex range"),
+            (2, 4, [(0, 1), (2, 2), (0, 9)], r"edge \(2, 2\) is not a 2-set"),
         ):
             with pytest.raises(ValueError, match=message):
                 Hypergraph(k, n, edges)
@@ -136,6 +143,117 @@ class TestHypergraph:
 
     def test_vertices(self):
         assert list(Hypergraph(2, 3, []).vertices()) == [0, 1, 2]
+
+
+def same_as_reference(k: int, n: int, make_edges) -> bool:
+    """Whether Hypergraph(k, n, edges) accepts; either way it must store the
+    reference's tuples, vertex types included, or raise its message.
+    ``make_edges`` returns a fresh input, so that a generator can be read
+    twice."""
+    try:
+        want = oracles.hypergraph_edges(k, n, make_edges())
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            Hypergraph(k, n, make_edges())
+        assert str(info.value) == str(exc)
+        return False
+    got = Hypergraph(k, n, make_edges()).edges
+    assert type(got) is tuple and got == want
+    assert [(type(e), *map(type, e)) for e in got] == [(type(e), *map(type, e)) for e in want]
+    return True
+
+
+class V(int):
+    pass
+
+
+Pair = namedtuple("Pair", "a b")
+
+# (k, n, canonical edge list): every list is already what the constructor
+# stores.
+CANONICAL = {
+    "empty": (2, 4, []),
+    "one edge": (2, 4, [(1, 3)]),
+    "k = n": (3, 3, [(0, 1, 2)]),
+    "complete": (3, 6, list(itertools.combinations(range(6), 3))),
+    "k = 1": (1, 3, [(0,), (2,)]),
+}
+
+
+class TestConstructorAgainstReference:
+    """Canonical lists are accepted by bulk checks and kept as given; every
+    other input takes the converting path.  Both must agree with the
+    constructor's edge check as it was, tuple for tuple."""
+
+    @pytest.mark.parametrize("name", CANONICAL)
+    def test_canonical_lists_and_their_variants(self, name):
+        k, n, edges = CANONICAL[name]
+        assert same_as_reference(k, n, lambda: edges)
+        # Kept as given: the very tuples, not sorted copies of them.
+        assert all(a is b for a, b in zip(Hypergraph(k, n, edges).edges, edges))
+        variants = [
+            lambda: edges[::-1],
+            lambda: random.Random(7).sample(edges, len(edges)),
+            lambda: edges + edges[:1],
+            lambda: edges[:1] + edges,
+            lambda: [e[::-1] if i == len(edges) // 2 else e for i, e in enumerate(edges)],
+            lambda: [list(e) for e in edges],
+            lambda: iter(edges),
+            lambda: (e for e in edges),
+        ]
+        for make in variants:
+            assert same_as_reference(k, n, make)
+
+    @pytest.mark.parametrize(
+        "k, n, edges",
+        [
+            (2, 4, [(0, np.int64(1)), (0, 2)]),
+            (2, 4, [tuple(np.array(e)) for e in itertools.combinations(range(4), 2)]),
+            (2, 4, [(False, True), (0, 2)]),
+            (2, 4, [(True, 0), (0, 2)]),
+            (2, 4, [(0, True), (1, 2), (np.int64(0), 3)]),
+            (2, 4, [(V(0), V(2)), (1, V(3))]),
+            (2, 4, [Pair(0, 1), (0, 2)]),
+            (2, 4, [(0, 1.0)]),
+            (2, 4, [(0, 1), (1, 2.0)]),
+            (2, 4, [(0, 1), (Fraction(1), 2)]),
+            (2, 4, [(-1, 2)]),
+            (2, 4, [(0, 1), (1, 4)]),
+            (2, 4, [(0, 1, 2)]),
+            (2, 4, [(0, 1), (2,)]),
+            (2, 4, [(0, 1), (1, 1)]),
+            (2, 4, [(0, 1), (0, 2), (0, 9), (1, 1)]),
+            (2, 4, [(0, 1), (2, 2), (0, 9)]),
+            (2, 4, [(0, 1), (0, 2.0), (0, 9)]),
+            (2, 4, [(0, 9), (0, 2.0), (1, 1)]),
+            (2, 4, [(0, 1), (2, "a"), (0, 9)]),
+            (3, 5, [(0, 1, 2), (0, 1, 5), (0, 1)]),
+            (0, 3, []),
+            (4, 3, [(0, 1, 2, 3)]),
+        ],
+    )
+    def test_vertex_types_and_faults(self, k, n, edges):
+        same_as_reference(k, n, lambda: edges)
+
+    def test_random_lists_near_canonical(self):
+        rng = random.Random(36)
+        accepted = refused = 0
+        for _ in range(600):
+            k = rng.randint(1, 3)
+            n = rng.randint(k, 6)
+            pool = list(itertools.combinations(range(n), k))
+            edges = [e for e in pool if rng.random() < 0.5]
+            if edges and rng.random() < 0.6:
+                i = rng.randrange(len(edges))
+                v = rng.randrange(k)
+                e = list(edges[i])
+                e[v] = rng.choice((-1, n, e[v] + 1, e[v] - 1, 1.0, True, np.int64(e[v])))
+                edges[i] = tuple(e)
+            if same_as_reference(k, n, lambda: edges):
+                accepted += 1
+            else:
+                refused += 1
+        assert accepted > 100 and refused > 100
 
 
 class TestWeightings:
