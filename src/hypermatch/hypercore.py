@@ -75,17 +75,14 @@ class Hypergraph:
     lexicographically.  The index of an edge in ``edges`` is its canonical
     index everywhere in this package (bitmask enumerations, LP columns).
 
-    Input is checked where it enters the package: here, in ``complete``,
-    in ``read_hypergraph`` (which builds through this constructor) and in
-    ``simplex.solve_unit_packing``.  A list that is canonical already
-    passes a few bulk checks and is kept as given; any other input is
-    converted and checked edge by edge, and the first faulty edge is named.
-    Past the constructors the invariant is trusted.  ``_canonical`` builds
-    a sub-hypergraph without a check, and ``optmatch.fractional_matching``
-    and ``thresholds._scan_range`` hand ``edges``, or an in-order selection
-    of them, to the solver's unchecked entry: such columns are sorted,
-    distinct and inside 0..n-1, which is all that the solver's check would
-    establish.
+    Edges are checked where they enter: here, in ``complete`` and in
+    ``read_hypergraph`` (which builds through this constructor).  A list
+    that is canonical already passes a few bulk checks and is kept as
+    given; any other input is converted and checked edge by edge, and the
+    first faulty edge is named.  Past the constructors the invariant is
+    trusted: ``_canonical`` builds a sub-hypergraph without a check.
+    ``simplex.solve_unit_packing`` is a public entry too and checks the
+    columns of every call, a ``Hypergraph``'s edges included.
     """
 
     k: int

@@ -24,7 +24,7 @@ from itertools import compress
 from typing import Sequence
 
 from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, incidence, vertex_masks
-from .simplex import PackingResult, _solve_unit_packing
+from .simplex import PackingResult, solve_unit_packing
 
 __all__ = [
     "DualityReport",
@@ -49,11 +49,7 @@ def maximum_matching(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
     and a visited-state table keyed by the availability mask prunes
     re-entries that cannot beat an earlier visit.
     """
-    return _maximum_matching(h, vertex_masks(h.edges))
-
-
-def _maximum_matching(h: Hypergraph, edge_masks: list[int]) -> tuple[tuple[int, ...], ...]:
-    """``maximum_matching`` on the edges' vertex masks, built by the caller."""
+    edge_masks = vertex_masks(h.edges)
     by_vertex: list[list[int]] = [[] for _ in range(h.n)]
     for idx, e in enumerate(h.edges):
         for v in e:
@@ -116,16 +112,11 @@ def minimum_cover(h: Hypergraph) -> tuple[int, ...]:
     mask wins, so the cover is the one whose vertex mask is smallest.
     Larger instances use iterative-deepening branching on an uncovered edge.
     """
-    return _minimum_cover(h, vertex_masks(h.edges))
-
-
-def _minimum_cover(h: Hypergraph, edge_masks: list[int]) -> tuple[int, ...]:
-    """``minimum_cover`` on the edges' vertex masks, built by the caller."""
-    if not edge_masks:
+    if h.num_edges == 0:
         return ()
     if h.n <= _COVER_DP_LIMIT:
-        return _cover_by_complement(h.n, edge_masks)
-    return _cover_by_branching(h.n, edge_masks)
+        return _cover_by_complement(h)
+    return _cover_by_branching(h)
 
 
 @functools.lru_cache(maxsize=_COVER_DP_LIMIT + 1)
@@ -147,10 +138,11 @@ def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
-def _cover_by_complement(n: int, edge_masks: list[int]) -> tuple[int, ...]:
+def _cover_by_complement(h: Hypergraph) -> tuple[int, ...]:
+    n = h.n
     low, by_size = _subset_tables(n)
     table = bytearray(((1 << n) + 7) >> 3)
-    for em in edge_masks:
+    for em in vertex_masks(h.edges):
         table[em >> 3] |= 1 << (em & 7)
     spans_edge = int.from_bytes(table, "little")
     for b in range(n):
@@ -166,7 +158,9 @@ def _cover_by_complement(n: int, edge_masks: list[int]) -> tuple[int, ...]:
     return tuple(v for v in range(n) if not best_mask >> v & 1)
 
 
-def _cover_by_branching(n: int, edge_masks: list[int]) -> tuple[int, ...]:
+def _cover_by_branching(h: Hypergraph) -> tuple[int, ...]:
+    edge_masks = vertex_masks(h.edges)
+
     def greedy_disjoint(masks: list[int]) -> int:
         used = 0
         count = 0
@@ -196,7 +190,7 @@ def _cover_by_branching(n: int, edge_masks: list[int]) -> tuple[int, ...]:
         return None
 
     try:
-        for budget in range(greedy_disjoint(edge_masks), n + 1):
+        for budget in range(greedy_disjoint(edge_masks), h.n + 1):
             got = attempt(budget, edge_masks, [])
             if got is not None:
                 return tuple(sorted(got))
@@ -219,7 +213,7 @@ def fractional_matching(
     built, and share the same total weight, which pins the value from both
     sides.
     """
-    result = _solve_unit_packing(h.n, h.edges)
+    result = solve_unit_packing(h.n, h.edges)
     _check_lp_pair(h, result)
     support = tuple(zip(compress(h.edges, result.x), compress(result.primal, result.x)))
     matching = EdgeWeighting._trusted(h, result.primal, support)
@@ -283,9 +277,8 @@ class DualityReport:
 def fractional_optimum(h: Hypergraph) -> DualityReport:
     """Compute nu, nu*, tau*, tau with certificates, all exactly."""
     value, frac_matching, frac_cover = fractional_matching(h)
-    edge_masks = vertex_masks(h.edges)
-    matching = _maximum_matching(h, edge_masks)
-    cover = _minimum_cover(h, edge_masks)
+    matching = maximum_matching(h)
+    cover = minimum_cover(h)
     _verify_integral(h, matching, cover)
     return DualityReport(
         hypergraph=h,

@@ -121,14 +121,6 @@ variable leaves among the minimum ratios), which terminates and makes the
 optimal basis, hence both certificates, deterministic.  The touched rows
 are relabelled in increasing order, so slack ids keep their order and the
 rule's choices are those on the full row set.
-
-Columns are checked once, where they enter: ``solve_unit_packing`` names
-the first empty column, non-integer or out-of-range row, or repeated row,
-and then calls ``_solve_unit_packing``, which checks nothing.  The
-package's own callers, ``optmatch.fractional_matching`` and
-``thresholds._scan_range``, call ``_solve_unit_packing`` directly: their
-columns are a ``Hypergraph``'s edges, or an in-order selection of them,
-which its constructor has made sorted, distinct tuples inside 0..n-1.
 """
 
 from __future__ import annotations
@@ -199,9 +191,10 @@ def solve_unit_packing(
     0..n_rows-1, at least one).  Returns exact optimal primal and dual
     vectors; with no columns the optimum is 0 with an all-zero dual.
 
-    The columns are checked here, and the first faulty one is named; the
-    package's own callers skip the check (see the module docstring).
+    The columns are checked on every call, a ``Hypergraph``'s edges
+    included, and the first faulty column is named.
     """
+    ncols = len(columns)
     cols = [tuple(col) for col in columns]
     # The sum stays an int only if every row is one (bools aside): a row such
     # as 1.0 would pass the range test and fail as a list index.
@@ -209,11 +202,11 @@ def solve_unit_packing(
         exact = type(sum(chain.from_iterable(cols))) is int
     except TypeError:
         exact = False
-    rows = set().union(*cols) if exact else ()
+    touched = sorted(set().union(*cols)) if exact else []
     if (
         not exact
         or not all(cols)
-        or (rows and (min(rows) < 0 or max(rows) >= n_rows))
+        or (touched and (touched[0] < 0 or touched[-1] >= n_rows))
         or any(len(set(col)) != len(col) for col in cols)
     ):
         # Report the first fault in column order; numpy integers are rows.
@@ -229,16 +222,7 @@ def solve_unit_packing(
                     raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
             if len(set(col)) != len(col):
                 raise ValueError(f"column {col} repeats a row")
-    return _solve_unit_packing(n_rows, cols)
-
-
-def _solve_unit_packing(n_rows: int, cols: Sequence[tuple[int, ...]]) -> PackingResult:
-    """``solve_unit_packing`` on columns that are not checked again.
-
-    The caller guarantees that each column is a tuple of distinct integer
-    rows in 0..n_rows-1, at least one, as a ``Hypergraph``'s edges are.
-    """
-    ncols = len(cols)
+        touched = sorted(set().union(*cols))
     if ncols == 0 or n_rows == 0:
         return PackingResult(
             _ZERO, (_ZERO,) * ncols, (_ZERO,) * n_rows, 0, 1, (0,) * ncols, (0,) * n_rows, 0
@@ -247,7 +231,6 @@ def _solve_unit_packing(n_rows: int, cols: Sequence[tuple[int, ...]]) -> Packing
     # The tableau holds only the rows some column touches, relabelled in
     # increasing order so that slack ids keep their order.  An untouched
     # row's slack would stay basic with a zero dual throughout.
-    touched = sorted(set().union(*cols))
     m = len(touched)
     if touched[-1] != m - 1:
         label = {r: i for i, r in enumerate(touched)}

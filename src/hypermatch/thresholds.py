@@ -39,7 +39,7 @@ from .hypercore import (
     vertex_masks,
 )
 from .optmatch import fractional_matching, matching_number
-from .simplex import _solve_unit_packing
+from .simplex import solve_unit_packing
 
 __all__ = [
     "ThresholdQuery",
@@ -316,7 +316,7 @@ def _scan_range(
             lp_calls += 1
             mask = base + a + i
             columns = [edges[j] for j in range(len(edges)) if mask >> j & 1]
-            if _solve_unit_packing(n, columns).value < s:
+            if solve_unit_packing(n, columns).value < s:
                 best = int(deg[i])
                 best_mask = mask
                 free = free[deg[free] > best]

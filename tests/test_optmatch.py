@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hypermatch import optmatch
-from hypermatch.hypercore import EdgeWeighting, Hypergraph, VertexWeighting, vertex_masks
+from hypermatch.hypercore import EdgeWeighting, Hypergraph, VertexWeighting
 from hypermatch.optmatch import (
     _COVER_DP_LIMIT,
     _check_lp_pair,
@@ -157,11 +157,10 @@ class TestIntegralOptima:
         # A recursive closure left in its cell would keep the search tables
         # alive until the cyclic collector happened to run.
         h = Hypergraph.complete(3, 9)
-        args = (h,) if search is maximum_matching else (h.n, vertex_masks(h.edges))
         gc.collect()
         gc.disable()
         try:
-            search(*args)
+            search(h)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -223,7 +222,7 @@ class TestCoverAgainstSubsetLoop:
         h = seeded_edge_set(k, n, density, [k, n, 7])
         cover = minimum_cover(h)
         assert all(set(e) & set(cover) for e in h.edges)
-        assert len(cover) == len(_cover_by_branching(h.n, vertex_masks(h.edges)))
+        assert len(cover) == len(_cover_by_branching(h))
 
     def test_certify_covers_match_pinned_digest(self):
         # The 972 criterion-1 style instances of seed 0 (k in {2, 3, 4},
@@ -347,7 +346,7 @@ class TestFractionalOptima:
     def test_fractional_matching_checks_what_the_solver_returns(self, monkeypatch):
         h = Hypergraph(2, 6, ((0, 1), (2, 3), (4, 5)))
         tampered = integer_pair(12, [11, 12, 12], [3, 8, 6, 6, 6, 6])
-        monkeypatch.setattr(optmatch, "_solve_unit_packing", lambda n, columns: tampered)
+        monkeypatch.setattr(optmatch, "solve_unit_packing", lambda n, columns: tampered)
         with pytest.raises(AssertionError, match="cover misses edge"):
             fractional_matching(h)
 
