@@ -9,9 +9,11 @@ are exact, never within an epsilon.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -138,9 +140,25 @@ class Hypergraph:
 
     @classmethod
     def complete(cls, k: int, n: int) -> "Hypergraph":
+        """The complete k-graph on 0..n-1: every k-subset, in lex order.
+
+        While a complete hypergraph for the same class, k and n is still
+        referenced, that object is returned rather than a second, equal one
+        (K_60^3 holds 34,220 edges).  The lookup holds its values weakly, so
+        it keeps none alive itself: once the last reference is dropped the
+        hypergraph is freed and the next call builds it again.  Sharing is
+        safe because a ``Hypergraph`` is immutable.
+        """
         if not (1 <= k <= n):
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        return cls._canonical(k, n, tuple(itertools.combinations(range(n), k)))
+        # The types are in the key: True and 1, or np.int64(3) and 3, are
+        # equal keys, but each call must get back the k and n it passed.
+        key = (cls, type(k), k, type(n), n)
+        h = _COMPLETE.get(key)
+        if h is None:
+            h = cls._canonical(k, n, tuple(itertools.combinations(range(n), k)))
+            _COMPLETE[key] = h
+        return h
 
     @property
     def num_edges(self) -> int:
@@ -153,7 +171,27 @@ class Hypergraph:
         return {e: i for i, e in enumerate(self.edges)}
 
     def __contains__(self, edge: Iterable[int]) -> bool:
-        return tuple(sorted(edge)) in set(self.edges)
+        return _has_edge(self.edges, tuple(sorted(edge)))
+
+
+# The live complete hypergraphs, for ``Hypergraph.complete``.
+_COMPLETE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _has_edge(edges: tuple[tuple[int, ...], ...], e: tuple) -> bool:
+    """Whether e is one of ``edges``, a lex-sorted tuple of int tuples.
+
+    Found by bisection, without a set of every edge.  A vertex that cannot
+    be ordered against ints (None, a string, a complex) makes the
+    comparison raise TypeError; such a tuple is looked for edge by edge by
+    equality, which answers as a set lookup does (False, or True for
+    (1+0j,) in a 1-graph with edge (1,)).
+    """
+    try:
+        i = bisect.bisect_left(edges, e)
+    except TypeError:
+        return e in edges
+    return i < len(edges) and edges[i] == e
 
 
 def _is_canonical(k: int, n: int, edges: list) -> bool:

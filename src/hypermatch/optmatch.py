@@ -17,13 +17,21 @@ second check.  The integral matching and cover are checked by
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Sequence
 
-from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, incidence, vertex_masks
+from .hypercore import (
+    EdgeWeighting,
+    Hypergraph,
+    VertexWeighting,
+    _has_edge,
+    incidence,
+    vertex_masks,
+)
 from .simplex import PackingResult, solve_unit_packing
 
 __all__ = [
@@ -50,10 +58,10 @@ def maximum_matching(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
     re-entries that cannot beat an earlier visit.
     """
     edge_masks = vertex_masks(h.edges)
-    by_vertex: list[list[int]] = [[] for _ in range(h.n)]
-    for idx, e in enumerate(h.edges):
-        for v in e:
-            by_vertex[v].append(idx)
+    # Only edges led by the lowest available vertex v can fit: any other
+    # edge through v holds a lower vertex, which is taken.  In the lex-sorted
+    # edges those led by v are one block, edges[block[v]:block[v + 1]].
+    block = [bisect.bisect_left(h.edges, (v,)) for v in range(h.n + 1)]
 
     full = (1 << h.n) - 1
     k = h.k
@@ -75,7 +83,7 @@ def maximum_matching(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
             return
         seen[avail] = count
         v = (avail & -avail).bit_length() - 1
-        for idx in by_vertex[v]:
+        for idx in range(block[v], block[v + 1]):
             em = edge_masks[idx]
             if em & avail == em:
                 chosen.append(idx)
@@ -299,9 +307,8 @@ def _verify_integral(
     cover: Sequence[int],
 ) -> None:
     used: set[int] = set()
-    edge_set = set(h.edges)
     for e in matching:
-        if e not in edge_set:
+        if not _has_edge(h.edges, e):
             raise AssertionError(f"matching certificate uses foreign edge {e}")
         if used & set(e):
             raise AssertionError("matching certificate edges intersect")

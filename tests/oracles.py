@@ -6,6 +6,11 @@ and the subset-by-subset cover loop that ``thresholds._scan_range``,
 They decide every candidate in the same order as the fast searches, so they
 must return the same answers and, for the scan, the same LP count.
 
+``maximum_matching`` is the matching search as it was before it walked
+the lex block of edges led by the lowest available vertex: it scans every
+edge through that vertex.  Both try the fitting edges in the same order,
+so they must return the same certificate.
+
 ``solve_unit_packing`` is the unit-packing simplex with the column-by-column
 Bland pricing scan that ``simplex.solve_unit_packing``'s numpy gather
 replaced, and with a list-of-rows tableau, every row but the pivot row
@@ -169,6 +174,49 @@ def scan_range(
             best = delta
             best_mask = mask
     return best, best_mask, lp_calls
+
+
+def maximum_matching(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """``optmatch.maximum_matching`` with its per-vertex edge lists.
+
+    At the lowest available vertex it tries every edge through that vertex,
+    in index order, and keeps those whose vertices are all available.
+    """
+    edge_masks = vertex_masks(h.edges)
+    by_vertex: list[list[int]] = [[] for _ in range(h.n)]
+    for idx, e in enumerate(h.edges):
+        for v in e:
+            by_vertex[v].append(idx)
+
+    k = h.k
+    best_count = 0
+    best_edges: list[int] = []
+    seen: dict[int, int] = {}
+
+    def dfs(avail: int, count: int, chosen: list[int]) -> None:
+        nonlocal best_count, best_edges
+        if count > best_count:
+            best_count = count
+            best_edges = chosen.copy()
+        if avail == 0:
+            return
+        if count + avail.bit_count() // k <= best_count:
+            return
+        prev = seen.get(avail)
+        if prev is not None and prev >= count:
+            return
+        seen[avail] = count
+        v = (avail & -avail).bit_length() - 1
+        for idx in by_vertex[v]:
+            em = edge_masks[idx]
+            if em & avail == em:
+                chosen.append(idx)
+                dfs(avail ^ em, count + 1, chosen)
+                chosen.pop()
+        dfs(avail ^ (1 << v), count, chosen)
+
+    dfs((1 << h.n) - 1, 0, [])
+    return tuple(sorted(h.edges[i] for i in best_edges))
 
 
 def cover_by_complement(h: Hypergraph) -> tuple[int, ...]:

@@ -1,9 +1,11 @@
 """Core types: construction rules, degrees, links, threshold graphs, I/O."""
 
+import gc
 import itertools
 import math
 import pickle
 import random
+import weakref
 from collections import namedtuple
 from fractions import Fraction
 
@@ -86,6 +88,32 @@ class TestHypergraph:
         message = f"need 1 <= k <= n, got k={k}, n={n}"
         assert str(complete.value) == str(direct.value) == message
 
+    def test_complete_returns_the_live_object(self):
+        h = Hypergraph.complete(3, 7)
+        assert Hypergraph.complete(3, 7) is h
+        assert Hypergraph.complete(4, 7) is not h
+
+    def test_complete_keys_a_subclass_and_the_argument_types_apart(self):
+        class Sub(Hypergraph):
+            pass
+
+        h = Hypergraph.complete(2, 5)
+        sub = Sub.complete(2, 5)
+        assert type(h) is Hypergraph and type(sub) is Sub
+        assert Sub.complete(2, 5) is sub and Hypergraph.complete(2, 5) is h
+        # True == 1 and np.int64(5) == 5, but each call keeps the k and n
+        # it was given, as a fresh build would.
+        assert Hypergraph.complete(True, 5).k is True
+        assert type(Hypergraph.complete(2, np.int64(5)).n) is np.int64
+        assert type(Hypergraph.complete(2, 5).n) is int
+
+    def test_complete_keeps_no_hypergraph_alive(self):
+        h = Hypergraph.complete(5, 13)
+        ref = weakref.ref(h)
+        del h
+        gc.collect()
+        assert ref() is None
+
     def test_edges_are_sorted_and_deduplicated(self):
         h = Hypergraph(2, 3, [(2, 1), (1, 2), (0, 1)])
         assert h.edges == ((0, 1), (1, 2))
@@ -96,6 +124,37 @@ class TestHypergraph:
         assert (1, 0) in h
         assert (0, 2) not in h
         assert h.edge_index()[(2, 3)] == 1
+
+    @pytest.mark.parametrize(
+        "probe, expected",
+        [
+            ((3, 1), True),
+            ((1.0, 3.0), True),
+            ((True, 3), True),
+            ((np.int64(2), np.int64(3)), True),
+            ((Fraction(1), 3), True),
+            ((0, 2), False),
+            ((0.5, 1), False),
+            ((0, 1, 2), False),
+            ((), False),
+            ((4, 5), False),
+            (("a", "b"), False),
+            ((None,), False),
+            ((b"\x00", b"\x01"), False),
+        ],
+    )
+    def test_membership_answers_as_a_set_lookup(self, probe, expected):
+        # Found by bisecting the sorted edges.  A vertex that cannot be
+        # ordered against ints is not an edge's; no TypeError escapes.
+        h = Hypergraph(2, 4, [(0, 1), (1, 3), (2, 3)])
+        assert (probe in h) is expected
+        assert (tuple(sorted(probe)) in set(h.edges)) is expected
+
+    def test_membership_of_an_unordered_vertex_equal_to_an_int(self):
+        # 1 + 0j equals 1 but cannot be ordered against ints: it is found
+        # by equality, as a set lookup finds it.
+        h = Hypergraph(1, 3, [(0,), (1,)])
+        assert (1 + 0j,) in h and (2 + 0j,) not in h
 
     @pytest.mark.parametrize(
         "k, n, edges",

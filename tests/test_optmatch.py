@@ -166,6 +166,52 @@ class TestIntegralOptima:
             gc.enable()
 
 
+class TestMatchingAgainstEdgeLists:
+    """The lex-block matching search against the per-vertex edge lists it
+    replaced: the same certificate, not only the same size."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_seeded_instances_up_to_twelve_vertices(self, k):
+        for n in range(k, 13):
+            for density in (0.1, 0.3, 0.5, 0.8):
+                for rep in range(3):
+                    h = seeded_edge_set(k, n, density, [k, n, round(density * 10), rep, 1])
+                    assert maximum_matching(h) == oracles.maximum_matching(h)
+
+    @pytest.mark.parametrize("k, n", [(1, 5), (2, 9), (3, 9), (4, 12)])
+    def test_complete_and_edgeless(self, k, n):
+        for h in (Hypergraph.complete(k, n), Hypergraph(k, n, [])):
+            assert maximum_matching(h) == oracles.maximum_matching(h)
+
+
+class TestVerifyIntegral:
+    H = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3)])
+
+    def test_real_certificates_pass(self):
+        optmatch._verify_integral(self.H, ((0, 1), (2, 3)), (1, 2))
+
+    @pytest.mark.parametrize(
+        "matching, message",
+        [
+            (((0, 1), (0, 3)), r"foreign edge \(0, 3\)"),
+            # Certificates hold sorted edges: a reversed one is foreign.
+            (((1, 0),), r"foreign edge \(1, 0\)"),
+            ((("a", "b"),), r"foreign edge \('a', 'b'\)"),
+            (((0, 1), (1, 2)), "matching certificate edges intersect"),
+        ],
+    )
+    def test_bad_matchings_are_refused(self, matching, message):
+        with pytest.raises(AssertionError, match=message):
+            optmatch._verify_integral(self.H, matching, (1, 2))
+
+    def test_vertices_equal_to_ints_are_not_foreign(self):
+        optmatch._verify_integral(self.H, ((False, 1.0), (2.0, np.int64(3))), (1, 2))
+
+    def test_a_cover_that_misses_an_edge_is_refused(self):
+        with pytest.raises(AssertionError, match=r"cover certificate misses edge \(2, 3\)"):
+            optmatch._verify_integral(self.H, ((0, 1),), (1,))
+
+
 class TestCoverAgainstSubsetLoop:
     """The zeta-transform cover DP against the subset-by-subset loop it
     replaced: the same cover tuple, not only the same size."""

@@ -38,6 +38,13 @@ class TestPlan:
         with pytest.raises(ValueError):
             RoundOnePlan(TWO_TRIPLES, 2, 0.5, 3)
 
+    def test_plans_on_the_complete_base_share_it(self):
+        # perfbench's sparsify workload builds a one-round and a four-round
+        # plan on K_60^3; the second must not hold a second 34,220-edge base.
+        one = RoundOnePlan(Hypergraph.complete(3, 60), rounds=1, p=0.5, d=1)
+        four = RoundOnePlan(Hypergraph.complete(3, 60), rounds=4, p=0.5, d=1)
+        assert one.base is four.base
+
     def test_sampling_is_reproducible(self):
         plan = RoundOnePlan(Hypergraph.complete(3, 12), 5, 0.5, 1, seed=3)
         a = sample_rounds(plan)
