@@ -9,7 +9,6 @@ are exact, never within an epsilon.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -142,22 +141,27 @@ class Hypergraph:
     def complete(cls, k: int, n: int) -> "Hypergraph":
         """The complete k-graph on 0..n-1: every k-subset, in lex order.
 
-        While a complete hypergraph for the same class, k and n is still
-        referenced, that object is returned rather than a second, equal one
-        (K_60^3 holds 34,220 edges).  The lookup holds its values weakly, so
-        it keeps none alive itself: once the last reference is dropped the
-        hypergraph is freed and the next call builds it again.  Sharing is
-        safe because a ``Hypergraph`` is immutable.
+        For int k and n, while a complete hypergraph for the same class, k
+        and n is still referenced, that object is returned rather than a
+        second, equal one (K_60^3 holds 34,220 edges).  The lookup holds its
+        values weakly, so it keeps none alive itself: once the last
+        reference is dropped the hypergraph is freed and the next call
+        builds it again.  Sharing is safe because a ``Hypergraph`` is
+        immutable.  Other int-like k and n build a fresh one each call.
+
+        No caller in the package asks again while an equal one is alive
+        (the criteria and the scans drop each universe before the next
+        call); what shares is a caller that builds two plans on one base,
+        as perfbench's sparsify set-up does.
         """
         if not (1 <= k <= n):
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        # The types are in the key: True and 1, or np.int64(3) and 3, are
-        # equal keys, but each call must get back the k and n it passed.
-        key = (cls, type(k), k, type(n), n)
-        h = _COMPLETE.get(key)
+        if type(k) is not int or type(n) is not int:
+            return cls._canonical(k, n, tuple(itertools.combinations(range(n), k)))
+        h = _COMPLETE.get((cls, k, n))
         if h is None:
             h = cls._canonical(k, n, tuple(itertools.combinations(range(n), k)))
-            _COMPLETE[key] = h
+            _COMPLETE[cls, k, n] = h
         return h
 
     @property
@@ -171,27 +175,11 @@ class Hypergraph:
         return {e: i for i, e in enumerate(self.edges)}
 
     def __contains__(self, edge: Iterable[int]) -> bool:
-        return _has_edge(self.edges, tuple(sorted(edge)))
+        return tuple(sorted(edge)) in set(self.edges)
 
 
 # The live complete hypergraphs, for ``Hypergraph.complete``.
 _COMPLETE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _has_edge(edges: tuple[tuple[int, ...], ...], e: tuple) -> bool:
-    """Whether e is one of ``edges``, a lex-sorted tuple of int tuples.
-
-    Found by bisection, without a set of every edge.  A vertex that cannot
-    be ordered against ints (None, a string, a complex) makes the
-    comparison raise TypeError; such a tuple is looked for edge by edge by
-    equality, which answers as a set lookup does (False, or True for
-    (1+0j,) in a 1-graph with edge (1,)).
-    """
-    try:
-        i = bisect.bisect_left(edges, e)
-    except TypeError:
-        return e in edges
-    return i < len(edges) and edges[i] == e
 
 
 def _is_canonical(k: int, n: int, edges: list) -> bool:

@@ -24,14 +24,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Sequence
 
-from .hypercore import (
-    EdgeWeighting,
-    Hypergraph,
-    VertexWeighting,
-    _has_edge,
-    incidence,
-    vertex_masks,
-)
+from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, incidence, vertex_masks
 from .simplex import PackingResult, solve_unit_packing
 
 __all__ = [
@@ -307,8 +300,9 @@ def _verify_integral(
     cover: Sequence[int],
 ) -> None:
     used: set[int] = set()
+    edge_set = set(h.edges)
     for e in matching:
-        if not _has_edge(h.edges, e):
+        if e not in edge_set:
             raise AssertionError(f"matching certificate uses foreign edge {e}")
         if used & set(e):
             raise AssertionError("matching certificate edges intersect")

@@ -101,11 +101,13 @@ class TestHypergraph:
         sub = Sub.complete(2, 5)
         assert type(h) is Hypergraph and type(sub) is Sub
         assert Sub.complete(2, 5) is sub and Hypergraph.complete(2, 5) is h
-        # True == 1 and np.int64(5) == 5, but each call keeps the k and n
-        # it was given, as a fresh build would.
-        assert Hypergraph.complete(True, 5).k is True
+        # Only int k and n are shared; other int-like ones, unhashable
+        # 0-d arrays too, build a fresh hypergraph with the k and n given.
+        one = Hypergraph.complete(1, 5)
+        assert Hypergraph.complete(True, 5).k is True and type(one.k) is int
         assert type(Hypergraph.complete(2, np.int64(5)).n) is np.int64
         assert type(Hypergraph.complete(2, 5).n) is int
+        assert Hypergraph.complete(np.array(2), np.array(5)).edges == h.edges
 
     def test_complete_keeps_no_hypergraph_alive(self):
         h = Hypergraph.complete(5, 13)
@@ -144,15 +146,14 @@ class TestHypergraph:
         ],
     )
     def test_membership_answers_as_a_set_lookup(self, probe, expected):
-        # Found by bisecting the sorted edges.  A vertex that cannot be
-        # ordered against ints is not an edge's; no TypeError escapes.
+        # A vertex that cannot be ordered against ints is not an edge's;
+        # no TypeError escapes.
         h = Hypergraph(2, 4, [(0, 1), (1, 3), (2, 3)])
         assert (probe in h) is expected
         assert (tuple(sorted(probe)) in set(h.edges)) is expected
 
     def test_membership_of_an_unordered_vertex_equal_to_an_int(self):
-        # 1 + 0j equals 1 but cannot be ordered against ints: it is found
-        # by equality, as a set lookup finds it.
+        # 1 + 0j equals 1 but cannot be ordered against ints.
         h = Hypergraph(1, 3, [(0,), (1,)])
         assert (1 + 0j,) in h and (2 + 0j,) not in h
 
