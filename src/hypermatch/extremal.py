@@ -51,7 +51,8 @@ def construct_h0(k: int, n: int) -> Hypergraph:
     Any perfect matching would need n/k odd numbers summing to |A|, which
     the parity choice forbids.
     """
-    universe = Hypergraph.complete(k, n).edges
+    if k < 1 or n < k:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if n % k != 0:
         raise ConstructionInfeasibleError(f"k={k} must divide n={n}")
     target_parity = 1 - (n // k) % 2
@@ -62,16 +63,19 @@ def construct_h0(k: int, n: int) -> Hypergraph:
     ]
     a = min(candidates, key=lambda c: (abs(2 * c - n), c))
     a_set = frozenset(range(a))
+    universe = Hypergraph.complete(k, n).edges
     edges = tuple(e for e in universe if len(a_set.intersection(e)) % 2 == 1)
     return Hypergraph._canonical(k, n, edges)
 
 
 def construct_h1(k: int, n: int, s: int) -> Hypergraph:
     """Every k-set meeting the fixed core {0..s-2}; no s disjoint edges fit."""
-    universe = Hypergraph.complete(k, n).edges
+    if k < 1 or n < k:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not 1 <= s <= n // k + 1:
         raise ConstructionInfeasibleError(f"need 1 <= s <= n/k + 1, got s={s}")
     core = frozenset(range(s - 1))
+    universe = Hypergraph.complete(k, n).edges
     edges = tuple(e for e in universe if core.intersection(e))
     return Hypergraph._canonical(k, n, edges)
 

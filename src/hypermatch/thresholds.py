@@ -10,14 +10,15 @@ is found by enumerating all 2^binom(n, k) edge sets.
 The enumeration walks edge-set bitmasks in increasing numeric order (edges
 indexed lexicographically), so results, witnesses and LP counts are
 reproducible.  Each aligned window of 2^16 masks is one high part joined
-with every pattern of the 16 lowest edges, and the patterns' degree counts
-and matching numbers are uint8 tables built once per scan, so deciding a
-window takes a few exact numpy passes over 2^16 bytes.  The prunes: a
-window is skipped whole when its high edges alone hold a matching of size
-ceil(s), or when no mask in it can beat the best min d-degree so far; the
-matching check is skipped unless a mask's min d-degree beats the best so
-far; and an integral matching of size ceil(s) is looked for before any LP
-is solved, because finding one already rules the edge set out.
+with every pattern of the 16 lowest edges, decided whole by a few exact
+numpy passes over 2^16 bytes.  The per-pattern arrays those passes read
+are kept for later windows in one cache, filled on first use up to a byte
+cap.  The prunes: a window is skipped whole when its high edges alone hold
+a matching of size ceil(s), or when no mask in it can beat the best min
+d-degree so far; then one loop, the same in both modes, takes the masks in
+order whose min d-degree beats the best so far and that hold no matching
+of size ceil(s), solving an LP for each in fractional mode only, because
+an integral matching of that size already rules the edge set out.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ class ThresholdQuery:
     "fractional" targets fractional matching number >= s for rational
     s > 0.  Targets above n/k are permitted and yield the degenerate
     maximum over all edge sets (nothing can reach them), which the
-    sandwich bounds of the storage module rely on.
+    sandwich bounds of the storage module rely on.  s may be given as
+    anything ``Fraction`` accepts and is stored as a ``Fraction``.
     """
 
     k: int
@@ -72,24 +74,20 @@ class ThresholdQuery:
     s: Fraction
     mode: str
 
-    def __init__(self, k: int, n: int, d: int, s: Fraction | int | str, mode: str):
-        if mode not in ("integral", "fractional"):
-            raise ValueError(f"mode must be integral|fractional, got {mode!r}")
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if not 0 <= d <= k - 1:
-            raise ValueError(f"need 0 <= d <= k-1, got d={d}")
-        s_frac = Fraction(s)
-        if mode == "integral":
-            if s_frac.denominator != 1 or s_frac < 1:
-                raise ValueError(f"integral mode needs integer s >= 1, got {s}")
-        elif s_frac <= 0:
-            raise ValueError(f"fractional mode needs s > 0, got {s}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "s", s_frac)
-        object.__setattr__(self, "mode", mode)
+    def __post_init__(self) -> None:
+        if self.mode not in ("integral", "fractional"):
+            raise ValueError(f"mode must be integral|fractional, got {self.mode!r}")
+        if not 1 <= self.k <= self.n:
+            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        if not 0 <= self.d <= self.k - 1:
+            raise ValueError(f"need 0 <= d <= k-1, got d={self.d}")
+        s = Fraction(self.s)
+        if self.mode == "integral":
+            if s.denominator != 1 or s < 1:
+                raise ValueError(f"integral mode needs integer s >= 1, got {self.s}")
+        elif s <= 0:
+            raise ValueError(f"fractional mode needs s > 0, got {self.s}")
+        object.__setattr__(self, "s", s)
 
 
 # Most edges in a scanned universe, so a scan walks at most 2^24 masks.
@@ -163,11 +161,10 @@ def _scan_masks(
 
 
 # Each window of 2^_LOW_BITS masks is one fixed high part joined with every
-# low pattern, whose degree counts and matching numbers are uint8 tables
-# built once per scan.  At most 16: the low patterns are held as uint16.
+# low pattern.  At most 16: the low patterns are held as uint16.
 _LOW_BITS = 16
-# Bound on the bytes of a scan's degree and matching tables; what does not
-# fit is computed per window.
+# Bound on the bytes of the arrays a scan keeps for later windows, one byte
+# per low pattern each; what does not fit is computed per window.
 _TABLE_BYTES = 1 << 24
 
 
@@ -193,23 +190,27 @@ def _high_matchings(
 
     Maps the low edge mask left by each set of at most ``need`` pairwise
     disjoint ``high`` edges (the empty set included) to the largest such set
-    leaving it.
+    leaving it.  The sets are visited depth first, in edge order.
     """
     out: dict[int, int] = {}
-
-    def extend(i: int, allowed: int, size: int) -> None:
+    stack = [(0, -1, 0)]
+    while stack:
+        i, allowed, size = stack.pop()
         key = allowed & low_mask
         if out.get(key, -1) < size:
             out[key] = size
-        if size == need:
-            return
-        for j in range(i, len(high)):
-            e = high[j]
-            if allowed >> e & 1:
-                extend(j + 1, allowed & disj[e], size + 1)
-
-    extend(0, -1, 0)
+        if size < need:
+            # pushed last edge first, so the first is popped first
+            for j in range(len(high) - 1, i - 1, -1):
+                e = high[j]
+                if allowed >> e & 1:
+                    stack.append((j + 1, allowed & disj[e], size + 1))
     return out
+
+
+def _edges_of(edges: tuple[tuple[int, ...], ...], mask: int) -> list[tuple[int, ...]]:
+    """The edges whose bits are set in ``mask``, in edge order."""
+    return [e for j, e in enumerate(edges) if mask >> j & 1]
 
 
 def _scan_range(
@@ -226,15 +227,18 @@ def _scan_range(
     Witness is the smallest mask in the range attaining the returned delta
     among qualifying edge sets; delta is -1 if nothing in range qualifies.
     Each aligned window of 2^``_LOW_BITS`` masks is a high part H joined
-    with every low pattern L, decided in exact integers.  The min d-degree
-    is min_j(popcount(H & sm_j) + T_j[L]), with T_j the tabulated popcount
-    of L on the low edges of the d-set's edge mask sm_j.  A mask has a
-    matching of size need iff some matching M among H's edges leaves low
-    edges A with nu[L & A] >= need - |M|, nu the tabulated matching number
-    of the low patterns; a window where M alone reaches need is skipped.  A
-    mask is checked only if its min d-degree beats the best so far, and the
-    LPs run one by one in mask order, so the LP count is that of a
-    mask-by-mask walk of the range.
+    with every low pattern L, decided whole in exact integers, with the
+    masks outside the range cleared.  The min d-degree is
+    min_j(popcount(H & sm_j) + T_j[L]), with T_j the popcount of L on the
+    low edges of the d-set's edge mask sm_j.  A mask has a matching of size
+    need = ceil(s) iff some matching M among H's edges leaves low edges A
+    with nu[L & A] >= need - |M|, nu the matching number of the low
+    patterns; a window where M alone reaches need is skipped.  The T_j and
+    the masks short of each (A, need - |M|) are kept for later windows in
+    one cache, filled on first use up to ``_TABLE_BYTES`` bytes.  One loop
+    decides the masks left in mask order: it takes each whose min d-degree
+    beats the best so far, in fractional mode only if its LP falls short of
+    s, so the LP count is that of a mask-by-mask walk of the range.
     """
     edges = Hypergraph.complete(k, n).edges
     low = min(_LOW_BITS, len(edges))
@@ -247,20 +251,17 @@ def _scan_range(
     groups: dict[int, list[int]] = {}
     for sm in dset_masks:
         groups.setdefault(sm & low_mask, []).append(sm >> low)
-    patterns = list(groups)
-    highs = list(groups.values())
-    reach = [p.bit_count() for p in patterns]
+    reach = [p.bit_count() for p in groups]
     lows = np.arange(width, dtype=np.uint16)
+    # d-set pattern -> its low counts; (low edges a high matching leaves,
+    # edges it still needs) -> the low patterns whose matching number falls
+    # short
+    cache: dict[int | tuple[int, int], np.ndarray] = {}
     room = _TABLE_BYTES >> low
-    tabulated = min(len(patterns), room)
-    tables = [np.bitwise_count(lows & p) for p in patterns[:tabulated]]
-    integral = mode == "integral"
-    need = int(s) if integral else math.ceil(s)
-    delta = np.empty(width, dtype=np.uint8)
+    fractional = mode == "fractional"
+    need = math.ceil(s)
+    deg = np.empty(width, dtype=np.uint8)
     part = np.empty(width, dtype=np.uint8)
-    # (low edges a high matching leaves, edges it still needs) -> the low
-    # patterns whose matching number falls short
-    unmatched: dict[tuple[int, int], np.ndarray] = {}
 
     best = -1
     best_mask = -1
@@ -272,25 +273,25 @@ def _scan_range(
         )
         if max(matchings.values()) >= need:
             continue
-        counts = [min((hi & h).bit_count() for h in hs) for hs in highs]
+        counts = [min((hi & h).bit_count() for h in hs) for hs in groups.values()]
         if min(map(int.__add__, counts, reach)) <= best:
             continue
-        a = max(start - base, 0)
-        b = min(stop - base, width)
-        window = lows[a:b]
-        deg = delta[: b - a]
-        for j, c in enumerate(counts):
-            table = tables[j][a:b] if j < tabulated else np.bitwise_count(window & patterns[j])
+        for j, (p, c) in enumerate(zip(groups, counts)):
+            table = cache.get(p)
+            if table is None:
+                table = np.bitwise_count(lows & p)
+                if len(cache) < room:
+                    cache[p] = table
             if j == 0:
                 np.add(table, c, out=deg)
             else:
-                np.minimum(deg, np.add(table, c, out=part[: b - a]), out=deg)
+                np.minimum(deg, np.add(table, c, out=part), out=deg)
         cand = deg > best
-        if not cand.any():
-            continue
+        cand[: max(start - base, 0)] = False
+        cand[stop - base :] = False
         for allowed, size in matchings.items():
             left = need - size
-            short = unmatched.get((allowed, left))
+            short = cache.get((allowed, left))
             if short is None:
                 if allowed == low_mask:
                     short = nu < left
@@ -298,30 +299,24 @@ def _scan_range(
                     short = (lows & allowed) == 0
                 else:
                     short = nu[lows & allowed] < left
-                if tabulated + len(unmatched) < room:
-                    unmatched[allowed, left] = short
-            cand &= short[a:b]
-        free = np.flatnonzero(cand)
-        if free.size == 0:
-            continue
-        if integral:
-            free_delta = deg[free]
-            top = int(free_delta.max())
-            if top > best:
-                best = top
-                best_mask = base + a + int(free[np.argmax(free_delta == top)])
-            continue
-        while free.size:
-            i = int(free[0])
-            lp_calls += 1
-            mask = base + a + i
-            columns = [edges[j] for j in range(len(edges)) if mask >> j & 1]
-            if solve_unit_packing(n, columns).value < s:
-                best = int(deg[i])
-                best_mask = mask
-                free = free[deg[free] > best]
-            else:
-                free = free[1:]
+                if len(cache) < room:
+                    cache[allowed, left] = short
+            cand &= short
+        # argmax finds the first candidate at or after i, or 0 if none is
+        # left; taking one clears the later ones it is not beaten by.
+        i = 0
+        while True:
+            i += int(cand[i:].argmax())
+            if not cand[i]:
+                break
+            if fractional:
+                lp_calls += 1
+                if solve_unit_packing(n, _edges_of(edges, base + i)).value >= s:
+                    cand[i] = False
+                    continue
+            best = int(deg[i])
+            best_mask = base + i
+            cand[i:] &= deg[i:] > best
     return best, best_mask, lp_calls
 
 
@@ -364,11 +359,7 @@ def brute_force_threshold(query: ThresholdQuery, jobs: int = 1) -> ThresholdResu
     if best < 0 or best_mask < 0:
         raise AssertionError("the empty edge set always qualifies")
     edges = Hypergraph.complete(query.k, query.n).edges
-    witness = Hypergraph(
-        query.k,
-        query.n,
-        [edges[i] for i in range(num_edges) if best_mask >> i & 1],
-    )
+    witness = Hypergraph(query.k, query.n, _edges_of(edges, best_mask))
     _verify_witness(query, witness, best)
     result = ThresholdResult(
         query=query,

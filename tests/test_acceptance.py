@@ -97,6 +97,32 @@ def test_failed_certificate_check_is_a_failed_criterion(monkeypatch):
     assert (result.number, result.name, result.runtime_limit) == (1, "duality_chain", 60.0)
 
 
+@pytest.mark.parametrize("number", [0, 11])
+def test_criterion_number_out_of_range_is_refused(number):
+    with pytest.raises(ValueError) as info:
+        acceptance.run_criterion(number)
+    assert str(info.value) == "criterion number must be in 1..10"
+
+
+def test_overrunning_the_runtime_limit_is_a_failed_criterion(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", (("instant", 0, lambda: (True, "ok")),))
+    result = acceptance.run_criterion(1)
+    assert not result.passed
+    assert result.detail == "ok [exceeded 0s runtime limit]"
+    assert (result.number, result.name, result.runtime_limit) == (1, "instant", 0)
+
+
+def test_run_all_without_a_list_runs_every_criterion_in_order(monkeypatch):
+    rows = tuple((name, None, lambda name=name: (True, name)) for name in ("a", "b", "c"))
+    monkeypatch.setattr(acceptance, "CRITERIA", rows)
+    results = acceptance.run_all()
+    assert [(r.number, r.name, r.passed, r.detail) for r in results] == [
+        (1, "a", True, "a"),
+        (2, "b", True, "b"),
+        (3, "c", True, "c"),
+    ]
+
+
 def test_criterion_09_sigma_tests_are_exact_at_the_boundary():
     # With 200 repetitions, a deviation of 30 against variance 1/2 and an
     # excess of 90 against 9/2 lie exactly on 3 sigma (30^2 = 9 * 200 / 2,

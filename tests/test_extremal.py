@@ -106,6 +106,37 @@ class TestCliquePlusIsolated:
         with pytest.raises(ConstructionInfeasibleError):
             construct_clique_plus_isolated(3, 4, 2)  # needs ks-1 = 5 > 4
 
+    @pytest.mark.parametrize("k, n", [(0, 4), (5, 4)])
+    def test_needs_an_order_at_least_the_uniformity(self, k, n):
+        with pytest.raises(ValueError) as info:
+            construct_clique_plus_isolated(k, n, 1)
+        assert str(info.value) == f"need 1 <= k <= n, got k={k}, n={n}"
+
+
+@pytest.mark.parametrize(
+    "build, args, error, message",
+    [
+        (construct_h0, (0, 6), ValueError, "need 1 <= k <= n, got k=0, n=6"),
+        (construct_h0, (7, 6), ValueError, "need 1 <= k <= n, got k=7, n=6"),
+        (construct_h0, (3, 200), ConstructionInfeasibleError, "k=3 must divide n=200"),
+        (construct_h0, (3, 1000), ConstructionInfeasibleError, "k=3 must divide n=1000"),
+        (construct_h1, (0, 6, 1), ValueError, "need 1 <= k <= n, got k=0, n=6"),
+        (construct_h1, (3, 200, 100), ConstructionInfeasibleError, "need 1 <= s <= n/k + 1, got s=100"),
+        (construct_h1, (3, 200, 0), ConstructionInfeasibleError, "need 1 <= s <= n/k + 1, got s=0"),
+    ],
+)
+def test_infeasible_families_are_refused_before_the_universe_is_built(
+    monkeypatch, build, args, error, message
+):
+    # K_200^3 holds 1,313,400 edges and K_1000^3 about 1.66e8.
+    def refuse(cls, k, n):
+        raise AssertionError(f"built K_{n}^{k}")
+
+    monkeypatch.setattr(Hypergraph, "complete", classmethod(refuse))
+    with pytest.raises(error) as info:
+        build(*args)
+    assert type(info.value) is error and str(info.value) == message
+
 
 def test_constructions_hold_the_constructor_invariant():
     # Built without validation; rebuilding through __init__ changes nothing.
@@ -206,6 +237,9 @@ class TestConjectureValues:
             ("Conj1.9", {"l": 3, "m": 2, "s": Fraction(1, 2)}, "need 1 <= l <= m, got l=3, m=2"),
             ("Conj1.9", {"l": 0, "m": 4, "s": Fraction(1)}, "need 1 <= l <= m, got l=0, m=4"),
             ("Conj1.8", {"k": 0, "n": 4, "s": 1}, "need 1 <= k <= n, got k=0, n=4"),
+            ("f_{k-1}-exact", {"k": 5, "n": 4}, "need 1 <= k <= n, got k=5, n=4"),
+            ("Conj1.8", {"k": 2, "n": 6, "s": Fraction(3, 2)}, "need integral 1 <= s <= n/k, got s=3/2"),
+            ("Conj1.9", {"l": 2, "m": 6, "s": 0}, "need 0 < s <= m/l, got s=0"),
         ],
     )
     def test_counts_need_an_order_at_least_the_uniformity(self, context, params, message):

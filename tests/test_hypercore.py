@@ -520,6 +520,24 @@ class TestDegrees:
         assert degree(K4, (0, 0)) == degree(K4, (0,)) == 3
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: min_d_degree(K4, 4), "need 0 <= d <= k=3, got d=4"),
+        (lambda: min_d_degree(K4, -1), "need 0 <= d <= k=3, got d=-1"),
+        (lambda: link(K4, (4,)), "vertex 4 out of range 0..3"),
+        (
+            lambda: threshold_hypergraph(VertexWeighting((Fraction(1),) * 2), 3),
+            "need 1 <= k <= n=2, got k=3",
+        ),
+    ],
+)
+def test_out_of_range_arguments_are_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestLink:
     def test_link_of_complete_is_complete(self):
         g = link(K4, (0,))
@@ -599,6 +617,13 @@ class TestFileFormats:
         path.write_text("")
         with pytest.raises(ValueError):
             read_hypergraph(str(path))
+
+    def test_edge_of_the_wrong_size_is_refused(self, tmp_path):
+        path = tmp_path / "h.hg"
+        path.write_text("3 4\n0 1 2\n# short\n1 3\n")
+        with pytest.raises(ValueError) as info:
+            read_hypergraph(str(path))
+        assert str(info.value) == f"{path}:4: expected 3 vertices, got 2"
 
     def test_weighting_round_trip(self, tmp_path):
         path = str(tmp_path / "w.wt")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hypermatch import optmatch
+from hypermatch.extremal import construct_clique_plus_isolated, construct_h1
 from hypermatch.hypercore import EdgeWeighting, Hypergraph, VertexWeighting
 from hypermatch.optmatch import (
     _COVER_DP_LIMIT,
@@ -433,6 +434,35 @@ class TestFractionalOptima:
                 fractional_cover=good.fractional_cover,
                 cover_certificate=good.cover_certificate,
             )
+
+    @pytest.mark.parametrize(
+        "build, args, nu, nu_star, cover",
+        [
+            (construct_h1, (3, 22, 3), 2, 2, (0, 1)),
+            (construct_h1, (2, 24, 4), 3, 3, (0, 1, 2)),
+            (construct_clique_plus_isolated, (3, 21, 3), 2, Fraction(8, 3), (0, 1, 2, 3, 4, 5)),
+        ],
+    )
+    def test_covers_past_the_dp_limit_are_searched_and_rechecked(
+        self, monkeypatch, build, args, nu, nu_star, cover
+    ):
+        # Past _COVER_DP_LIMIT vertices the cover comes from the branching
+        # search, and fractional_optimum re-checks both certificates.
+        searched, checked = [], []
+        branching, verify = optmatch._cover_by_branching, optmatch._verify_integral
+        monkeypatch.setattr(
+            optmatch, "_cover_by_branching", lambda h: searched.append(h) or branching(h)
+        )
+        monkeypatch.setattr(
+            optmatch, "_verify_integral", lambda *a: checked.append(a) or verify(*a)
+        )
+        h = build(*args)
+        assert h.n > _COVER_DP_LIMIT
+        report = fractional_optimum(h)
+        assert (report.nu, report.nu_star, report.tau) == (nu, nu_star, len(cover))
+        assert report.cover_certificate == cover
+        assert searched == [h]
+        assert checked == [(h, report.matching_certificate, cover)]
 
     def test_integrality_gap_instance(self):
         # One triple from each complementary pair on 6 vertices:

@@ -105,6 +105,12 @@ class TestQuery:
         with pytest.raises(ValueError):
             SamuelsQuery.uniform(5, Fraction(1, 5))  # total reaches 1
 
+    @pytest.mark.parametrize("l", [0, -2])
+    def test_uniform_needs_a_coordinate(self, l):
+        with pytest.raises(ValueError) as info:
+            SamuelsQuery.uniform(l, Fraction(1, 5))
+        assert str(info.value) == f"need l >= 1, got {l}"
+
 
 class TestTwoPointFamily:
     def test_jump_and_probabilities(self):

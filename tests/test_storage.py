@@ -111,6 +111,19 @@ class TestCandidates:
     def test_budget_beyond_everything(self):
         assert candidate_allocations(4, 2, 5) == []
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: candidate_allocations(4, 5, 1), "need 1 <= r <= n, got r=5, n=4"),
+            (lambda: candidate_allocations(4, 2, -1), "budget must be >= 0, got -1"),
+            (lambda: optimize_grid(4, 0, 1), "need 1 <= r <= n, got r=0, n=4"),
+        ],
+    )
+    def test_refusal_messages(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
     def test_zero_budget(self):
         reports = candidate_allocations(4, 2, 0)
         assert [r.phi for r in reports] == [0, 0]

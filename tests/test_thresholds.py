@@ -1,6 +1,7 @@
 """Exhaustive threshold search, reductions, and formula comparisons."""
 
 import functools
+import gc
 import itertools
 import math
 import random
@@ -41,6 +42,26 @@ class TestQueryValidation:
             ThresholdQuery(2, 4, 1, Fraction(3, 2), "integral")
         with pytest.raises(ValueError):
             ThresholdQuery(2, 4, 1, 0, "fractional")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2, 4, 1, 2, "both"), "mode must be integral|fractional, got 'both'"),
+            ((5, 4, 1, 1, "integral"), "need 1 <= k <= n, got k=5, n=4"),
+            ((2, 4, 2, 1, "integral"), "need 0 <= d <= k-1, got d=2"),
+            ((2, 4, 1, "3/2", "integral"), "integral mode needs integer s >= 1, got 3/2"),
+            ((2, 4, 1, 0, "fractional"), "fractional mode needs s > 0, got 0"),
+        ],
+    )
+    def test_refusal_messages(self, args, message):
+        with pytest.raises(ValueError) as info:
+            ThresholdQuery(*args)
+        assert str(info.value) == message
+
+    def test_target_is_stored_as_a_fraction(self):
+        for s in (2, "2", Fraction(4, 2)):
+            q = ThresholdQuery(2, 4, 1, s, "integral")
+            assert type(q.s) is Fraction and q == ThresholdQuery(k=2, n=4, d=1, s=2, mode="integral")
 
     def test_fractional_targets_may_exceed_perfect(self):
         # degenerate targets are legal: nothing attains them, so the search
@@ -339,6 +360,18 @@ def test_pinned_scans(k, n, d, mode, s, start, stop, expected):
     assert thresholds._scan_range(k, n, d, mode, Fraction(s), start, stop) == expected
 
 
+def test_scan_leaves_no_reference_cycles():
+    # Everything a scan builds is freed by reference counting alone.
+    gc.collect()
+    gc.disable()
+    try:
+        thresholds._scan_range(2, 7, 0, "fractional", Fraction(5, 2), 0, 1 << 21)
+        thresholds._scan_range(3, 6, 1, "integral", Fraction(2), 0, 1 << 20)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestLinearRemap:
     def test_pinned_reduction(self):
         w = VertexWeighting(
@@ -383,6 +416,11 @@ class TestLinearRemap:
             reduce_fractional_instance(
                 VertexWeighting((Fraction(1, 6), Fraction(1, 2), Fraction(1, 2))), 3, 2
             )
+
+    def test_empty_weighting_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            linear_remap(VertexWeighting(()), 3)
+        assert str(info.value) == "empty weighting"
 
     def test_remap_caps_at_one(self):
         w = VertexWeighting((Fraction(0), Fraction(9, 10)))
