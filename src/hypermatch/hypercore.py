@@ -231,6 +231,15 @@ def _check_weights(weights: Iterable[Fraction | int | str]) -> tuple[Fraction, .
     return tuple(out)
 
 
+def _exact(value: Fraction | int | str) -> Fraction:
+    """``value`` as a Fraction; a float is refused, as it holds a binary fraction."""
+    if isinstance(value, float):
+        raise TypeError(
+            "pass rationals as Fraction/int/str; floats are not exact"
+        )
+    return Fraction(value)
+
+
 def _over_lcm(weights: Sequence[Fraction]) -> tuple[list[int], int]:
     """The weights' numerators over the lcm of their denominators, and the lcm."""
     common = math.lcm(*[w.denominator for w in weights])

@@ -237,7 +237,7 @@ def _inside(edges: np.ndarray, n: int, subset) -> np.ndarray:
     return members[edges]
 
 
-def _check_edges(plan: RoundOnePlan, subsets) -> tuple[CheckResult, CheckResult]:
+def _check_edges(plan: RoundOnePlan, subsets, edges: np.ndarray) -> tuple[CheckResult, CheckResult]:
     """Checks (iii) and (v), edge multiplicity and induced degrees.
 
     (iii): no base edge lies inside two sampled subsets.  (v): for a d-set
@@ -245,16 +245,15 @@ def _check_edges(plan: RoundOnePlan, subsets) -> tuple[CheckResult, CheckResult]
     D inside f and all other vertices of f inside R; every D must keep
     1/2 of C(|R|-d, k-d) of them in every round.
 
-    Per round one boolean "inside R" array is gathered through the (E, k)
-    array of the base edges.  An edge with all k entries inside is a hit
-    for (iii).  Each choice of d positions in the array names one d-set of
-    every edge; the edges whose other k - d entries are inside count onto
-    their d-sets' lex ranks by one ``bincount``, so violations of (v) come
-    out round by round in lex order.
+    Per round one boolean "inside R" array is gathered through ``edges``,
+    the (E, k) array of the base edges.  An edge with all k entries inside
+    is a hit for (iii).  Each choice of d positions in the array names one
+    d-set of every edge; the edges whose other k - d entries are inside
+    count onto their d-sets' lex ranks by one ``bincount``, so violations
+    of (v) come out round by round in lex order.
     """
     base, d = plan.base, plan.d
     n, k = base.n, base.k
-    edges = _edge_array(base)
     choices = [
         (_lex_ranks(edges, at, n), [j for j in range(k) if j not in at])
         for at in itertools.combinations(range(k), d)
@@ -302,7 +301,10 @@ def compute_round_matchings(outcome: RoundOneOutcome) -> RoundOneOutcome:
     a None entry.
     """
     base = outcome.plan.base
-    edges = _edge_array(base)
+    # ``sample_rounds`` hands over the edge array its checks used.
+    edges = vars(outcome).get("_edges")
+    if edges is None:
+        edges = _edge_array(base)
     matchings: list[EdgeWeighting | None] = []
     skipped = []
     for i, r in enumerate(outcome.subsets):
@@ -327,7 +329,8 @@ def sample_rounds(plan: RoundOnePlan, with_matchings: bool = False) -> RoundOneO
     n = plan.base.n
     coverage, pair_coverage = incidence(subsets, n)
     over_cap = [(pair, c) for pair, c in pair_coverage.items() if c > _PAIR_CAP]
-    multiplicity, degrees = _check_edges(plan, subsets)
+    edges = _edge_array(plan.base)
+    multiplicity, degrees = _check_edges(plan, subsets, edges)
     checks = (
         _check_band(
             "vertex_coverage", coverage, plan.rounds * Fraction(plan.p), _VERTEX_TOLERANCE,
@@ -348,6 +351,9 @@ def sample_rounds(plan: RoundOnePlan, with_matchings: bool = False) -> RoundOneO
     )
     outcome = RoundOneOutcome(plan=plan, subsets=subsets, checks=checks)
     if with_matchings:
+        # In the instance dict, outside the fields, for this one call: the
+        # outcome returned is a new one, without it.
+        vars(outcome)["_edges"] = edges
         outcome = compute_round_matchings(outcome)
     return outcome
 

@@ -45,7 +45,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .hypercore import _draw_threshold, _over_lcm
+from .hypercore import _draw_threshold, _exact, _over_lcm
 
 __all__ = [
     "SamuelsQuery",
@@ -86,14 +86,6 @@ _STEP = 1e-3
 # Width to which ``boundary_scan`` bisects.  On x >= _STEP the floats are
 # far denser than this, so the midpoint always falls between the ends.
 _TOLERANCE = 1e-6
-
-
-def _exact(value: Fraction | int | str) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(
-            "pass rationals as Fraction/int/str; floats are not exact"
-        )
-    return Fraction(value)
 
 
 @dataclass(frozen=True)

@@ -56,14 +56,34 @@ each octave of packed size below 2^16, 0.98 in [2^16, 2^17) and 1.23 in
 2.1-6.7 times as long.  862 of those 916 LPs fall below the cut (their
 median has 20 columns), and no round LP does.
 
-Larger LPs price with one numpy gather per pivot.  Once per solve the
-columns' rows go into a (width, ncols) index array, short columns padded
-with a sentinel row m whose dual is always 0; each pivot gathers Y through
-it, sums over the width and takes the first column whose sum is below D.
-The sums are exact in int64 while D and max|Y| are below
-2^62 // (width + 1), which is checked on every pivot in O(m) on the Python
-ints; past that bound the same arrays are built with dtype object, whose
-elements are Python ints.  No float is involved on either path.
+Larger LPs price with numpy gathers.  Once per solve the columns' rows go
+into (width, block) index arrays of at most ``_GATHER_BLOCK`` columns each,
+short columns padded with a sentinel row m whose dual is always 0; each
+pivot gathers Y through the first block, sums over the width and takes the
+first column whose sum is below D.  Only if that block has none does it go
+on to the next, and so on, so the column it takes is the one a single
+gather over all columns would take.  Bland's entering column lies early:
+over the 1,827 column pivots of the four criterion-9 round LPs its median
+position is 0.30 of the way along.  A block is worth its fixed cost, about
+1.6 us a gather against 1.5 ns a column of width 3 (2-vCPU AMD EPYC, numpy
+2.4.6), only when it is some thousand columns or more; those four solves
+took 37.7 ms with blocks of 512 columns, 33 ms with 1024, 32 ms with 2048,
+33 ms with 4096 and 37.7 ms with one gather, hence blocks of 2048.  An LP
+of at most one block prices with one gather, as before.  The sums are
+exact in int64 while D and max|Y| are below 2^62 // (width + 1), which is
+checked on every pivot in O(m) on the Python ints; past that bound the
+same arrays are gathered with dtype object, whose elements are Python
+ints.  No float is involved on either path.
+
+When every column has the same width and no fault, the set-up of the
+gather runs in numpy: the path is chosen from m, width and ncols before
+any column is copied, the columns become one (ncols, width) array, a
+repeated row is two equal positions of one column, found by comparing
+the array with itself shifted by 1..width-1 positions, and the rows are
+relabelled through a lookup array indexed by row as the blocks are cut.
+Only the entering column's rows are relabelled in Python, once per pivot.
+Columns of mixed widths, or with a fault, are copied and checked column
+by column, so the first faulty column is the one named.
 
 Each column j of [M | X] is held as one Python int,
 C_j = sum(T[r][j] * 2^(w*r) for r < m), a field of w signed bits a row
@@ -141,6 +161,10 @@ _ZERO = Fraction(0)
 # integers, the rest with the numpy gather (see the module docstring).
 _PACKED_PRICING_CUT = 1 << 16
 
+# The gather prices at most this many columns at a time (see the module
+# docstring).
+_GATHER_BLOCK = 2048
+
 # The gather sums in int64 while D and max|Y| are below this over
 # (width + 1), so that no sum of width duals, and no comparison with D, can
 # overflow.
@@ -195,34 +219,47 @@ def solve_unit_packing(
     included, and the first faulty column is named.
     """
     ncols = len(columns)
-    cols = [tuple(col) for col in columns]
     # The sum stays an int only if every row is one (bools aside): a row such
     # as 1.0 would pass the range test and fail as a list index.
     try:
-        exact = type(sum(chain.from_iterable(cols))) is int
+        widths = set(map(len, columns))
+        exact = type(sum(chain.from_iterable(columns))) is int
     except TypeError:
         exact = False
-    touched = sorted(set().union(*cols)) if exact else []
-    if (
-        not exact
-        or not all(cols)
-        or (touched and (touched[0] < 0 or touched[-1] >= n_rows))
-        or any(len(set(col)) != len(col) for col in cols)
-    ):
-        # Report the first fault in column order; numpy integers are rows.
-        for col in cols:
-            if not col:
-                raise ValueError("a column must hit at least one row")
-            for r in col:
-                try:
-                    index(r)
-                except TypeError:
-                    raise ValueError(f"column {col} has a row index that is not an integer") from None
-                if not (0 <= r < n_rows):
-                    raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
-            if len(set(col)) != len(col):
-                raise ValueError(f"column {col} repeats a row")
-        touched = sorted(set().union(*cols))
+    touched = sorted(set().union(*columns)) if exact else []
+    # Equal-width columns of rows in range, in an LP that prices with the
+    # gather, are set up in numpy (see the module docstring); anything else,
+    # a fault included, is copied and checked column by column.
+    by_col = None
+    if exact and len(widths) == 1 and 0 not in widths and 0 <= touched[0] and touched[-1] < n_rows:
+        m = len(touched)
+        (width,) = widths
+        if m * ncols * _price_width(m, width) >= _PACKED_PRICING_CUT:
+            by_col = np.array(columns, np.intp)
+            if any((by_col[:, s:] == by_col[:, :-s]).any() for s in range(1, width)):
+                by_col = None
+    if by_col is None:
+        cols = [tuple(col) for col in columns]
+        if (
+            not exact
+            or not all(cols)
+            or (touched and (touched[0] < 0 or touched[-1] >= n_rows))
+            or any(len(set(col)) != len(col) for col in cols)
+        ):
+            # Report the first fault in column order; numpy integers are rows.
+            for col in cols:
+                if not col:
+                    raise ValueError("a column must hit at least one row")
+                for r in col:
+                    try:
+                        index(r)
+                    except TypeError:
+                        raise ValueError(f"column {col} has a row index that is not an integer") from None
+                    if not (0 <= r < n_rows):
+                        raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
+                if len(set(col)) != len(col):
+                    raise ValueError(f"column {col} repeats a row")
+            touched = sorted(set().union(*cols))
     if ncols == 0 or n_rows == 0:
         return PackingResult(
             _ZERO, (_ZERO,) * ncols, (_ZERO,) * n_rows, 0, 1, (0,) * ncols, (0,) * n_rows, 0
@@ -232,9 +269,24 @@ def solve_unit_packing(
     # increasing order so that slack ids keep their order.  An untouched
     # row's slack would stay basic with a zero dual throughout.
     m = len(touched)
-    if touched[-1] != m - 1:
-        label = {r: i for i, r in enumerate(touched)}
-        cols = [tuple(label[r] for r in col) for col in cols]
+    relabel = lookup = None
+    if by_col is not None:
+        # Only the index arrays and, on each pivot, the entering column are
+        # relabelled, through one list indexed by row.
+        cols = columns
+        if touched[-1] != m - 1:
+            relabel = [0] * (touched[-1] + 1)
+            for i, r in enumerate(touched):
+                relabel[r] = i
+            lookup = np.array(relabel, np.intp)
+    else:
+        if touched[-1] != m - 1:
+            label = {r: i for i, r in enumerate(touched)}
+            cols = [tuple(label[r] for r in col) for col in cols]
+        width = max(map(len, cols))
+        if m * ncols * _price_width(m, width) >= _PACKED_PRICING_CUT:
+            # Short columns are padded with the sentinel row m (dual 0).
+            by_col = np.array([col + (m,) * (width - len(col)) for col in cols], dtype=np.intp)
 
     # Variable ids: 0..ncols-1 are structural columns, ncols..ncols+m-1 are
     # slacks.  The initial basis is the slack identity (b = 1 is feasible),
@@ -243,12 +295,11 @@ def solve_unit_packing(
     denom = 1
     basis = [ncols + i for i in range(m)]
     pivots = 0
-    width = max(map(len, cols))
-    v = _price_width(m, width)
-    if m * ncols * v < _PACKED_PRICING_CUT:
+    if by_col is None:
         # Row r's column indicator, one field of v bits a column, and the
         # sum's constant part without D: 2^(v-1) in every field.
         rows = None
+        v = _price_width(m, width)
         indicator = [0] * m
         for j, col in enumerate(cols):
             bit = 1 << (v * j)
@@ -257,11 +308,14 @@ def solve_unit_packing(
         units = ((1 << (v * ncols)) - 1) // ((1 << v) - 1)
         tops = units << (v - 1)
     else:
-        # Each column's rows, padded with the sentinel row m (dual 0), held
-        # as (width, ncols) so that the sum runs over rows of contiguous
-        # memory, and the largest D or |Y| for which the int64 sums below
-        # are exact.
-        rows = np.array([col + (m,) * (width - len(col)) for col in cols], dtype=np.intp).T.copy()
+        # Each block of columns' rows held as (width, block) so that the sum
+        # runs over rows of contiguous memory; the first block is ``rows``
+        # and the others wait in ``later`` with their first column.  Also
+        # the largest D or |Y| for which the int64 sums below are exact.
+        starts = range(0, ncols, _GATHER_BLOCK)
+        blocks = [by_col[a : a + _GATHER_BLOCK].T for a in starts]
+        rows, *rest = [b.copy() if lookup is None else lookup.take(b) for b in blocks]
+        later = list(zip(starts[1:], rest))
         limit = _INT64_BOUND // (width + 1)
     w = _field_width(m, width)
     half = 1 << (w - 1)
@@ -285,11 +339,19 @@ def solve_unit_packing(
             # row's dual 0.
             z, ys[m] = ys[m], 0
             fits = denom < limit and max(ys) < limit and -min(ys) < limit
-            gain = np.array(ys, np.int64 if fits else object).take(rows).sum(axis=0) < denom
+            duals = np.array(ys, np.int64 if fits else object)
             ys[m] = z
+            gain = duals.take(rows).sum(axis=0) < denom
             entering = int(gain.argmax())
             if not gain[entering]:
+                # The later blocks in order, up to the first with a gain.
                 entering = -1
+                for start, block in later:
+                    gain = duals.take(block).sum(axis=0) < denom
+                    j = int(gain.argmax())
+                    if gain[j]:
+                        entering = start + j
+                        break
         if entering < 0:
             entering = next((ncols + i for i in range(m) if ys[i] < 0), -1)
             if entering < 0:
@@ -303,6 +365,8 @@ def solve_unit_packing(
             dm = ys[i]
         else:
             col = cols[entering]
+            if relabel is not None:
+                col = tuple(map(relabel.__getitem__, col))
             d = sum(map(packed.__getitem__, col))
             dm = sum(map(ys.__getitem__, col)) - denom
             if dm >= 0:

@@ -34,6 +34,7 @@ from .extremal import _clique_min_degree, _h1_min_degree, conjecture_values, con
 from .hypercore import (
     Hypergraph,
     VertexWeighting,
+    _exact,
     link,
     min_d_degree,
     threshold_hypergraph,
@@ -64,8 +65,9 @@ class ThresholdQuery:
     "fractional" targets fractional matching number >= s for rational
     s > 0.  Targets above n/k are permitted and yield the degenerate
     maximum over all edge sets (nothing can reach them), which the
-    sandwich bounds of the storage module rely on.  s may be given as
-    anything ``Fraction`` accepts and is stored as a ``Fraction``.
+    sandwich bounds of the storage module rely on.  s may be given as a
+    Fraction, an int or a string ``Fraction`` accepts, and is stored as a
+    ``Fraction``; a float is refused with a TypeError.
     """
 
     k: int
@@ -81,7 +83,7 @@ class ThresholdQuery:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if not 0 <= self.d <= self.k - 1:
             raise ValueError(f"need 0 <= d <= k-1, got d={self.d}")
-        s = Fraction(self.s)
+        s = _exact(self.s)
         if self.mode == "integral":
             if s.denominator != 1 or s < 1:
                 raise ValueError(f"integral mode needs integer s >= 1, got {self.s}")

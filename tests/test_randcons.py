@@ -122,7 +122,7 @@ class TestExactBands:
             plan = RoundOnePlan(base, 1, 1.0, 1)
             subsets = randcons._sample_subsets(plan)
             assert subsets == (tuple(range(6)),)
-            _, degrees = randcons._check_edges(plan, subsets)
+            _, degrees = randcons._check_edges(plan, subsets, randcons._edge_array(plan.base))
             assert degrees.witnesses == witnesses
             assert degrees == oracles.check_induced_degrees(plan, subsets)
 
@@ -156,7 +156,7 @@ class TestRoundOneAuditsMatchOracles:
         for trial in range(40):
             plan = random_plan(rng, k, d, seed=trial)
             subsets = randcons._sample_subsets(plan)
-            multiplicity, degrees = randcons._check_edges(plan, subsets)
+            multiplicity, degrees = randcons._check_edges(plan, subsets, randcons._edge_array(plan.base))
             # Equal reprs: the same types too, ints rather than numpy scalars.
             assert repr(multiplicity) == repr(oracles.check_edge_multiplicity(plan, subsets))
             assert repr(degrees) == repr(oracles.check_induced_degrees(plan, subsets))
@@ -170,7 +170,7 @@ class TestRoundOneAuditsMatchOracles:
         # if not, so every vertex keeps more than half.
         plan = RoundOnePlan(Hypergraph.complete(3, 60), 4, 0.5, 1, seed=7)
         subsets = randcons._sample_subsets(plan)
-        multiplicity, degrees = randcons._check_edges(plan, subsets)
+        multiplicity, degrees = randcons._check_edges(plan, subsets, randcons._edge_array(plan.base))
         assert multiplicity.violations == 2974
         assert multiplicity == oracles.check_edge_multiplicity(plan, subsets)
         assert degrees.passed
@@ -235,6 +235,19 @@ class TestRoundMatchings:
         assert outcome.skipped_rounds == ()
         (matching,) = outcome.matchings
         assert sum(w for _, w in matching.support()) == Fraction(2)
+
+    def test_sampling_with_matchings_builds_the_edge_array_once(self, monkeypatch):
+        # The checks and the round LPs share one array, and the outcome
+        # returned does not keep it.
+        plan = RoundOnePlan(Hypergraph.complete(3, 9), 4, 0.7, 1, seed=2)
+        expected = compute_round_matchings(sample_rounds(plan))
+        calls = []
+        build = randcons._edge_array
+        monkeypatch.setattr(randcons, "_edge_array", lambda base: calls.append(base) or build(base))
+        outcome = sample_rounds(plan, with_matchings=True)
+        assert calls == [plan.base]
+        assert outcome == expected and outcome.matchings == expected.matchings
+        assert "_edges" not in vars(outcome)
 
     def test_imperfect_round_is_skipped(self):
         plan = RoundOnePlan(TWO_TRIPLES, 1, 0.5, 1)

@@ -366,6 +366,147 @@ def test_matches_reference_where_int64_pricing_would_overflow(monkeypatch):
     assert np.dtype(object) in pricing and np.dtype(np.int64) in pricing
 
 
+def blocks_of_pairs(offset: int) -> tuple[int, list[tuple[int, int]]]:
+    """(n_rows, columns): a block of copies of one pair, a block of copies of
+    a second, then five disjoint pairs, all on rows offset + 0..13.
+
+    Once a copy of the first pair is basic no other copy gains, so every
+    later pivot's column comes from a later block, and nu* = 7 needs them.
+    """
+    block = simplex._GATHER_BLOCK
+    pairs = [(offset + 2 * j, offset + 2 * j + 1) for j in range(7)]
+    return offset + 14, [pairs[0]] * block + [pairs[1]] * block + pairs[2:]
+
+
+def log_pricing(monkeypatch, setup: int) -> list[int]:
+    """Columns gathered on each pricing pass, one entry a pass; the first
+    ``setup`` arrays made are the set-up's."""
+    passes: list[int] = []
+    made = []
+
+    class Logged(np.ndarray):
+        def take(self, indices):
+            passes[-1] += indices.shape[1]
+            return np.asarray(self).take(indices)
+
+    def array(values, dtype):
+        made.append(dtype)
+        if len(made) <= setup:
+            return np.array(values, dtype)
+        passes.append(0)
+        return np.array(values, dtype).view(Logged)
+
+    monkeypatch.setattr(simplex, "np", SimpleNamespace(array=array, intp=np.intp, int64=np.int64))
+    return passes
+
+
+@pytest.mark.parametrize("offset", [0, 3], ids=["rows-from-0", "relabelled"])
+def test_later_blocks_price_like_one_gather(monkeypatch, offset):
+    # Each pass stops at the first block with a gain, so the first reads one
+    # block and the second, which enters the first copy of the second pair,
+    # two; the last pass finds no gain and reads every block.  The set-up
+    # makes the columns' array, and the row lookup if rows are relabelled.
+    n_rows, columns = blocks_of_pairs(offset)
+    block = simplex._GATHER_BLOCK
+    expected = oracles.solve_unit_packing(n_rows, columns)
+    passes = log_pricing(monkeypatch, setup=2 if offset else 1)
+    result = solve_unit_packing(n_rows, columns)
+    assert result == expected and result.value == 7
+    assert result.primal[block] == 1 and all(x == 1 for x in result.primal[2 * block:])
+    assert len(passes) == result.pivots + 1
+    assert passes[:2] == [block, 2 * block]
+    assert passes[-1] == len(columns)
+    # Dtype object prices through the same blocks.
+    monkeypatch.setattr(simplex, "_INT64_BOUND", 0)
+    passes = log_pricing(monkeypatch, setup=2 if offset else 1)
+    assert solve_unit_packing(n_rows, columns) == expected
+    assert passes[:2] == [block, 2 * block] and passes[-1] == len(columns)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_small_blocks_match_reference(monkeypatch, block):
+    # With the cut at 0 every LP here prices with the gather, in blocks of
+    # a few columns: entering columns in later blocks, slacks entering after
+    # a pass over every block, padded mixed widths and relabelled rows.
+    monkeypatch.setattr(simplex, "_PACKED_PRICING_CUT", 0)
+    monkeypatch.setattr(simplex, "_GATHER_BLOCK", block)
+    corpus = [*random_k_graphs(), *mixed_unsorted_columns(), *ONE_ROW_AND_WIDTH_ONE]
+    corpus += [k_graph(random.Random(seed)) for seed in sorted(SLACK_ENTERING)]
+    for n_rows, columns in corpus:
+        assert solve_unit_packing(n_rows, columns) == oracles.solve_unit_packing(n_rows, columns)
+
+
+def test_object_pricing_across_blocks_matches_int64_pricing(monkeypatch):
+    monkeypatch.setattr(simplex, "_PACKED_PRICING_CUT", 0)
+    monkeypatch.setattr(simplex, "_GATHER_BLOCK", 3)
+    corpus = [(n, edges) for _, n, edges in small_corpus()]
+    corpus += [k_graph(random.Random(seed)) for seed in sorted(SLACK_ENTERING)]
+    int64_results = [solve_unit_packing(n, edges) for n, edges in corpus]
+    monkeypatch.setattr(simplex, "_INT64_BOUND", 0)
+    assert [solve_unit_packing(n, edges) for n, edges in corpus] == int64_results
+
+
+def gather_sized_columns(seed: int) -> list[list[int]]:
+    """600 random 3-sets on rows 1..30 of 32: an LP for the gather, relabelled."""
+    rng = random.Random(seed)
+    columns = [rng.sample(range(1, 31), 3) for _ in range(600)]
+    assert packed_size(columns) >= simplex._PACKED_PRICING_CUT
+    return columns
+
+
+@pytest.mark.parametrize(
+    "last",
+    [[5, 9, 5], [5, 5, 9], [9, 5, 5], [0, 1, 32], [-1, 4, 7], []],
+    ids=["repeat-0-2", "repeat-0-1", "repeat-1-2", "out-of-range", "negative", "empty"],
+)
+def test_fault_in_the_last_column_of_a_gather_lp_is_named_like_the_reference(last):
+    columns = gather_sized_columns(60) + [last]
+    with pytest.raises(ValueError) as expected:
+        oracles.solve_unit_packing(32, columns)
+    with pytest.raises(ValueError) as info:
+        solve_unit_packing(32, columns)
+    assert str(info.value) == str(expected.value)
+
+
+def test_non_integer_row_in_the_last_column_of_a_gather_lp_is_named():
+    for last in ([3, 1.0, 2], [2, "x", 7]):
+        with pytest.raises(ValueError) as info:
+            solve_unit_packing(32, gather_sized_columns(60) + [last])
+        assert str(info.value) == f"column {tuple(last)} has a row index that is not an integer"
+
+
+def test_mixed_widths_in_a_gather_lp_solve_like_the_reference():
+    # One column of another width sends the set-up column by column, with
+    # short columns padded by the sentinel row.
+    for last in ([4, 6], [3, 8, 9, 11]):
+        columns = gather_sized_columns(60) + [last]
+        assert solve_unit_packing(32, columns) == oracles.solve_unit_packing(32, columns)
+
+
+def test_first_fault_of_a_gather_lp_is_reported_like_the_reference():
+    # Two or three faults in seeded places of equal-width gather LPs: the
+    # first in column order is named.
+    rng = random.Random(41)
+    faults = (lambda c: [c[0], c[1], c[0]], lambda c: [c[0], c[1], 31], lambda c: [c[0], -1, c[2]])
+    for trial in range(40):
+        columns = gather_sized_columns(trial)
+        for j in sorted(rng.sample(range(len(columns)), rng.randint(2, 3))):
+            columns[j] = rng.choice(faults)(columns[j])
+        with pytest.raises(ValueError) as expected:
+            oracles.solve_unit_packing(31, columns)
+        with pytest.raises(ValueError) as info:
+            solve_unit_packing(31, columns)
+        assert str(info.value) == str(expected.value)
+
+
+def test_gather_lp_rows_as_bools_and_numpy_integers_solve_alike():
+    # Bools are rows 0 and 1; numpy integers take the column-by-column set-up.
+    columns = gather_sized_columns(61) + [[False, True, 2]]
+    expected = solve_unit_packing(32, [[int(r) for r in col] for col in columns])
+    assert solve_unit_packing(32, columns) == expected
+    assert solve_unit_packing(32, [np.array(col) for col in columns]) == expected
+
+
 def test_no_columns():
     assert solve_unit_packing(4, []) == PackingResult(Fraction(0), (), (Fraction(0),) * 4, 0)
 

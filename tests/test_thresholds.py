@@ -63,6 +63,15 @@ class TestQueryValidation:
             q = ThresholdQuery(2, 4, 1, s, "integral")
             assert type(q.s) is Fraction and q == ThresholdQuery(k=2, n=4, d=1, s=2, mode="integral")
 
+    def test_float_targets_are_refused(self):
+        # 0.1 holds 3602879701896397/2^55, not 1/10; refused as SamuelsQuery
+        # refuses a float mean, whatever the mode.
+        for s, mode in ((0.1, "fractional"), (2.0, "integral"), (1.5, "fractional")):
+            with pytest.raises(TypeError) as info:
+                ThresholdQuery(2, 4, 1, s, mode)
+            assert str(info.value) == "pass rationals as Fraction/int/str; floats are not exact"
+        assert ThresholdQuery(2, 4, 1, "1/10", "fractional").s == Fraction(1, 10)
+
     def test_fractional_targets_may_exceed_perfect(self):
         # degenerate targets are legal: nothing attains them, so the search
         # maximises the degree over every edge set
