@@ -52,11 +52,15 @@ _DEGREE_FRACTION = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class RoundOnePlan:
-    """Sampling plan: which hypergraph, how many rounds, at what rate."""
+    """Sampling plan: which hypergraph, how many rounds, at what rate.
+
+    ``p`` may be a float or a Fraction; a vertex is kept iff its uniform
+    is below p exactly (see ``_sample_subsets``).
+    """
 
     base: Hypergraph
     rounds: int
-    p: float
+    p: float | Fraction
     d: int
     seed: int = 0
 
@@ -89,9 +93,13 @@ class _DrawPlan(NamedTuple):
     ``codegrees`` is that copy's source and is never handed out.
     """
 
-    supports: tuple[tuple[tuple[int, ...], ...], ...]  # each round's support edges
-    bounds: tuple[tuple[int, int], ...]  # each round's slice of the rounds' joined supports
-    size: int  # the length of the joined supports
+    joined: tuple[tuple[int, ...], ...]  # the rounds' support edges, one round after another
+    bounds: tuple[tuple[int, int], ...]  # each round's slice of ``joined``
+    # The positions of ``joined`` in the lex order of their edges, and the
+    # edges in that order; both None when ``joined`` is strictly increasing
+    # already (always so for one round), where the order is the identity.
+    order: tuple[int, ...] | None
+    ordered: tuple[tuple[int, ...], ...] | None
     degrees: tuple[int, ...]  # vertex degrees of the weight-1 support edges
     codegrees: dict[tuple[int, int], int]  # their pair codegrees
     # One entry per strictly fractional weight, in draw order: its position
@@ -126,10 +134,10 @@ class RoundOneOutcome:
         """
         solved = self if self.matchings is not None else compute_round_matchings(self)
         n = self.plan.base.n
-        supports, bounds, certain, fractional = [], [], [], []
-        start = 0
+        joined, bounds, certain, fractional = [], [], [], []
         for matching in solved.matchings:
             support = () if matching is None else matching.support()
+            start = len(joined)
             for i, (e, w) in enumerate(support, start):
                 # A support weight lies in (0, 1], so it is 1 iff its denominator is.
                 if w.denominator == 1:
@@ -137,15 +145,20 @@ class RoundOneOutcome:
                 else:
                     pairs = tuple(itertools.combinations(e, 2))
                     fractional.append((i, e, pairs, _draw_threshold(w)))
-            supports.append(tuple(e for e, _ in support))
-            bounds.append((start, start + len(support)))
-            start += len(support)
+            joined.extend(e for e, _ in support)
+            bounds.append((start, len(joined)))
         degrees, codegrees = incidence(certain, n)
         coverage, _ = incidence(self.subsets, n, pairs=False)
+        joined = tuple(joined)
+        order = ordered = None
+        if any(a >= b for a, b in itertools.pairwise(joined)):
+            order = tuple(sorted(range(len(joined)), key=joined.__getitem__))
+            ordered = tuple(map(joined.__getitem__, order))
         return _DrawPlan(
-            tuple(supports),
+            joined,
             tuple(bounds),
-            start,
+            order,
+            ordered,
             tuple(degrees),
             codegrees,
             tuple(fractional),
@@ -155,11 +168,16 @@ class RoundOneOutcome:
 
 
 def _sample_subsets(plan: RoundOnePlan) -> tuple[tuple[int, ...], ...]:
-    """Round i draws from the i-th child of SeedSequence(seed), made when drawn."""
+    """Round i draws from the i-th child of SeedSequence(seed), made when drawn.
+
+    A vertex is kept iff its uniform u is below p, decided exactly by the
+    dyadic threshold of ``Fraction(p)``; for a float p that is ``u < p``.
+    """
+    threshold = _draw_threshold(Fraction(plan.p))
     out = []
     for i in range(plan.rounds):
         rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(i,)))
-        keep = rng.random(plan.base.n) < plan.p
+        keep = rng.random(plan.base.n) < threshold
         out.append(tuple(int(v) for v in np.flatnonzero(keep)))
     return tuple(out)
 
@@ -376,6 +394,31 @@ class SparseSubgraph:
     per_round_selected: tuple[tuple[tuple[int, ...], ...], ...]
     skipped_rounds: tuple[int, ...]
 
+    @classmethod
+    def _trusted(
+        cls,
+        hypergraph: Hypergraph,
+        degrees: tuple[int, ...],
+        codegrees: dict[tuple[int, int], int],
+        coverage: tuple[int, ...],
+        per_round_selected: tuple[tuple[tuple[int, ...], ...], ...],
+        skipped_rounds: tuple[int, ...],
+    ) -> "SparseSubgraph":
+        """A SparseSubgraph made without the dataclass ``__init__``, its
+        fields put straight into the instance dict: ``build_sparse_subgraph``
+        hands over fields of the right types.  Equality, repr and
+        ``dataclasses.replace`` read the fields, so they see no difference."""
+        s = object.__new__(cls)
+        vars(s).update(
+            hypergraph=hypergraph,
+            degrees=degrees,
+            codegrees=codegrees,
+            coverage=coverage,
+            per_round_selected=per_round_selected,
+            skipped_rounds=skipped_rounds,
+        )
+        return s
+
     def max_codegree(self) -> int:
         return max(self.codegrees.values(), default=0)
 
@@ -395,22 +438,27 @@ def build_sparse_subgraph(
     edges in canonical order, so results are reproducible bit for bit given
     the seed.
 
-    Only the generator and its draws depend on the seed.  Everything else
-    a build needs is the outcome's draw plan, made on its first build and
-    kept on it: each round's support edges, the vertex degrees and pair
-    codegrees of the weight-1 support edges (counted once per outcome),
-    each strictly fractional weight's position, edge, pairs and exact
-    dyadic threshold (``_draw_threshold``), the coverage and the skipped
-    rounds.  An outcome without matchings has its round LPs solved once,
-    for that plan.  A build takes all of its uniforms in one call, which
-    yields the same doubles as one call per weight, copies the plan's
-    counts, adds the drawn edges that hit, drops the ones that miss and
-    picks each round's kept edges from its support in order.
+    Only the generator and its draws depend on the seed, and they are the
+    floor of what a build costs; the rest is one pass over the draws.
+    Everything else a build needs is the outcome's draw plan, made on its
+    first build and kept on it: the rounds' joined support edges and their
+    lex order, the vertex degrees and pair codegrees of the weight-1
+    support edges (counted once per outcome), each strictly fractional
+    weight's position, edge, pairs and exact dyadic threshold
+    (``_draw_threshold``), the coverage and the skipped rounds.  An
+    outcome without matchings has its round LPs solved once, for that
+    plan.  A build takes all of its uniforms in one call, which yields the
+    same doubles as one call per weight, copies the plan's counts, adds
+    the drawn edges that hit and marks the ones that miss.  Its kept edges
+    are one ``compress`` over the lex order, an edge kept in several
+    rounds taken once; where that order is the identity they are the
+    joined supports' own ``compress``, and for one round they are also
+    the round's selection.
     """
     base = outcome.plan.base
     draws = outcome._draw_plan
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    keep = [True] * draws.size
+    keep = [True] * len(draws.joined)
     degrees = list(draws.degrees)
     codegrees = draws.codegrees.copy()
     uniforms = rng.random(len(draws.fractional)).tolist()
@@ -422,18 +470,25 @@ def build_sparse_subgraph(
                 codegrees[uv] = codegrees.get(uv, 0) + 1
         else:
             keep[i] = False
-    selected_all = tuple(
-        tuple(itertools.compress(support, keep[a:b]))
-        for support, (a, b) in zip(draws.supports, draws.bounds)
-    )
-    kept = set(itertools.chain.from_iterable(selected_all))
-    return SparseSubgraph(
-        hypergraph=Hypergraph._canonical(base.k, base.n, tuple(sorted(kept))),
-        degrees=tuple(degrees),
-        codegrees=codegrees,
-        coverage=draws.coverage,
-        per_round_selected=selected_all,
-        skipped_rounds=draws.skipped_rounds,
+    if draws.order is None:
+        kept = tuple(itertools.compress(draws.joined, keep))
+    else:
+        # An edge kept in several rounds is taken once.
+        kept = itertools.compress(draws.ordered, map(keep.__getitem__, draws.order))
+        kept = tuple(dict.fromkeys(kept))
+    if len(draws.bounds) == 1:
+        selected_all = (kept,)
+    else:
+        selected_all = tuple(
+            tuple(itertools.compress(draws.joined[a:b], keep[a:b])) for a, b in draws.bounds
+        )
+    return SparseSubgraph._trusted(
+        Hypergraph._canonical(base.k, base.n, kept),
+        tuple(degrees),
+        codegrees,
+        draws.coverage,
+        selected_all,
+        draws.skipped_rounds,
     )
 
 

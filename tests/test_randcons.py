@@ -1,9 +1,11 @@
 """Randomised two-round construction: sampling, checks and build."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
 import multiprocessing
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from hypermatch.hypercore import Hypergraph
 from hypermatch.randcons import (
     RoundOnePlan,
     RoundOneOutcome,
+    SparseSubgraph,
     build_sparse_subgraph,
     compute_round_matchings,
     preset_scale_parameters,
@@ -53,6 +56,56 @@ class TestPlan:
         assert a.subsets != sample_rounds(
             RoundOnePlan(Hypergraph.complete(3, 12), 5, 0.5, 1, seed=4)
         ).subsets
+
+
+def float_rule_subsets(plan: RoundOnePlan) -> tuple[tuple[int, ...], ...]:
+    """The reference for a float p: each round's draws decided by the float compare ``u < p``."""
+    out = []
+    for i in range(plan.rounds):
+        rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(i,)))
+        out.append(tuple(int(v) for v in np.flatnonzero(rng.random(plan.base.n) < plan.p)))
+    return tuple(out)
+
+
+class TestExactRate:
+    def test_a_float_rate_decides_like_the_float_rule(self):
+        rng = random.Random(41)
+        for trial in range(60):
+            k = rng.randint(2, 4)
+            plan = random_plan(rng, k, rng.randint(0, k - 1), seed=trial)
+            # Any double in (0, 1], not only the plans' round rates.
+            plan = dataclasses.replace(plan, p=rng.choice((plan.p, 1 - rng.random())))
+            assert randcons._sample_subsets(plan) == float_rule_subsets(plan)
+
+    def test_a_third_is_decided_on_the_exact_fraction(self):
+        third = Fraction(1, 3)
+        plan = RoundOnePlan(Hypergraph.complete(3, 60), 12, third, 1, seed=5)
+        outcome = sample_rounds(plan)
+        for i, subset in enumerate(outcome.subsets):
+            rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(i,)))
+            exact = tuple(v for v, u in enumerate(rng.random(60).tolist()) if Fraction(u) < third)
+            assert subset == exact
+        assert outcome.check("subset_sizes").detail == "subset sizes vs n*p = 20 (tolerance 0.333333)"
+        assert "p=Fraction(1, 3)" in repr(outcome)
+
+    def test_a_rate_just_above_a_draw_keeps_it(self):
+        # float(p) rounds down to the drawn u, so the float rule would drop
+        # vertex 0; the exact rule keeps it.
+        base = Hypergraph.complete(3, 6)
+        u = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,))).random(6)[0]
+        p = Fraction(float(u)) + Fraction(1, 2**80)
+        assert float(p) == u
+        subsets = randcons._sample_subsets(RoundOnePlan(base, 1, p, 1, seed=3))
+        assert subsets[0][:1] == (0,)
+        assert 0 not in float_rule_subsets(RoundOnePlan(base, 1, float(p), 1, seed=3))[0]
+
+    def test_fraction_rates_are_validated(self):
+        for p in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(ValueError):
+                RoundOnePlan(TWO_TRIPLES, 2, p, 1)
+        assert sample_rounds(RoundOnePlan(TWO_TRIPLES, 2, Fraction(1), 1)).subsets == (
+            tuple(range(6)),
+        ) * 2
 
 
 class TestChecks:
@@ -495,6 +548,102 @@ class TestBuildMatchesOracle:
         # float(w) rounds to 1/2 and would decide the other way.
         w = Fraction(2**60 + 1, 2**61)
         assert 0.5 < w and not 0.5 < float(w) and 0.5 < hypercore._draw_threshold(w)
+
+
+def fields_of(sparse: SparseSubgraph) -> list:
+    return [getattr(sparse, f.name) for f in dataclasses.fields(SparseSubgraph)]
+
+
+def routed_outcome(base: Hypergraph, subsets) -> RoundOneOutcome:
+    plan = RoundOnePlan(base, len(subsets), 0.5, 1)
+    return compute_round_matchings(RoundOneOutcome(plan, subsets=tuple(subsets), checks=()))
+
+
+class TestKeptEdgeRoutes:
+    """Each way a build finds its kept edges, against the oracle's build."""
+
+    def assert_builds_match_oracle(self, outcome, seeds=range(40)):
+        builds = []
+        for seed in seeds:
+            built = build_sparse_subgraph(outcome, seed=seed)
+            expected = oracles.build_sparse_subgraph(outcome, seed=seed)
+            # Equal fields; the codegrees may be filled in another order.
+            assert fields_of(built) == fields_of(expected)
+            assert type(built.hypergraph.edges) is tuple
+            builds.append(built)
+        codegrees = [b.codegrees for b in builds] + [outcome._draw_plan.codegrees]
+        assert len({id(c) for c in codegrees}) == len(codegrees)
+        return builds
+
+    def test_one_round(self):
+        plan = RoundOnePlan(Hypergraph.complete(3, 9), 1, 0.7, 1, seed=5)
+        outcome = sample_rounds(plan, with_matchings=True)
+        assert outcome._draw_plan.order is None and outcome._draw_plan.fractional
+        for built in self.assert_builds_match_oracle(outcome):
+            assert built.per_round_selected == (built.hypergraph.edges,)
+
+    def test_disjoint_rounds_in_lex_order(self):
+        outcome = routed_outcome(Hypergraph.complete(3, 8), [(0, 1, 2, 3), (4, 5, 6, 7)])
+        assert outcome._draw_plan.order is None
+        self.assert_builds_match_oracle(outcome)
+
+    def test_disjoint_rounds_out_of_lex_order(self):
+        # Round 0's K_4^3 on {2, 5, 6, 7} and round 1's on {0, 1, 3, 4}
+        # interleave in lex order, with no edge in both.
+        outcome = routed_outcome(Hypergraph.complete(3, 8), [(2, 5, 6, 7), (0, 1, 3, 4)])
+        draws = outcome._draw_plan
+        assert draws.order is not None and len(set(draws.joined)) == len(draws.joined)
+        builds = self.assert_builds_match_oracle(outcome)
+        assert all(b.hypergraph.edges == tuple(sorted(b.hypergraph.edges)) for b in builds)
+
+    def test_rounds_that_share_an_edge(self):
+        # Rounds 0 and 2 both induce K_4^3 on {0, 1, 2, 3}; round 1 shares
+        # (0, 1, 2) with them at weight 1/3 as well.
+        outcome = routed_outcome(
+            Hypergraph.complete(3, 6), [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 3)]
+        )
+        plan = outcome.plan
+        multiplicity, _ = randcons._check_edges(plan, outcome.subsets, randcons._edge_array(plan.base))
+        assert not multiplicity.passed
+        assert outcome._draw_plan.order is not None
+        builds = self.assert_builds_match_oracle(outcome)
+        assert any(
+            sum(e in selected for selected in b.per_round_selected) > 1
+            for b in builds
+            for e in b.hypergraph.edges
+        )
+
+    def test_a_skipped_round(self):
+        # Round 1 induces (0, 1, 2) alone on four vertices and is skipped.
+        base = Hypergraph(3, 7, [(0, 1, 2), *itertools.combinations(range(3, 7), 3)])
+        outcome = routed_outcome(base, [(3, 4, 5, 6), (0, 1, 2, 3), (0, 1, 2)])
+        assert outcome.skipped_rounds == (1,) and outcome._draw_plan.order is not None
+        for built in self.assert_builds_match_oracle(outcome):
+            assert built.per_round_selected[1] == ()
+            assert built.per_round_selected[2] == ((0, 1, 2),)
+
+    def test_an_unsolved_outcome(self):
+        plan = RoundOnePlan(Hypergraph.complete(3, 9), 4, 0.7, 1, seed=5)
+        outcome = sample_rounds(plan)
+        assert outcome.matchings is None
+        self.assert_builds_match_oracle(outcome, seeds=range(5))
+
+    def test_a_trusted_result_acts_like_a_constructed_one(self):
+        plan = RoundOnePlan(Hypergraph.complete(3, 9), 4, 0.7, 1, seed=5)
+        built = build_sparse_subgraph(sample_rounds(plan, with_matchings=True), seed=2)
+        made = SparseSubgraph(*fields_of(built))
+        assert built == made and made == built
+        assert repr(built) == repr(made)
+        assert vars(built) == vars(made)
+        assert dataclasses.asdict(built) == dataclasses.asdict(made)
+        assert pickle.loads(pickle.dumps(built)) == made
+        assert dataclasses.replace(built, skipped_rounds=(9,)) == dataclasses.replace(
+            made, skipped_rounds=(9,)
+        )
+        assert dataclasses.replace(built) == built
+        assert built != dataclasses.replace(made, degrees=(0,) * 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.degrees = ()
 
 
 class TestCanonicalSubHypergraphs:
