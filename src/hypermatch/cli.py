@@ -319,7 +319,8 @@ def _cmd_randcons(args) -> None:
     payload = {
         "n": base.n,
         "k": base.k,
-        "p": p,
+        "p": float(p),
+        "p_exact": Fraction(p),
         "rounds": rounds,
         "subset_sizes": [len(r) for r in outcome.subsets],
         "checks": [
@@ -470,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("randcons", help="two-round randomized sparsification")
     p.add_argument("--base", required=True, help="base hypergraph (.hg)")
-    p.add_argument("--p", type=float)
+    p.add_argument("--p", type=parse_rational, help="rational, e.g. 1/3 or 0.05")
     p.add_argument("--rounds", type=int)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

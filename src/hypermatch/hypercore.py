@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "Hypergraph",
     "VertexWeighting",
@@ -366,8 +368,23 @@ def incidence(
     return vertex, pair
 
 
+def _edge_array(h: Hypergraph) -> np.ndarray:
+    """The edges of ``h`` as an (E, k) intp array, in canonical order."""
+    flat = itertools.chain.from_iterable(h.edges)
+    return np.fromiter(flat, np.intp, h.num_edges * h.k).reshape(-1, h.k)
+
+
 def vertex_masks(sets: Iterable[Iterable[int]]) -> list[int]:
-    """The bitmask (bit v set for vertex v) of each vertex set, in order."""
+    """The bitmask (bit v set for vertex v) of each vertex set, in order.
+
+    A two-dimensional integer numpy array, one set a row, is taken whole in
+    int64 when its entries lie in 0..61, so that every mask fits; past that
+    its rows are read as Python ints, as any other input is read set by set.
+    """
+    if isinstance(sets, np.ndarray) and sets.ndim == 2 and sets.dtype.kind == "i":
+        if sets.size and 0 <= sets.min() and sets.max() < 62:
+            return np.bitwise_or.reduce(np.left_shift(1, sets, dtype=np.int64), axis=1).tolist()
+        sets = sets.tolist()
     out = []
     for s in sets:
         m = 0

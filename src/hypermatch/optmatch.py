@@ -13,6 +13,19 @@ weights in range, equal totals, every vertex load at most D and every
 edge's cover sum at least D.  The two weightings are then built without a
 second check.  The integral matching and cover are checked by
 ``_verify_integral`` in ``fractional_optimum``.
+
+Three passes read every edge: the edge masks of the matching and cover
+searches (``vertex_masks``), the 2^n table of the cover DP and the cover
+sums of ``_check_lp_pair``.  A hypergraph whose edges hold at least
+``simplex._ARRAY_CUT`` vertices in all (E * k, the solver's cut) gives
+each pass one (E, k) integer array, built afresh by that pass: the masks
+are taken in int64 (vertices 0..61 only), the table is set from them with
+one fancy-index store and ``np.packbits``, and the cover sums are one
+gather of the dual.  Smaller ones are read edge by edge, where one numpy
+call costs more than the loop (see the ``simplex`` module docstring for
+the measured crossover).  No array is kept on the ``Hypergraph``: certify
+holds every input it asks about alive, and its 972 inputs' arrays would
+add about 2 MB to the process.
 """
 
 from __future__ import annotations
@@ -24,7 +37,17 @@ from fractions import Fraction
 from itertools import compress
 from typing import Sequence
 
-from .hypercore import EdgeWeighting, Hypergraph, VertexWeighting, incidence, vertex_masks
+import numpy as np
+
+from . import simplex
+from .hypercore import (
+    EdgeWeighting,
+    Hypergraph,
+    VertexWeighting,
+    _edge_array,
+    incidence,
+    vertex_masks,
+)
 from .simplex import PackingResult, solve_unit_packing
 
 __all__ = [
@@ -41,6 +64,13 @@ __all__ = [
 _COVER_DP_LIMIT = 20  # 2^n table; beyond this fall back to branching search
 
 
+def _edge_rows(h: Hypergraph):
+    """The edges as one (E, k) array when they hold at least
+    ``simplex._ARRAY_CUT`` vertices in all, else ``h.edges`` itself, which
+    the passes below then read edge by edge (see the module docstring)."""
+    return h.edges if h.num_edges * h.k < simplex._ARRAY_CUT else _edge_array(h)
+
+
 def maximum_matching(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
     """A maximum set of pairwise disjoint edges, deterministically chosen.
 
@@ -50,7 +80,7 @@ def maximum_matching(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
     and a visited-state table keyed by the availability mask prunes
     re-entries that cannot beat an earlier visit.
     """
-    edge_masks = vertex_masks(h.edges)
+    edge_masks = vertex_masks(_edge_rows(h))
     # Only edges led by the lowest available vertex v can fit: any other
     # edge through v holds a lower vertex, which is taken.  In the lex-sorted
     # edges those led by v are one block, edges[block[v]:block[v + 1]].
@@ -142,9 +172,16 @@ def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _cover_by_complement(h: Hypergraph) -> tuple[int, ...]:
     n = h.n
     low, by_size = _subset_tables(n)
-    table = bytearray(((1 << n) + 7) >> 3)
-    for em in vertex_masks(h.edges):
-        table[em >> 3] |= 1 << (em & 7)
+    rows = _edge_rows(h)
+    masks = vertex_masks(rows)
+    if rows is h.edges:
+        table = bytearray(((1 << n) + 7) >> 3)
+        for em in masks:
+            table[em >> 3] |= 1 << (em & 7)
+    else:
+        spans = np.zeros(1 << n, np.bool_)
+        spans[masks] = True
+        table = np.packbits(spans, bitorder="little")
     spans_edge = int.from_bytes(table, "little")
     for b in range(n):
         # Subset zeta transform over bit b: a mask with bit b spans an edge
@@ -160,7 +197,7 @@ def _cover_by_complement(h: Hypergraph) -> tuple[int, ...]:
 
 
 def _cover_by_branching(h: Hypergraph) -> tuple[int, ...]:
-    edge_masks = vertex_masks(h.edges)
+    edge_masks = vertex_masks(_edge_rows(h))
 
     def greedy_disjoint(masks: list[int]) -> int:
         used = 0
@@ -231,6 +268,11 @@ def _check_lp_pair(h: Hypergraph, result: PackingResult) -> None:
     every edge's cover sum(Y_v for v in e) >= D.  Then X/D is a fractional
     matching, Y/D a fractional cover, and their equal totals prove both
     optimal.
+
+    With E * k at the array cut the cover sums are taken in one int64
+    gather when k * D is below ``simplex._INT64_BOUND``: each Y_v <= D, so
+    no sum can overflow.  If any sum falls short, or the bound fails, the
+    edges are read one by one, and the first missed edge is named.
     """
     denom, xs, ys, z = result.denom, result.x, result.y, result.z
     if len(xs) != h.num_edges or len(ys) != h.n:
@@ -243,6 +285,12 @@ def _check_lp_pair(h: Hypergraph, result: PackingResult) -> None:
     for v, load in enumerate(loads):
         if load > denom:
             raise AssertionError(f"vertex {v} carries load {Fraction(load, denom)} > 1")
+    rows = _edge_rows(h)
+    if rows is not h.edges and h.k * denom < simplex._INT64_BOUND:
+        # Every Y_v <= D, so no cover sum exceeds k*D, which int64 holds.
+        if not np.count_nonzero(np.array(ys, np.int64).take(rows).sum(axis=1) < denom):
+            return
+    # The loop names the first edge the cover misses.
     get = ys.__getitem__
     for e in h.edges:
         if sum(map(get, e)) < denom:

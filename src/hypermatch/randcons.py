@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hypercore import EdgeWeighting, Hypergraph, _draw_threshold, incidence
+from .hypercore import EdgeWeighting, Hypergraph, _draw_threshold, _edge_array, incidence
 from .optmatch import fractional_matching
 
 __all__ = [
@@ -240,12 +240,6 @@ def _lex_unrank(rank: int, n: int, d: int) -> tuple[int, ...]:
         out.append(v)
         v += 1
     return tuple(out)
-
-
-def _edge_array(base: Hypergraph) -> np.ndarray:
-    """The base edges as an (E, k) intp array, in canonical order."""
-    flat = itertools.chain.from_iterable(base.edges)
-    return np.fromiter(flat, np.intp, base.num_edges * base.k).reshape(-1, base.k)
 
 
 def _inside(edges: np.ndarray, n: int, subset) -> np.ndarray:

@@ -75,15 +75,38 @@ checked on every pivot in O(m) on the Python ints; past that bound the
 same arrays are gathered with dtype object, whose elements are Python
 ints.  No float is involved on either path.
 
-When every column has the same width and no fault, the set-up of the
-gather runs in numpy: the path is chosen from m, width and ncols before
-any column is copied, the columns become one (ncols, width) array, a
-repeated row is two equal positions of one column, found by comparing
-the array with itself shifted by 1..width-1 positions, and the rows are
-relabelled through a lookup array indexed by row as the blocks are cut.
-Only the entering column's rows are relabelled in Python, once per pivot.
-Columns of mixed widths, or with a fault, are copied and checked column
-by column, so the first faulty column is the one named.
+The set-up checks the columns and finds the touched rows.  When every
+column has the same width, every row is an int (their sum is one) and
+the columns hold at least ``_ARRAY_CUT`` rows in all, it reads them once
+into one flat array with ``np.fromiter``, never before that exact test,
+as fromiter reads 1.5 as 1 and '3' as 3 without complaint (a row past the
+intp range is a fault).  The array's minimum and maximum are the range
+check, ``np.bincount`` gives the touched rows, a repeated row is two equal
+positions of one column, found by comparing the (ncols, width) view with
+itself shifted by 1..width-1 positions, and in an LP that prices with the
+gather that view is the columns' index array, its rows relabelled through
+a lookup array indexed by row as the blocks are cut; only the entering
+column's rows are relabelled in Python, once per pivot.  fromiter reads
+the 777 columns of a k=4, n=14 LP in about half the time of
+``np.array(columns)``.  Below the cut, for mixed widths and on any fault,
+the columns are copied and checked column by column, so the first faulty
+column is the one named.  Columns of one width are cleared of repeats
+position by position, every column's i-th row below its (i+1)-th
+(``zip`` and ``operator.lt``, as for a ``Hypergraph``'s edges), and only
+if some column is not increasing does each get a set.
+
+The cut, 512, is where the array route's dozen numpy calls, about 1 us
+each, cost what the Python it replaces does.  ``optmatch`` takes its
+per-edge passes to arrays at the same cut, counted as edges * k.  On
+certify-family k-graphs (k = 2..5, n <= 14; 2-vCPU Intel Xeon, Python
+3.11.7, numpy 2.4.6) the arrays took, of the loops' time, for the whole
+solve 1.03 and 1.02 with [256, 512) and [512, 1024) rows in all and 0.93
+with [1024, 2048); for ``optmatch``'s edge masks 1.02, 0.86 and 0.75,
+its cover table 0.94, 0.81 and 0.70 and its LP-pair cover sums 0.63,
+0.54 and 0.48.  Whole ``fractional_optimum`` answers with [512, 1024)
+rows took 0.98 of their time with every pass on loops (and the gather's
+columns copied by ``np.array``) when the cut is 512, and 1.01 when it is
+1024.
 
 Each column j of [M | X] is held as one Python int,
 C_j = sum(T[r][j] * 2^(w*r) for r < m), a field of w signed bits a row
@@ -148,7 +171,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import index, mul
+from operator import index, lt, mul
 from typing import Sequence
 
 import numpy as np
@@ -160,6 +183,11 @@ _ZERO = Fraction(0)
 # LPs whose packed size m * ncols * v is below this price on packed
 # integers, the rest with the numpy gather (see the module docstring).
 _PACKED_PRICING_CUT = 1 << 16
+
+# Equal-width columns with at least this many rows in all (ncols * width)
+# are set up from one numpy array, and ``optmatch``'s per-edge passes take
+# arrays from this many vertices (edges * k) on (see the module docstring).
+_ARRAY_CUT = 512
 
 # The gather prices at most this many columns at a time (see the module
 # docstring).
@@ -188,6 +216,21 @@ def _price_width(m: int, width: int) -> int:
     """The least v with 2^(2(v-1)) > (width + 1)^(m + 1): the bits of one
     field of the packed pricing sum (see the module docstring)."""
     return _signed_bits((width + 1) ** (m + 1))
+
+
+def _repeats_a_row(cols: list[tuple], widths: set[int]) -> bool:
+    """Whether some column lists a row twice.
+
+    Columns of one width that are all strictly increasing, as a
+    ``Hypergraph``'s edges are, pass position by position (the i-th rows of
+    all columns below their (i+1)-th rows) with no set per column; a set a
+    column is built only when that test fails.
+    """
+    if len(widths) == 1:
+        by_pos = list(zip(*cols))
+        if all(all(map(lt, a, b)) for a, b in zip(by_pos, by_pos[1:])):
+            return False
+    return any(len(set(col)) != len(col) for col in cols)
 
 
 @dataclass(frozen=True)
@@ -226,25 +269,33 @@ def solve_unit_packing(
         exact = type(sum(chain.from_iterable(columns))) is int
     except TypeError:
         exact = False
-    touched = sorted(set().union(*columns)) if exact else []
-    # Equal-width columns of rows in range, in an LP that prices with the
-    # gather, are set up in numpy (see the module docstring); anything else,
-    # a fault included, is copied and checked column by column.
+    # Equal-width columns with at least ``_ARRAY_CUT`` rows in all are
+    # checked and set up from one array of their rows (see the module
+    # docstring); anything else, a fault included, is copied and checked
+    # column by column, so that the first faulty column is the one named.
     by_col = None
-    if exact and len(widths) == 1 and 0 not in widths and 0 <= touched[0] and touched[-1] < n_rows:
-        m = len(touched)
+    if exact and len(widths) == 1 and 0 not in widths and ncols * max(widths) >= _ARRAY_CUT:
         (width,) = widths
-        if m * ncols * _price_width(m, width) >= _PACKED_PRICING_CUT:
-            by_col = np.array(columns, np.intp)
-            if any((by_col[:, s:] == by_col[:, :-s]).any() for s in range(1, width)):
+        try:
+            # Only after the exact test: np.fromiter reads 1.5 as 1 and '3'
+            # as 3.  A row past the intp range is a fault.
+            flat = np.fromiter(chain.from_iterable(columns), np.intp, ncols * width)
+        except OverflowError:
+            flat = None
+        if flat is not None and 0 <= flat.min() and flat.max() < n_rows:
+            by_col = flat.reshape(ncols, width)
+            if any(np.count_nonzero(by_col[:, s:] == by_col[:, :-s]) for s in range(1, width)):
                 by_col = None
+            else:
+                touched = np.flatnonzero(np.bincount(flat)).tolist()
     if by_col is None:
         cols = [tuple(col) for col in columns]
+        touched = sorted(set().union(*cols)) if exact else []
         if (
             not exact
             or not all(cols)
             or (touched and (touched[0] < 0 or touched[-1] >= n_rows))
-            or any(len(set(col)) != len(col) for col in cols)
+            or _repeats_a_row(cols, widths)
         ):
             # Report the first fault in column order; numpy integers are rows.
             for col in cols:
@@ -270,6 +321,8 @@ def solve_unit_packing(
     # row's slack would stay basic with a zero dual throughout.
     m = len(touched)
     relabel = lookup = None
+    if by_col is not None and m * ncols * _price_width(m, width) < _PACKED_PRICING_CUT:
+        cols, by_col = [tuple(col) for col in columns], None
     if by_col is not None:
         # Only the index arrays and, on each pivot, the entering column are
         # relabelled, through one list indexed by row.

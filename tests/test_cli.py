@@ -380,6 +380,24 @@ class TestRandcons:
         (sizes,) = [c for c in doc["payload"]["checks"] if c["name"] == "subset_sizes"]
         assert sizes["witnesses"] == [[1, 14]]
 
+    @pytest.mark.parametrize(
+        "literal, number, exact", [("1/3", 1 / 3, "1/3"), ("0.05", 0.05, "1/20"), ("0.5", 0.5, "1/2")]
+    )
+    def test_rate_is_read_exactly(self, capsys, tmp_path, literal, number, exact):
+        base = tmp_path / "base.hg"
+        write_hypergraph(Hypergraph.complete(3, 12), str(base))
+        code, doc = run_json(capsys, "randcons", "--base", str(base), "--p", literal, "--rounds", "2")
+        assert code == 0
+        assert doc["payload"]["p"] == number
+        assert doc["payload"]["p_exact"] == exact
+
+    def test_rate_that_is_not_a_rational_is_a_usage_error(self, capsys, tmp_path):
+        base = tmp_path / "base.hg"
+        write_hypergraph(Hypergraph.complete(3, 6), str(base))
+        with pytest.raises(SystemExit) as info:
+            main(["randcons", "--base", str(base), "--p", "half", "--rounds", "2"])
+        assert info.value.code == 2
+
     def test_preset_exponents_flag(self, capsys, tmp_path):
         base = tmp_path / "base.hg"
         write_hypergraph(Hypergraph.complete(2, 6), str(base))

@@ -3,14 +3,15 @@
 import gc
 import hashlib
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hypermatch import optmatch
+from hypermatch import optmatch, simplex
 from hypermatch.extremal import construct_clique_plus_isolated, construct_h1
-from hypermatch.hypercore import EdgeWeighting, Hypergraph, VertexWeighting
+from hypermatch.hypercore import EdgeWeighting, Hypergraph, VertexWeighting, vertex_masks
 from hypermatch.optmatch import (
     _COVER_DP_LIMIT,
     _check_lp_pair,
@@ -514,3 +515,122 @@ class TestCertifyReportsPinned:
         assert digest.hexdigest() == (
             "f91f91a42dac138fbef714a585a5ef8425299688cdf2d681b46063e480bf19bf"
         )
+
+
+def report_fields(r: DualityReport) -> tuple:
+    return (
+        r.nu,
+        r.nu_star,
+        r.tau,
+        r.matching_certificate,
+        r.fractional_matching.weights,
+        r.fractional_cover.weights,
+        r.cover_certificate,
+    )
+
+
+def first_missed_edge(h: Hypergraph, denom: int, ys) -> tuple[int, ...]:
+    return next(e for e in h.edges if sum(ys[v] for v in e) < denom)
+
+
+def zeroed_vertex(denom: int, xs, ys, z: int) -> PackingResult:
+    """The pair with its first vertex of positive weight set to 0 and as much
+    taken off the matching: totals agree and loads only fall, and a tight
+    edge through that vertex (complementary slackness gives one) falls
+    short of D."""
+    xs, ys = list(xs), list(ys)
+    u = next(v for v, y in enumerate(ys) if y)
+    left, ys[u] = ys[u], 0
+    z -= left
+    for j, x in enumerate(xs):
+        xs[j] -= min(x, left)
+        left -= x - xs[j]
+    return integer_pair(denom, xs, ys, z)
+
+
+class TestArrayRoutes:
+    """Every per-edge pass read edge by edge (cut infinite) and from one
+    array (cut 0) must give the same answers and name the same edges."""
+
+    ROUTES = pytest.mark.parametrize("cut", [0, float("inf")], ids=["arrays", "loops"])
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_routes_give_equal_reports(self, monkeypatch, k):
+        reports = {}
+        for cut in (0, float("inf")):
+            monkeypatch.setattr(simplex, "_ARRAY_CUT", cut)
+            reports[cut] = [
+                report_fields(fractional_optimum(seeded_edge_set(k, n, density, [k, n, rep])))
+                for n in range(k, 13)
+                for density in (0.2, 0.8)
+                for rep in range(2)
+            ]
+        assert reports[0] == reports[float("inf")]
+
+    @pytest.mark.parametrize("n", [61, 62, 63, 64])
+    def test_masks_past_62_vertices_are_exact(self, monkeypatch, n):
+        # int64 holds the masks of vertices 0..61 only; an array reaching
+        # vertex 62 or 63 is read as Python ints, as the edge tuples are.
+        monkeypatch.setattr(simplex, "_ARRAY_CUT", 0)
+        h = seeded_edge_set(3, n, 0.002, [n])
+        h = Hypergraph(3, n, [*h.edges, (0, n - 2, n - 1)])
+        expected = [sum(1 << v for v in e) for e in h.edges]
+        masks = vertex_masks(optmatch._edge_rows(h))
+        assert masks == expected and all(type(m) is int for m in masks)
+        assert vertex_masks(h.edges) == expected
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_searches_past_62_vertices_agree_on_both_routes(self, monkeypatch, n):
+        h = construct_h1(3, n, 2)
+        answers = []
+        for cut in (0, float("inf")):
+            monkeypatch.setattr(simplex, "_ARRAY_CUT", cut)
+            answers.append((maximum_matching(h), minimum_cover(h)))
+        assert answers[0] == answers[1]
+        assert len(answers[0][1]) == 1
+
+    @ROUTES
+    def test_tampered_cover_names_the_first_missed_edge(self, monkeypatch, cut):
+        monkeypatch.setattr(simplex, "_ARRAY_CUT", cut)
+        for k, n in ((2, 9), (3, 12), (4, 14), (5, 12)):
+            h = seeded_edge_set(k, n, 0.6, [k, n])
+            result = solve_unit_packing(h.n, h.edges)
+            _check_lp_pair(h, result)
+            tampered = zeroed_vertex(result.denom, result.x, result.y, result.z)
+            missed = first_missed_edge(h, tampered.denom, tampered.y)
+            with pytest.raises(AssertionError, match=re.escape(f"cover misses edge {missed}")):
+                _check_lp_pair(h, tampered)
+
+    @ROUTES
+    def test_certificates_past_the_int64_bound_are_checked_edge_by_edge(self, monkeypatch, cut):
+        # Past the bound the cover sums are taken in Python ints whatever
+        # the cut.  Every weight of the triangle is 2^63/2^64, one past what
+        # int64 holds.
+        monkeypatch.setattr(simplex, "_ARRAY_CUT", cut)
+        half = 1 << 63
+        _check_lp_pair(Hypergraph.complete(2, 3), integer_pair(2 * half, [half] * 3, [half] * 3))
+        # The optimum scaled to D >= 2^64, and with a vertex zeroed.
+        h = seeded_edge_set(4, 14, 0.6, [4, 14])
+        result = solve_unit_packing(h.n, h.edges)
+        c = (1 << 64) // result.denom + 1
+        d, xs, ys = c * result.denom, [c * x for x in result.x], [c * y for y in result.y]
+        _check_lp_pair(h, integer_pair(d, xs, ys, z=c * result.z))
+        tampered = zeroed_vertex(d, xs, ys, c * result.z)
+        missed = first_missed_edge(h, d, tampered.y)
+        with pytest.raises(AssertionError, match=re.escape(f"cover misses edge {missed}")):
+            _check_lp_pair(h, tampered)
+
+    def test_bound_forced_to_zero_names_the_same_edges(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_ARRAY_CUT", 0)
+        named = {}
+        for bound in (simplex._INT64_BOUND, 0):
+            monkeypatch.setattr(simplex, "_INT64_BOUND", bound)
+            named[bound] = []
+            for k in (2, 3, 4, 5):
+                h = seeded_edge_set(k, 11, 0.5, [k, 11, 1])
+                result = solve_unit_packing(h.n, h.edges)
+                _check_lp_pair(h, result)
+                with pytest.raises(AssertionError, match="cover misses edge") as info:
+                    _check_lp_pair(h, zeroed_vertex(result.denom, result.x, result.y, result.z))
+                named[bound].append(str(info.value))
+        assert named[0] == named[simplex._INT64_BOUND]

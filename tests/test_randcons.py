@@ -99,6 +99,27 @@ class TestExactRate:
         assert subsets[0][:1] == (0,)
         assert 0 not in float_rule_subsets(RoundOnePlan(base, 1, float(p), 1, seed=3))[0]
 
+    def test_decimal_literals_keep_the_float_rule_subsets_where_thresholds_agree(self):
+        # ``randcons --p`` reads its literal exactly.  Where the literal's
+        # dyadic threshold is the one of its nearest double, the seeded
+        # subsets are those the float rule drew; for five literals the double
+        # lies below the decimal and the exact threshold one step of 2^-53
+        # above, which changes a draw only if it falls on that step.
+        base = Hypergraph.complete(3, 60)
+        literals = [f"{i / 100:.2f}" for i in range(5, 100, 5)] + ["1/3"]
+        differ = []
+        for literal in literals:
+            exact = hypercore.parse_rational(literal)
+            if hypercore._draw_threshold(exact) != hypercore._draw_threshold(Fraction(float(exact))):
+                differ.append(literal)
+                continue
+            for seed in range(3):
+                plan = RoundOnePlan(base, 8, exact, 1, seed=seed)
+                assert randcons._sample_subsets(plan) == float_rule_subsets(
+                    dataclasses.replace(plan, p=float(exact))
+                )
+        assert differ == ["0.35", "0.60", "0.70", "0.85", "0.95"]
+
     def test_fraction_rates_are_validated(self):
         for p in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
             with pytest.raises(ValueError):

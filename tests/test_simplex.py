@@ -360,7 +360,14 @@ def test_matches_reference_where_int64_pricing_would_overflow(monkeypatch):
         assert len(dtypes) <= expected.pivots + 2, "more pricing passes than the reference"
         return np.array(values, dtype)
 
-    monkeypatch.setattr(simplex, "np", SimpleNamespace(array=array, intp=np.intp, int64=np.int64))
+    def fromiter(values, dtype, count):
+        return array(np.fromiter(values, dtype, count), dtype)
+
+    fake = SimpleNamespace(
+        array=array, fromiter=fromiter, bincount=np.bincount, count_nonzero=np.count_nonzero,
+        flatnonzero=np.flatnonzero, intp=np.intp, int64=np.int64,
+    )
+    monkeypatch.setattr(simplex, "np", fake)
     assert solve_unit_packing(60, columns) == expected
     pricing = dtypes[1:]
     assert np.dtype(object) in pricing and np.dtype(np.int64) in pricing
@@ -396,7 +403,14 @@ def log_pricing(monkeypatch, setup: int) -> list[int]:
         passes.append(0)
         return np.array(values, dtype).view(Logged)
 
-    monkeypatch.setattr(simplex, "np", SimpleNamespace(array=array, intp=np.intp, int64=np.int64))
+    def fromiter(values, dtype, count):
+        return array(np.fromiter(values, dtype, count), dtype)
+
+    fake = SimpleNamespace(
+        array=array, fromiter=fromiter, bincount=np.bincount, count_nonzero=np.count_nonzero,
+        flatnonzero=np.flatnonzero, intp=np.intp, int64=np.int64,
+    )
+    monkeypatch.setattr(simplex, "np", fake)
     return passes
 
 
@@ -505,6 +519,67 @@ def test_gather_lp_rows_as_bools_and_numpy_integers_solve_alike():
     expected = solve_unit_packing(32, [[int(r) for r in col] for col in columns])
     assert solve_unit_packing(32, columns) == expected
     assert solve_unit_packing(32, [np.array(col) for col in columns]) == expected
+
+
+def wide_k_graphs():
+    """Seeded k-graphs, k = 2..5, some past the array cut and some below it."""
+    rng = random.Random(1308)
+    for _ in range(60):
+        k = rng.randint(2, 5)
+        n = rng.randint(k, 13)
+        density = rng.choice((0.2, 0.5, 0.8))
+        yield n, [e for e in itertools.combinations(range(n), k) if rng.random() < density]
+
+
+def test_array_set_up_solves_like_column_by_column(monkeypatch):
+    # A cut of 0 sets every equal-width LP up from one array, an infinite
+    # one none; both must give the same integers, pivots and all.
+    corpus = [*wide_k_graphs(), *ONE_ROW_AND_WIDTH_ONE, (4, []), (0, [])]
+    corpus += [(32, gather_sized_columns(seed)) for seed in (60, 61)]
+    corpus += [(31, [sorted(col, reverse=True) for col in gather_sized_columns(62)])]
+    assert any(len(columns) * 5 >= simplex._ARRAY_CUT for _, columns in corpus)
+    results = {}
+    for cut in (0, float("inf")):
+        monkeypatch.setattr(simplex, "_ARRAY_CUT", cut)
+        results[cut] = [solve_unit_packing(n, columns) for n, columns in corpus]
+    for a, b in zip(results[0], results[float("inf")]):
+        assert a == b and (a.denom, a.x, a.y, a.z) == (b.denom, b.x, b.y, b.z)
+
+
+@pytest.mark.parametrize("cut", [0, float("inf")], ids=["array-set-up", "column-by-column"])
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        ([3, 1.5, 2], "column (3, 1.5, 2) has a row index that is not an integer"),
+        ([2, "3", 7], "column (2, '3', 7) has a row index that is not an integer"),
+        ([0, 1, 1 << 70], f"row index {1 << 70} out of range 0..31"),
+        ([0, -(1 << 70), 1], f"row index {-(1 << 70)} out of range 0..31"),
+    ],
+    ids=["float", "string", "past-int64", "below-int64"],
+)
+def test_rows_np_fromiter_would_misread_are_refused(monkeypatch, cut, last, message):
+    # np.fromiter reads 1.5 as 1 and '3' as 3, and cannot hold 2^70: on
+    # both set-ups the column is named with the column-by-column message.
+    monkeypatch.setattr(simplex, "_ARRAY_CUT", cut)
+    columns = gather_sized_columns(60) + [last]
+    with pytest.raises(ValueError) as info:
+        solve_unit_packing(32, columns)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "columns, repeats",
+    [
+        ([(0, 1, 2), (1, 3, 4)], False),
+        ([(2, 1, 0), (1, 3, 4)], False),  # unsorted but distinct: a set a column
+        ([(0, 1, 2), (3, 4, 3)], True),
+        ([(0, 1), (2, 3, 3)], True),  # mixed widths
+        ([(5,), (5,)], False),
+        ([], False),
+    ],
+)
+def test_repeat_check_without_a_set_per_column(columns, repeats):
+    assert simplex._repeats_a_row(columns, set(map(len, columns))) is repeats
 
 
 def test_no_columns():
