@@ -25,8 +25,13 @@ as integers, and its rationals are formed once from them, one Fraction
 per distinct numerator.
 
 Pricing computes s_j = sum(Y[r] for r in column j) for every column and
-takes the first j with s_j < D.  It takes one of two paths, chosen by the
-LP's packed size m * ncols * v (v below) against ``_PACKED_PRICING_CUT``.
+takes the first j with s_j < D.  It takes one of two paths, chosen before
+the set-up: an LP whose rows are Python ints, in columns of one nonzero
+width, prices with the numpy gather below iff bound * ncols * v (v below,
+taken at bound) reaches ``_PACKED_PRICING_CUT``, where
+bound = min(n_rows, ncols * width) is at least the touched count m; every
+other LP prices on packed integers.  Both take Bland's column, so the
+choice changes no pivot.
 
 Small LPs price on packed integers (Kronecker substitution across the
 columns).  Once per solve each touched row r gets
@@ -57,12 +62,11 @@ each octave of packed size below 2^16, 0.98 in [2^16, 2^17) and 1.23 in
 median has 20 columns), and no round LP does.
 
 Larger LPs price with numpy gathers.  Once per solve the columns' rows go
-into (width, block) index arrays of at most ``_GATHER_BLOCK`` columns each,
-short columns padded with a sentinel row m whose dual is always 0; each
-pivot gathers Y through the first block, sums over the width and takes the
-first column whose sum is below D.  Only if that block has none does it go
-on to the next, and so on, so the column it takes is the one a single
-gather over all columns would take.  Bland's entering column lies early:
+into (width, block) index arrays of at most ``_GATHER_BLOCK`` columns each;
+each pivot gathers Y[0..m-1] through the first block, sums over the width
+and takes the first column whose sum is below D.  Only if that block has
+none does it go on to the next, and so on, so the column it takes is the
+one a single gather over all columns would take.  Bland's entering column lies early:
 over the 1,827 column pivots of the four criterion-9 round LPs its median
 position is 0.30 of the way along.  A block is worth its fixed cost, about
 1.6 us a gather against 1.5 ns a column of width 3 (2-vCPU AMD EPYC, numpy
@@ -75,38 +79,24 @@ checked on every pivot in O(m) on the Python ints; past that bound the
 same arrays are gathered with dtype object, whose elements are Python
 ints.  No float is involved on either path.
 
-The set-up checks the columns and finds the touched rows.  When every
-column has the same width, every row is an int (their sum is one) and
-the columns hold at least ``_ARRAY_CUT`` rows in all, it reads them once
-into one flat array with ``np.fromiter``, never before that exact test,
-as fromiter reads 1.5 as 1 and '3' as 3 without complaint (a row past the
-intp range is a fault).  The array's minimum and maximum are the range
-check, ``np.bincount`` gives the touched rows, a repeated row is two equal
+A gather LP is set up from one array: its rows are read once with
+``np.fromiter``, never before the test that they are Python ints
+(fromiter reads 1.5 as 1 and '3' as 3; a row past the intp range is a
+fault), in about half the time ``np.array`` takes for the 777 columns of
+a k=4, n=14 LP.  Its minimum and maximum are the range check,
+``np.bincount`` gives the touched rows, and a repeated row is two equal
 positions of one column, found by comparing the (ncols, width) view with
-itself shifted by 1..width-1 positions, and in an LP that prices with the
-gather that view is the columns' index array, its rows relabelled through
-a lookup array indexed by row as the blocks are cut; only the entering
-column's rows are relabelled in Python, once per pivot.  fromiter reads
-the 777 columns of a k=4, n=14 LP in about half the time of
-``np.array(columns)``.  Below the cut, for mixed widths and on any fault,
-the columns are copied and checked column by column, so the first faulty
-column is the one named.  Columns of one width are cleared of repeats
-position by position, every column's i-th row below its (i+1)-th
-(``zip`` and ``operator.lt``, as for a ``Hypergraph``'s edges), and only
-if some column is not increasing does each get a set.
+itself shifted by 1..width-1 positions.  That view, cut into blocks and
+relabelled through a lookup array indexed by row, gives the index arrays.
 
-The cut, 512, is where the array route's dozen numpy calls, about 1 us
-each, cost what the Python it replaces does.  ``optmatch`` takes its
-per-edge passes to arrays at the same cut, counted as edges * k.  On
-certify-family k-graphs (k = 2..5, n <= 14; 2-vCPU Intel Xeon, Python
-3.11.7, numpy 2.4.6) the arrays took, of the loops' time, for the whole
-solve 1.03 and 1.02 with [256, 512) and [512, 1024) rows in all and 0.93
-with [1024, 2048); for ``optmatch``'s edge masks 1.02, 0.86 and 0.75,
-its cover table 0.94, 0.81 and 0.70 and its LP-pair cover sums 0.63,
-0.54 and 0.48.  Whole ``fractional_optimum`` answers with [512, 1024)
-rows took 0.98 of their time with every pass on loops (and the gather's
-columns copied by ``np.array``) when the cut is 512, and 1.01 when it is
-1024.
+A packed LP, or a gather LP whose array shows a fault, is copied and
+checked column by column, so the first faulty column is the one named.
+Columns of one width are cleared of repeats position by position (``zip``
+and ``operator.lt``, as for a ``Hypergraph``'s edges), and only if some
+column is not increasing does each get a set.  The indicators A_r are
+built over rows 0..max touched and then kept for the touched rows.  On
+either path only the entering column is relabelled, once per pivot,
+through one list indexed by row.
 
 Each column j of [M | X] is held as one Python int,
 C_j = sum(T[r][j] * 2^(w*r) for r < m), a field of w signed bits a row
@@ -180,14 +170,10 @@ __all__ = ["PackingResult", "solve_unit_packing"]
 
 _ZERO = Fraction(0)
 
-# LPs whose packed size m * ncols * v is below this price on packed
-# integers, the rest with the numpy gather (see the module docstring).
+# Equal-width LPs of Python ints whose packed size bound * ncols * v
+# reaches this price with the numpy gather, the rest on packed integers (see
+# the module docstring).
 _PACKED_PRICING_CUT = 1 << 16
-
-# Equal-width columns with at least this many rows in all (ncols * width)
-# are set up from one numpy array, and ``optmatch``'s per-edge passes take
-# arrays from this many vertices (edges * k) on (see the module docstring).
-_ARRAY_CUT = 512
 
 # The gather prices at most this many columns at a time (see the module
 # docstring).
@@ -261,6 +247,13 @@ def solve_unit_packing(
     The columns are checked on every call, a ``Hypergraph``'s edges
     included, and the first faulty column is named.
     """
+    given = n_rows
+    try:
+        n_rows = index(n_rows)
+    except TypeError:
+        n_rows = -1
+    if n_rows < 0:
+        raise ValueError(f"n_rows must be a non-negative integer, not {given!r}")
     ncols = len(columns)
     # The sum stays an int only if every row is one (bools aside): a row such
     # as 1.0 would pass the range test and fail as a list index.
@@ -269,25 +262,28 @@ def solve_unit_packing(
         exact = type(sum(chain.from_iterable(columns))) is int
     except TypeError:
         exact = False
-    # Equal-width columns with at least ``_ARRAY_CUT`` rows in all are
-    # checked and set up from one array of their rows (see the module
-    # docstring); anything else, a fault included, is copied and checked
-    # column by column, so that the first faulty column is the one named.
+    # The pricing path is chosen first, on bound >= m in place of the touched
+    # count m (see the module docstring).  A gather LP is checked and set up
+    # from one array of its rows; a packed LP, or a gather LP with a fault, is
+    # copied and checked column by column, so the first faulty column is named.
     by_col = None
-    if exact and len(widths) == 1 and 0 not in widths and ncols * max(widths) >= _ARRAY_CUT:
+    if exact and len(widths) == 1 and 0 not in widths:
         (width,) = widths
-        try:
-            # Only after the exact test: np.fromiter reads 1.5 as 1 and '3'
-            # as 3.  A row past the intp range is a fault.
-            flat = np.fromiter(chain.from_iterable(columns), np.intp, ncols * width)
-        except OverflowError:
-            flat = None
-        if flat is not None and 0 <= flat.min() and flat.max() < n_rows:
-            by_col = flat.reshape(ncols, width)
-            if any(np.count_nonzero(by_col[:, s:] == by_col[:, :-s]) for s in range(1, width)):
-                by_col = None
-            else:
-                touched = np.flatnonzero(np.bincount(flat)).tolist()
+        bound = min(n_rows, ncols * width)
+        if bound * ncols * _price_width(bound, width) >= _PACKED_PRICING_CUT:
+            try:
+                # Only after the exact test: np.fromiter reads 1.5 as 1 and '3'
+                # as 3.  A row past the intp range is a fault.
+                flat = np.fromiter(chain.from_iterable(columns), np.intp, ncols * width)
+            except OverflowError:
+                flat = None
+            if flat is not None and 0 <= flat.min() and flat.max() < n_rows:
+                by_col = flat.reshape(ncols, width)
+                if any(np.count_nonzero(by_col[:, s:] == by_col[:, :-s]) for s in range(1, width)):
+                    by_col = None
+                else:
+                    cols = columns
+                    touched = np.flatnonzero(np.bincount(flat)).tolist()
     if by_col is None:
         cols = [tuple(col) for col in columns]
         touched = sorted(set().union(*cols)) if exact else []
@@ -318,28 +314,14 @@ def solve_unit_packing(
 
     # The tableau holds only the rows some column touches, relabelled in
     # increasing order so that slack ids keep their order.  An untouched
-    # row's slack would stay basic with a zero dual throughout.
+    # row's slack would stay basic with a zero dual throughout.  Each pivot
+    # relabels only the entering column, through one list indexed by row.
     m = len(touched)
-    relabel = lookup = None
-    if by_col is not None and m * ncols * _price_width(m, width) < _PACKED_PRICING_CUT:
-        cols, by_col = [tuple(col) for col in columns], None
-    if by_col is not None:
-        # Only the index arrays and, on each pivot, the entering column are
-        # relabelled, through one list indexed by row.
-        cols = columns
-        if touched[-1] != m - 1:
-            relabel = [0] * (touched[-1] + 1)
-            for i, r in enumerate(touched):
-                relabel[r] = i
-            lookup = np.array(relabel, np.intp)
-    else:
-        if touched[-1] != m - 1:
-            label = {r: i for i, r in enumerate(touched)}
-            cols = [tuple(label[r] for r in col) for col in cols]
-        width = max(map(len, cols))
-        if m * ncols * _price_width(m, width) >= _PACKED_PRICING_CUT:
-            # Short columns are padded with the sentinel row m (dual 0).
-            by_col = np.array([col + (m,) * (width - len(col)) for col in cols], dtype=np.intp)
+    relabel = None
+    if touched[-1] != m - 1:
+        relabel = [0] * (touched[-1] + 1)
+        for i, r in enumerate(touched):
+            relabel[r] = i
 
     # Variable ids: 0..ncols-1 are structural columns, ncols..ncols+m-1 are
     # slacks.  The initial basis is the slack identity (b = 1 is feasible),
@@ -349,15 +331,18 @@ def solve_unit_packing(
     basis = [ncols + i for i in range(m)]
     pivots = 0
     if by_col is None:
-        # Row r's column indicator, one field of v bits a column, and the
-        # sum's constant part without D: 2^(v-1) in every field.
+        # Row r's column indicator, one field of v bits a column, built over
+        # rows 0..touched[-1] and then kept for the touched rows only, and
+        # the sum's constant part without D: 2^(v-1) in every field.
         rows = None
+        width = max(map(len, cols))
         v = _price_width(m, width)
-        indicator = [0] * m
+        indicator = [0] * (touched[-1] + 1)
         for j, col in enumerate(cols):
             bit = 1 << (v * j)
             for r in col:
                 indicator[r] |= bit
+        indicator = list(map(indicator.__getitem__, touched))
         units = ((1 << (v * ncols)) - 1) // ((1 << v) - 1)
         tops = units << (v - 1)
     else:
@@ -367,6 +352,7 @@ def solve_unit_packing(
         # the largest D or |Y| for which the int64 sums below are exact.
         starts = range(0, ncols, _GATHER_BLOCK)
         blocks = [by_col[a : a + _GATHER_BLOCK].T for a in starts]
+        lookup = None if relabel is None else np.array(relabel, np.intp)
         rows, *rest = [b.copy() if lookup is None else lookup.take(b) for b in blocks]
         later = list(zip(starts[1:], rest))
         limit = _INT64_BOUND // (width + 1)
@@ -388,12 +374,9 @@ def solve_unit_packing(
             clear = ~sum(map(mul, ys, indicator), tops - denom * units) & tops
             entering = (clear & -clear).bit_length() // v - 1
         else:
-            # Z is set aside while the gather reads entry m as the sentinel
-            # row's dual 0.
-            z, ys[m] = ys[m], 0
-            fits = denom < limit and max(ys) < limit and -min(ys) < limit
-            duals = np.array(ys, np.int64 if fits else object)
-            ys[m] = z
+            duals = ys[:m]  # entry m is Z
+            fits = denom < limit and max(duals) < limit and -min(duals) < limit
+            duals = np.array(duals, np.int64 if fits else object)
             gain = duals.take(rows).sum(axis=0) < denom
             entering = int(gain.argmax())
             if not gain[entering]:

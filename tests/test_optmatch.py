@@ -558,7 +558,7 @@ class TestArrayRoutes:
     def test_routes_give_equal_reports(self, monkeypatch, k):
         reports = {}
         for cut in (0, float("inf")):
-            monkeypatch.setattr(simplex, "_ARRAY_CUT", cut)
+            monkeypatch.setattr(optmatch, "_ARRAY_CUT", cut)
             reports[cut] = [
                 report_fields(fractional_optimum(seeded_edge_set(k, n, density, [k, n, rep])))
                 for n in range(k, 13)
@@ -571,7 +571,7 @@ class TestArrayRoutes:
     def test_masks_past_62_vertices_are_exact(self, monkeypatch, n):
         # int64 holds the masks of vertices 0..61 only; an array reaching
         # vertex 62 or 63 is read as Python ints, as the edge tuples are.
-        monkeypatch.setattr(simplex, "_ARRAY_CUT", 0)
+        monkeypatch.setattr(optmatch, "_ARRAY_CUT", 0)
         h = seeded_edge_set(3, n, 0.002, [n])
         h = Hypergraph(3, n, [*h.edges, (0, n - 2, n - 1)])
         expected = [sum(1 << v for v in e) for e in h.edges]
@@ -584,14 +584,14 @@ class TestArrayRoutes:
         h = construct_h1(3, n, 2)
         answers = []
         for cut in (0, float("inf")):
-            monkeypatch.setattr(simplex, "_ARRAY_CUT", cut)
+            monkeypatch.setattr(optmatch, "_ARRAY_CUT", cut)
             answers.append((maximum_matching(h), minimum_cover(h)))
         assert answers[0] == answers[1]
         assert len(answers[0][1]) == 1
 
     @ROUTES
     def test_tampered_cover_names_the_first_missed_edge(self, monkeypatch, cut):
-        monkeypatch.setattr(simplex, "_ARRAY_CUT", cut)
+        monkeypatch.setattr(optmatch, "_ARRAY_CUT", cut)
         for k, n in ((2, 9), (3, 12), (4, 14), (5, 12)):
             h = seeded_edge_set(k, n, 0.6, [k, n])
             result = solve_unit_packing(h.n, h.edges)
@@ -606,7 +606,7 @@ class TestArrayRoutes:
         # Past the bound the cover sums are taken in Python ints whatever
         # the cut.  Every weight of the triangle is 2^63/2^64, one past what
         # int64 holds.
-        monkeypatch.setattr(simplex, "_ARRAY_CUT", cut)
+        monkeypatch.setattr(optmatch, "_ARRAY_CUT", cut)
         half = 1 << 63
         _check_lp_pair(Hypergraph.complete(2, 3), integer_pair(2 * half, [half] * 3, [half] * 3))
         # The optimum scaled to D >= 2^64, and with a vertex zeroed.
@@ -621,7 +621,7 @@ class TestArrayRoutes:
             _check_lp_pair(h, tampered)
 
     def test_bound_forced_to_zero_names_the_same_edges(self, monkeypatch):
-        monkeypatch.setattr(simplex, "_ARRAY_CUT", 0)
+        monkeypatch.setattr(optmatch, "_ARRAY_CUT", 0)
         named = {}
         for bound in (simplex._INT64_BOUND, 0):
             monkeypatch.setattr(simplex, "_INT64_BOUND", bound)

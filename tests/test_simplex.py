@@ -11,6 +11,7 @@ the value with a float LP solver.
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -188,8 +189,8 @@ def test_slack_entering_solves_are_pinned(seed):
 def test_object_pricing_matches_int64_pricing(monkeypatch):
     # A bound of 0 sends every pivot's pricing through dtype object, which
     # otherwise runs only once D or |Y| outgrows int64.  These LPs are small
-    # enough to price on packed integers, so a cut of 0 sends them to the
-    # gather first.
+    # enough to price on packed integers, so a cut of 0 sends them, all of
+    # equal width, to the gather first.
     monkeypatch.setattr(simplex, "_PACKED_PRICING_CUT", 0)
     corpus = [(n, edges) for _, n, edges in small_corpus()]
     corpus += [k_graph(random.Random(seed)) for seed in sorted(SLACK_ENTERING)]
@@ -208,8 +209,8 @@ def random_k_graphs():
 
 
 def mixed_unsorted_columns():
-    # Columns of widths 1 to 5 in shuffled row order: the short ones are
-    # padded with the sentinel row, and no step may rely on sorted rows.
+    # Columns of widths 1 to 5 in shuffled row order, which price on packed
+    # integers whatever the cut: no step may rely on sorted rows.
     rng = random.Random(290)
     for _ in range(300):
         n = rng.randint(1, 12)
@@ -303,14 +304,23 @@ def test_integers_over_one_denominator_give_the_fractions():
 
 @pytest.mark.parametrize("cut", [0, 1 << 40], ids=["gather", "packed"])
 def test_both_pricing_paths_match_reference(monkeypatch, cut):
-    # A cut of 0 prices every LP with the numpy gather, and 2^40 every LP
-    # here on packed integers; by default the two corpora split between
-    # them.
-    monkeypatch.setattr(simplex, "_PACKED_PRICING_CUT", cut)
+    # A cut of 0 prices every equal-width LP of Python ints with the numpy
+    # gather, set up from one array, and 2^40 every LP here on packed
+    # integers, set up column by column; by default the corpora split
+    # between them.  Each path must give the reference's optimum, and the
+    # default's integers, pivots and all.
     corpus = [*random_k_graphs(), *mixed_unsorted_columns(), *ONE_ROW_AND_WIDTH_ONE]
     corpus += [(m, columns) for m, columns, _ in largest_minors()]
-    for n_rows, columns in corpus:
-        assert solve_unit_packing(n_rows, columns) == oracles.solve_unit_packing(n_rows, columns)
+    corpus += [*wide_k_graphs(), (4, []), (0, [])]
+    corpus += [(32, gather_sized_columns(seed)) for seed in (60, 61)]
+    corpus += [(31, [sorted(col, reverse=True) for col in gather_sized_columns(62)])]
+    assert any(columns and packed_size(columns) >= simplex._PACKED_PRICING_CUT for _, columns in corpus)
+    defaults = [solve_unit_packing(n_rows, columns) for n_rows, columns in corpus]
+    monkeypatch.setattr(simplex, "_PACKED_PRICING_CUT", cut)
+    for (n_rows, columns), b in zip(corpus, defaults):
+        a = solve_unit_packing(n_rows, columns)
+        assert a == oracles.solve_unit_packing(n_rows, columns)
+        assert a == b and (a.denom, a.x, a.y, a.z) == (b.denom, b.x, b.y, b.z)
 
 
 def test_field_width_is_the_least_that_holds_every_entry():
@@ -439,9 +449,9 @@ def test_later_blocks_price_like_one_gather(monkeypatch, offset):
 
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_small_blocks_match_reference(monkeypatch, block):
-    # With the cut at 0 every LP here prices with the gather, in blocks of
-    # a few columns: entering columns in later blocks, slacks entering after
-    # a pass over every block, padded mixed widths and relabelled rows.
+    # With the cut at 0 every equal-width LP here prices with the gather, in
+    # blocks of a few columns: entering columns in later blocks, slacks
+    # entering after a pass over every block and relabelled rows.
     monkeypatch.setattr(simplex, "_PACKED_PRICING_CUT", 0)
     monkeypatch.setattr(simplex, "_GATHER_BLOCK", block)
     corpus = [*random_k_graphs(), *mixed_unsorted_columns(), *ONE_ROW_AND_WIDTH_ONE]
@@ -490,8 +500,8 @@ def test_non_integer_row_in_the_last_column_of_a_gather_lp_is_named():
 
 
 def test_mixed_widths_in_a_gather_lp_solve_like_the_reference():
-    # One column of another width sends the set-up column by column, with
-    # short columns padded by the sentinel row.
+    # One column of another width sends the set-up column by column and the
+    # pricing to packed integers.
     for last in ([4, 6], [3, 8, 9, 11]):
         columns = gather_sized_columns(60) + [last]
         assert solve_unit_packing(32, columns) == oracles.solve_unit_packing(32, columns)
@@ -521,8 +531,38 @@ def test_gather_lp_rows_as_bools_and_numpy_integers_solve_alike():
     assert solve_unit_packing(32, [np.array(col) for col in columns]) == expected
 
 
+def test_untouched_rows_bring_an_equal_width_lp_to_the_gather(monkeypatch):
+    # All 45 pairs of the odd rows 1..19 of 80.  The 10 touched rows alone
+    # give a packed size below the cut, but the path is chosen before the
+    # rows are counted, on bound = min(80, 45 * 2) = 80 rows, which reaches
+    # it.  The set-up makes the columns' array and the row lookup.
+    columns = list(itertools.combinations(range(1, 20, 2), 2))
+    assert packed_size(columns) < simplex._PACKED_PRICING_CUT
+    expected = oracles.solve_unit_packing(80, columns)
+    passes = log_pricing(monkeypatch, setup=2)
+    result = solve_unit_packing(80, columns)
+    assert result == expected
+    assert len(passes) == result.pivots + 1 and passes[-1] == len(columns)
+
+
+def test_mixed_widths_and_numpy_rows_price_on_packed_integers(monkeypatch):
+    # Both reach the cut in packed size, but neither is an equal-width LP of
+    # Python ints: each is set up column by column and priced with no numpy
+    # array at all.
+    for columns in (
+        gather_sized_columns(60) + [[4, 6]],
+        [np.array(col) for col in gather_sized_columns(61)],
+    ):
+        assert packed_size(columns) >= simplex._PACKED_PRICING_CUT
+        expected = oracles.solve_unit_packing(32, [[int(r) for r in col] for col in columns])
+        passes = log_pricing(monkeypatch, setup=0)
+        assert solve_unit_packing(32, columns) == expected
+        assert passes == []
+
+
 def wide_k_graphs():
-    """Seeded k-graphs, k = 2..5, some past the array cut and some below it."""
+    """Seeded k-graphs, k = 2..5, some priced with the gather by default
+    and some on packed integers."""
     rng = random.Random(1308)
     for _ in range(60):
         k = rng.randint(2, 5)
@@ -531,22 +571,7 @@ def wide_k_graphs():
         yield n, [e for e in itertools.combinations(range(n), k) if rng.random() < density]
 
 
-def test_array_set_up_solves_like_column_by_column(monkeypatch):
-    # A cut of 0 sets every equal-width LP up from one array, an infinite
-    # one none; both must give the same integers, pivots and all.
-    corpus = [*wide_k_graphs(), *ONE_ROW_AND_WIDTH_ONE, (4, []), (0, [])]
-    corpus += [(32, gather_sized_columns(seed)) for seed in (60, 61)]
-    corpus += [(31, [sorted(col, reverse=True) for col in gather_sized_columns(62)])]
-    assert any(len(columns) * 5 >= simplex._ARRAY_CUT for _, columns in corpus)
-    results = {}
-    for cut in (0, float("inf")):
-        monkeypatch.setattr(simplex, "_ARRAY_CUT", cut)
-        results[cut] = [solve_unit_packing(n, columns) for n, columns in corpus]
-    for a, b in zip(results[0], results[float("inf")]):
-        assert a == b and (a.denom, a.x, a.y, a.z) == (b.denom, b.x, b.y, b.z)
-
-
-@pytest.mark.parametrize("cut", [0, float("inf")], ids=["array-set-up", "column-by-column"])
+@pytest.mark.parametrize("cut", [0, 1 << 40], ids=["array-set-up", "column-by-column"])
 @pytest.mark.parametrize(
     "last, message",
     [
@@ -560,8 +585,9 @@ def test_array_set_up_solves_like_column_by_column(monkeypatch):
 def test_rows_np_fromiter_would_misread_are_refused(monkeypatch, cut, last, message):
     # np.fromiter reads 1.5 as 1 and '3' as 3, and cannot hold 2^70: on
     # both set-ups the column is named with the column-by-column message.
-    monkeypatch.setattr(simplex, "_ARRAY_CUT", cut)
+    # The pricing cut selects the set-up.
     columns = gather_sized_columns(60) + [last]
+    monkeypatch.setattr(simplex, "_PACKED_PRICING_CUT", cut)
     with pytest.raises(ValueError) as info:
         solve_unit_packing(32, columns)
     assert str(info.value) == message
@@ -588,6 +614,23 @@ def test_no_columns():
 
 def test_no_rows():
     assert solve_unit_packing(0, []) == PackingResult(Fraction(0), (), (), 0)
+
+
+@pytest.mark.parametrize("n_rows", [14.0, "14", None, -1], ids=["float", "string", "none", "negative"])
+@pytest.mark.parametrize("size", ["empty", "small", "gather-sized"])
+def test_n_rows_that_is_not_a_non_negative_integer_is_refused(n_rows, size):
+    # Checked where it enters: 14.0 used to run the whole LP and then fail
+    # with a TypeError, and -1 with no columns gave a result with no dual.
+    columns = {"empty": [], "small": [(0, 1), (1, 2)], "gather-sized": gather_sized_columns(60)}[size]
+    message = f"n_rows must be a non-negative integer, not {n_rows!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_unit_packing(n_rows, columns)
+
+
+def test_n_rows_as_a_bool_or_numpy_integer_counts_rows():
+    columns = gather_sized_columns(60)
+    assert solve_unit_packing(np.int64(32), columns) == solve_unit_packing(32, columns)
+    assert solve_unit_packing(True, [(0,)]) == solve_unit_packing(1, [(0,)])
 
 
 def test_rows_missed_by_every_column_have_zero_dual():
