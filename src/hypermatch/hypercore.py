@@ -9,6 +9,8 @@ are exact, never within an epsilon.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import operator
@@ -86,6 +88,13 @@ class Hypergraph:
     trusted: ``_canonical`` builds a sub-hypergraph without a check.
     ``simplex.solve_unit_packing`` is a public entry too and checks the
     columns of every call, a ``Hypergraph``'s edges included.
+
+    ``edge_array`` is the same edges as one (E, k) array, built from
+    ``edges`` on first use, or handed to ``_canonical`` by a caller that
+    holds a sub-hypergraph's rows already, and trusted as such.  It is a
+    cache: kept in the instance dict, outside the fields, it changes no
+    equality, hash, repr or ``dataclasses.replace``, and a pickle leaves it
+    out.
     """
 
     k: int
@@ -121,7 +130,9 @@ class Hypergraph:
         object.__setattr__(self, "edges", tuple(edges))
 
     @classmethod
-    def _canonical(cls, k: int, n: int, edges: tuple[tuple[int, ...], ...]) -> "Hypergraph":
+    def _canonical(
+        cls, k: int, n: int, edges: tuple[tuple[int, ...], ...], rows: np.ndarray | None = None
+    ) -> "Hypergraph":
         """A Hypergraph on edges that are canonical already, not checked again.
 
         The caller guarantees 1 <= k <= n and the invariant ``__init__``
@@ -132,11 +143,19 @@ class Hypergraph:
         yields the sorted k-subsets of 0..n-1 in lex order.  Input from
         outside the package goes through ``Hypergraph(k, n, edges)``, which
         validates it.
+
+        ``rows``, if given, is kept as ``edge_array`` and made read-only,
+        without a check: the caller guarantees that it is the array
+        ``edge_array`` would build, dtype included, as the rows of the same
+        edges in a hypergraph on the same n are.
         """
         h = object.__new__(cls)
         object.__setattr__(h, "k", k)
         object.__setattr__(h, "n", n)
         object.__setattr__(h, "edges", edges)
+        if rows is not None:
+            rows.flags.writeable = False
+            vars(h)["edge_array"] = rows
         return h
 
     @classmethod
@@ -176,8 +195,43 @@ class Hypergraph:
     def edge_index(self) -> dict[tuple[int, ...], int]:
         return {e: i for i, e in enumerate(self.edges)}
 
+    @functools.cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as one read-only (E, k) array, in canonical order.
+
+        Its dtype is the least that holds n - 1, uint8 up to 256 vertices.
+        Built on first use, never by a constructor: a caller that holds
+        many hypergraphs pays only for those it asks.
+        """
+        flat = itertools.chain.from_iterable(self.edges)
+        dtype = np.min_scalar_type(self.n - 1)
+        rows = np.fromiter(flat, dtype, self.num_edges * self.k).reshape(-1, self.k)
+        rows.flags.writeable = False
+        return rows
+
+    def __getstate__(self) -> dict:
+        # ``edge_array`` is left out of a pickle, which would bring it back
+        # writeable; it is built again on first use.
+        state = vars(self).copy()
+        state.pop("edge_array", None)
+        return state
+
     def __contains__(self, edge: Iterable[int]) -> bool:
-        return tuple(sorted(edge)) in set(self.edges)
+        return self._has_edge(tuple(sorted(edge)))
+
+    def _has_edge(self, t: tuple) -> bool:
+        """Whether the tuple t, as given, is one of the edges, as a set lookup says.
+
+        The edges are in lex order, so one bisection finds t; a vertex that
+        cannot be ordered against ints, such as 1 + 0j, may still equal one,
+        and is looked up in a set.
+        """
+        edges = self.edges
+        try:
+            i = bisect.bisect_left(edges, t)
+        except TypeError:
+            return t in set(edges)
+        return i < len(edges) and edges[i] == t
 
 
 # The live complete hypergraphs, for ``Hypergraph.complete``.
@@ -368,20 +422,15 @@ def incidence(
     return vertex, pair
 
 
-def _edge_array(h: Hypergraph) -> np.ndarray:
-    """The edges of ``h`` as an (E, k) intp array, in canonical order."""
-    flat = itertools.chain.from_iterable(h.edges)
-    return np.fromiter(flat, np.intp, h.num_edges * h.k).reshape(-1, h.k)
-
-
 def vertex_masks(sets: Iterable[Iterable[int]]) -> list[int]:
     """The bitmask (bit v set for vertex v) of each vertex set, in order.
 
-    A two-dimensional integer numpy array, one set a row, is taken whole in
-    int64 when its entries lie in 0..61, so that every mask fits; past that
-    its rows are read as Python ints, as any other input is read set by set.
+    A two-dimensional integer numpy array, one set a row, signed or not, is
+    taken whole in int64 when its entries lie in 0..61, so that every mask
+    fits; past that its rows are read as Python ints, as any other input is
+    read set by set.
     """
-    if isinstance(sets, np.ndarray) and sets.ndim == 2 and sets.dtype.kind == "i":
+    if isinstance(sets, np.ndarray) and sets.ndim == 2 and sets.dtype.kind in "iu":
         if sets.size and 0 <= sets.min() and sets.max() < 62:
             return np.bitwise_or.reduce(np.left_shift(1, sets, dtype=np.int64), axis=1).tolist()
         sets = sets.tolist()

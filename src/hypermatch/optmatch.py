@@ -14,17 +14,20 @@ edge's cover sum at least D.  The two weightings are then built without a
 second check.  The integral matching and cover are checked by
 ``_verify_integral`` in ``fractional_optimum``.
 
-Three passes read every edge: the edge masks of the matching and cover
-searches (``vertex_masks``), the 2^n table of the cover DP and the cover
-sums of ``_check_lp_pair``.  A hypergraph whose edges hold at least
-``_ARRAY_CUT`` vertices in all (E * k) gives each pass one (E, k) integer
-array, built afresh by that pass: the masks are taken in int64 (vertices
-0..61 only), the table is set from them with one fancy-index store and
-``np.packbits``, and the cover sums are one gather of the dual.  Smaller
+Five passes read every edge: the LP's set-up in the solver, the edge
+masks of the matching and cover searches (``vertex_masks``), the 2^n
+table of the cover DP, the cover sums of ``_check_lp_pair`` and the cover
+check of ``_verify_integral``.  A hypergraph whose edges hold at least
+``_ARRAY_CUT`` vertices in all (E * k) gives every pass the one array
+``Hypergraph.edge_array``, built on the first pass and kept: the solver
+checks it in numpy, the masks are taken in int64 (vertices 0..61 only),
+the table is set from them with one fancy-index store and
+``np.packbits``, and the two cover checks are one gather each.  Smaller
 ones are read edge by edge, where one numpy call costs more than the loop.
-No array is kept on the ``Hypergraph``: certify holds every input it asks
-about alive, and its 972 inputs' arrays would add about 2 MB to the
-process.
+The array is kept in the least unsigned dtype, uint8 up to 256 vertices:
+certify holds every input it asks about alive, and intp arrays added
+about 1.4 MB to its peak RSS where uint8 ones add 0.3-0.4 MB (2-vCPU
+Intel Xeon, Python 3.11.7, numpy 2.4.6).
 
 The cut, 512, is where an array pass's numpy calls, about 1 us each, cost
 what the Python it replaces does.  On certify-family k-graphs (k = 2..5,
@@ -50,7 +53,6 @@ from .hypercore import (
     EdgeWeighting,
     Hypergraph,
     VertexWeighting,
-    _edge_array,
     incidence,
     vertex_masks,
 )
@@ -75,10 +77,10 @@ _ARRAY_CUT = 512
 
 
 def _edge_rows(h: Hypergraph):
-    """The edges as one (E, k) array when they hold at least ``_ARRAY_CUT``
-    vertices in all, else ``h.edges`` itself, which the passes below then
-    read edge by edge (see the module docstring)."""
-    return h.edges if h.num_edges * h.k < _ARRAY_CUT else _edge_array(h)
+    """``h.edge_array`` when the edges hold at least ``_ARRAY_CUT`` vertices
+    in all, else ``h.edges`` itself, which the passes below then read edge
+    by edge (see the module docstring)."""
+    return h.edges if h.num_edges * h.k < _ARRAY_CUT else h.edge_array
 
 
 def maximum_matching(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
@@ -261,7 +263,7 @@ def fractional_matching(
     built, and share the same total weight, which pins the value from both
     sides.
     """
-    result = solve_unit_packing(h.n, h.edges)
+    result = solve_unit_packing(h.n, _edge_rows(h))
     _check_lp_pair(h, result)
     support = tuple(zip(compress(h.edges, result.x), compress(result.primal, result.x)))
     matching = EdgeWeighting._trusted(h, result.primal, support)
@@ -298,7 +300,7 @@ def _check_lp_pair(h: Hypergraph, result: PackingResult) -> None:
     rows = _edge_rows(h)
     if rows is not h.edges and h.k * denom < simplex._INT64_BOUND:
         # Every Y_v <= D, so no cover sum exceeds k*D, which int64 holds.
-        if not np.count_nonzero(np.array(ys, np.int64).take(rows).sum(axis=1) < denom):
+        if not np.count_nonzero(np.array(ys, np.int64).take(rows.T).sum(axis=0) < denom):
             return
     # The loop names the first edge the cover misses.
     get = ys.__getitem__
@@ -358,14 +360,21 @@ def _verify_integral(
     cover: Sequence[int],
 ) -> None:
     used: set[int] = set()
-    edge_set = set(h.edges)
     for e in matching:
-        if e not in edge_set:
+        if not h._has_edge(e):
             raise AssertionError(f"matching certificate uses foreign edge {e}")
         if used & set(e):
             raise AssertionError("matching certificate edges intersect")
         used |= set(e)
     cset = set(cover)
+    rows = _edge_rows(h)
+    if rows is not h.edges:
+        # One gather: does some vertex of each edge lie in the cover?  A
+        # vertex is in it as the set says, so the loop below agrees.
+        covered = np.fromiter(map(cset.__contains__, range(h.n)), np.bool_, h.n)
+        if covered.take(rows.T).any(axis=0).all():
+            return
+    # The loop names the first edge the cover misses.
     for e in h.edges:
         if cset.isdisjoint(e):
             raise AssertionError(f"cover certificate misses edge {e}")

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hypercore import EdgeWeighting, Hypergraph, _draw_threshold, _edge_array, incidence
+from .hypercore import EdgeWeighting, Hypergraph, _draw_threshold, incidence
 from .optmatch import fractional_matching
 
 __all__ = [
@@ -249,7 +249,7 @@ def _inside(edges: np.ndarray, n: int, subset) -> np.ndarray:
     return members[edges]
 
 
-def _check_edges(plan: RoundOnePlan, subsets, edges: np.ndarray) -> tuple[CheckResult, CheckResult]:
+def _check_edges(plan: RoundOnePlan, subsets) -> tuple[CheckResult, CheckResult]:
     """Checks (iii) and (v), edge multiplicity and induced degrees.
 
     (iii): no base edge lies inside two sampled subsets.  (v): for a d-set
@@ -257,15 +257,16 @@ def _check_edges(plan: RoundOnePlan, subsets, edges: np.ndarray) -> tuple[CheckR
     D inside f and all other vertices of f inside R; every D must keep
     1/2 of C(|R|-d, k-d) of them in every round.
 
-    Per round one boolean "inside R" array is gathered through ``edges``,
-    the (E, k) array of the base edges.  An edge with all k entries inside
-    is a hit for (iii).  Each choice of d positions in the array names one
-    d-set of every edge; the edges whose other k - d entries are inside
-    count onto their d-sets' lex ranks by one ``bincount``, so violations
-    of (v) come out round by round in lex order.
+    Per round one boolean "inside R" array is gathered through the base's
+    ``edge_array``.  An edge with all k entries inside is a hit for (iii).
+    Each choice of d positions in the array names one d-set of every edge;
+    the edges whose other k - d entries are inside count onto their
+    d-sets' lex ranks by one ``bincount``, so violations of (v) come out
+    round by round in lex order.
     """
     base, d = plan.base, plan.d
     n, k = base.n, base.k
+    edges = base.edge_array
     choices = [
         (_lex_ranks(edges, at, n), [j for j in range(k) if j not in at])
         for at in itertools.combinations(range(k), d)
@@ -313,16 +314,14 @@ def compute_round_matchings(outcome: RoundOneOutcome) -> RoundOneOutcome:
     a None entry.
     """
     base = outcome.plan.base
-    # ``sample_rounds`` hands over the edge array its checks used.
-    edges = vars(outcome).get("_edges")
-    if edges is None:
-        edges = _edge_array(base)
+    edges = base.edge_array
     matchings: list[EdgeWeighting | None] = []
     skipped = []
     for i, r in enumerate(outcome.subsets):
-        inside = _inside(edges, base.n, r).all(axis=1).tolist()
+        # The induced hypergraph takes its rows of the base's array along.
+        inside = _inside(edges, base.n, r).all(axis=1)
         induced = Hypergraph._canonical(
-            base.k, base.n, tuple(itertools.compress(base.edges, inside))
+            base.k, base.n, tuple(itertools.compress(base.edges, inside.tolist())), edges[inside]
         )
         value, matching, _ = fractional_matching(induced)
         if value == Fraction(len(r), base.k):
@@ -341,8 +340,7 @@ def sample_rounds(plan: RoundOnePlan, with_matchings: bool = False) -> RoundOneO
     n = plan.base.n
     coverage, pair_coverage = incidence(subsets, n)
     over_cap = [(pair, c) for pair, c in pair_coverage.items() if c > _PAIR_CAP]
-    edges = _edge_array(plan.base)
-    multiplicity, degrees = _check_edges(plan, subsets, edges)
+    multiplicity, degrees = _check_edges(plan, subsets)
     checks = (
         _check_band(
             "vertex_coverage", coverage, plan.rounds * Fraction(plan.p), _VERTEX_TOLERANCE,
@@ -363,9 +361,6 @@ def sample_rounds(plan: RoundOnePlan, with_matchings: bool = False) -> RoundOneO
     )
     outcome = RoundOneOutcome(plan=plan, subsets=subsets, checks=checks)
     if with_matchings:
-        # In the instance dict, outside the fields, for this one call: the
-        # outcome returned is a new one, without it.
-        vars(outcome)["_edges"] = edges
         outcome = compute_round_matchings(outcome)
     return outcome
 

@@ -79,18 +79,23 @@ checked on every pivot in O(m) on the Python ints; past that bound the
 same arrays are gathered with dtype object, whose elements are Python
 ints.  No float is involved on either path.
 
-A gather LP is set up from one array: its rows are read once with
-``np.fromiter``, never before the test that they are Python ints
-(fromiter reads 1.5 as 1 and '3' as 3; a row past the intp range is a
-fault), in about half the time ``np.array`` takes for the 777 columns of
-a k=4, n=14 LP.  Its minimum and maximum are the range check,
-``np.bincount`` gives the touched rows, and a repeated row is two equal
-positions of one column, found by comparing the (ncols, width) view with
-itself shifted by 1..width-1 positions.  That view, cut into blocks and
-relabelled through a lookup array indexed by row, gives the index arrays.
+A gather LP is set up from one (ncols, width) array of its rows: the
+columns themselves when they are a two-dimensional integer numpy array,
+such as ``Hypergraph.edge_array``, or else read once with ``np.fromiter``,
+never before the test that they are Python ints (fromiter reads 1.5 as 1
+and '3' as 3; a row past the intp range is a fault).  Its minimum and
+maximum are the range check.  It is then copied once to a (width, ncols)
+intp array, in which ``np.bincount`` gives the touched rows and a
+repeated row is two equal positions of one column, found by comparing
+the array with itself shifted down by 1..width-1 rows, each a row of
+contiguous memory.  That array, cut into blocks and relabelled through a
+lookup array indexed by row, gives the index arrays; each pivot reads
+the entering column from it.
 
 A packed LP, or a gather LP whose array shows a fault, is copied and
-checked column by column, so the first faulty column is the one named.
+checked column by column, so the first faulty column is the one named;
+an array is read as its ``tolist()`` for that, and so is any array that
+is not two-dimensional, of integers and of nonzero width.
 Columns of one width are cleared of repeats position by position (``zip``
 and ``operator.lt``, as for a ``Hypergraph``'s edges), and only if some
 column is not increasing does each get a set.  The indicators A_r are
@@ -165,6 +170,7 @@ from operator import index, lt, mul
 from typing import Sequence
 
 import numpy as np
+from numpy import ndarray
 
 __all__ = ["PackingResult", "solve_unit_packing"]
 
@@ -236,13 +242,16 @@ class PackingResult:
 
 
 def solve_unit_packing(
-    n_rows: int, columns: Sequence[Sequence[int]]
+    n_rows: int, columns: Sequence[Sequence[int]] | ndarray
 ) -> PackingResult:
     """Maximise the total column weight under unit row capacities.
 
     ``columns[j]`` lists the rows column j hits (distinct indices in
-    0..n_rows-1, at least one).  Returns exact optimal primal and dual
-    vectors; with no columns the optimum is 0 with an all-zero dual.
+    0..n_rows-1, at least one).  ``columns`` may also be a two-dimensional
+    integer numpy array, one column a row, such as ``Hypergraph.edge_array``;
+    it solves exactly as its ``tolist()`` does.  Returns exact optimal
+    primal and dual vectors; with no columns the optimum is 0 with an
+    all-zero dual.
 
     The columns are checked on every call, a ``Hypergraph``'s edges
     included, and the first faulty column is named.
@@ -255,36 +264,54 @@ def solve_unit_packing(
     if n_rows < 0:
         raise ValueError(f"n_rows must be a non-negative integer, not {given!r}")
     ncols = len(columns)
-    # The sum stays an int only if every row is one (bools aside): a row such
-    # as 1.0 would pass the range test and fail as a list index.
-    try:
-        widths = set(map(len, columns))
-        exact = type(sum(chain.from_iterable(columns))) is int
-    except TypeError:
-        exact = False
+    # The columns as one (ncols, width) integer array, if they are one.  A
+    # given integer array of one nonzero width is an LP of ints; any other
+    # array is read as its lists, so that it solves, or fails, as they do.
+    array = None
+    if isinstance(columns, ndarray):
+        if columns.ndim == 2 and columns.dtype.kind in "iu" and columns.size:
+            array = columns
+            exact, widths = True, {columns.shape[1]}
+        else:
+            columns = columns.tolist()
+    if array is None:
+        # The sum stays an int only if every row is one (bools aside): a row
+        # such as 1.0 would pass the range test and fail as a list index.
+        try:
+            widths = set(map(len, columns))
+            exact = type(sum(chain.from_iterable(columns))) is int
+        except TypeError:
+            exact = False
     # The pricing path is chosen first, on bound >= m in place of the touched
     # count m (see the module docstring).  A gather LP is checked and set up
-    # from one array of its rows; a packed LP, or a gather LP with a fault, is
-    # copied and checked column by column, so the first faulty column is named.
-    by_col = None
+    # from that array, or one read from the lists; a packed LP, or a gather
+    # LP with a fault, is copied and checked column by column, so the first
+    # faulty column is named.
+    by_row = None
     if exact and len(widths) == 1 and 0 not in widths:
         (width,) = widths
         bound = min(n_rows, ncols * width)
         if bound * ncols * _price_width(bound, width) >= _PACKED_PRICING_CUT:
-            try:
-                # Only after the exact test: np.fromiter reads 1.5 as 1 and '3'
-                # as 3.  A row past the intp range is a fault.
-                flat = np.fromiter(chain.from_iterable(columns), np.intp, ncols * width)
-            except OverflowError:
-                flat = None
-            if flat is not None and 0 <= flat.min() and flat.max() < n_rows:
-                by_col = flat.reshape(ncols, width)
-                if any(np.count_nonzero(by_col[:, s:] == by_col[:, :-s]) for s in range(1, width)):
-                    by_col = None
+            if array is None:
+                try:
+                    # Only after the exact test: np.fromiter reads 1.5 as 1 and
+                    # '3' as 3.  A row past the intp range is a fault.
+                    array = np.fromiter(chain.from_iterable(columns), np.intp, ncols * width)
+                    array = array.reshape(ncols, width)
+                except OverflowError:
+                    pass
+            if array is not None and 0 <= array.min() and array.max() < n_rows:
+                # Rows in range fit intp.  Held as (width, ncols), so that a
+                # repeated row, two equal positions of one column, is found
+                # by comparing rows of contiguous memory.
+                by_row = array.T.astype(np.intp, order="C")
+                if any(np.count_nonzero(by_row[s:] == by_row[:-s]) for s in range(1, width)):
+                    by_row = None
                 else:
-                    cols = columns
-                    touched = np.flatnonzero(np.bincount(flat)).tolist()
-    if by_col is None:
+                    touched = np.flatnonzero(np.bincount(by_row.ravel())).tolist()
+    if by_row is None:
+        if isinstance(columns, ndarray):
+            columns = columns.tolist()
         cols = [tuple(col) for col in columns]
         touched = sorted(set().union(*cols)) if exact else []
         if (
@@ -330,7 +357,7 @@ def solve_unit_packing(
     denom = 1
     basis = [ncols + i for i in range(m)]
     pivots = 0
-    if by_col is None:
+    if by_row is None:
         # Row r's column indicator, one field of v bits a column, built over
         # rows 0..touched[-1] and then kept for the touched rows only, and
         # the sum's constant part without D: 2^(v-1) in every field.
@@ -351,7 +378,7 @@ def solve_unit_packing(
         # and the others wait in ``later`` with their first column.  Also
         # the largest D or |Y| for which the int64 sums below are exact.
         starts = range(0, ncols, _GATHER_BLOCK)
-        blocks = [by_col[a : a + _GATHER_BLOCK].T for a in starts]
+        blocks = [by_row[:, a : a + _GATHER_BLOCK] for a in starts]
         lookup = None if relabel is None else np.array(relabel, np.intp)
         rows, *rest = [b.copy() if lookup is None else lookup.take(b) for b in blocks]
         later = list(zip(starts[1:], rest))
@@ -400,7 +427,7 @@ def solve_unit_packing(
             d = packed[i]
             dm = ys[i]
         else:
-            col = cols[entering]
+            col = cols[entering] if rows is None else by_row[:, entering].tolist()
             if relabel is not None:
                 col = tuple(map(relabel.__getitem__, col))
             d = sum(map(packed.__getitem__, col))

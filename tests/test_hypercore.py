@@ -1,5 +1,7 @@
 """Core types: construction rules, degrees, links, threshold graphs, I/O."""
 
+import copy
+import dataclasses
 import gc
 import itertools
 import math
@@ -157,6 +159,18 @@ class TestHypergraph:
         h = Hypergraph(1, 3, [(0,), (1,)])
         assert (1 + 0j,) in h and (2 + 0j,) not in h
 
+    def test_membership_by_bisection_answers_as_a_set_lookup(self):
+        # Every k-set of seeded hypergraphs, in and out, and probes before
+        # the first edge and past the last.
+        rng = random.Random(46)
+        for trial in range(40):
+            k, n = rng.randint(1, 4), rng.randint(4, 9)
+            pool = list(itertools.combinations(range(n), k))
+            h = Hypergraph(k, n, [e for e in pool if rng.random() < 0.4])
+            edges = set(h.edges)
+            for probe in [*pool, (-1,) * k, (n,) * k, (0,) * (k + 1)]:
+                assert (probe[::-1] in h) is (tuple(sorted(probe)) in edges)
+
     @pytest.mark.parametrize(
         "k, n, edges",
         [
@@ -203,6 +217,56 @@ class TestHypergraph:
 
     def test_vertices(self):
         assert list(Hypergraph(2, 3, []).vertices()) == [0, 1, 2]
+
+
+class TestEdgeArray:
+    EDGES = [(0, 1, 2), (0, 2, 5), (1, 3, 6), (4, 5, 6)]
+
+    @pytest.mark.parametrize(
+        "n, dtype", [(7, np.uint8), (256, np.uint8), (257, np.uint16), (70000, np.uint32)]
+    )
+    def test_read_only_in_the_least_dtype_that_holds_every_vertex(self, n, dtype):
+        h = Hypergraph(3, n, [*self.EDGES, (0, 1, n - 1)])
+        rows = h.edge_array
+        assert rows.dtype == dtype and rows.shape == (5, 3)
+        assert rows.tolist() == [list(e) for e in h.edges]
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1
+        assert h.edge_array is rows
+
+    def test_no_edges(self):
+        assert Hypergraph(3, 5).edge_array.shape == (0, 3)
+
+    def test_built_on_first_use_only(self, tmp_path):
+        path = str(tmp_path / "h.hg")
+        write_hypergraph(Hypergraph(3, 7, self.EDGES), path)
+        for h in (
+            Hypergraph(3, 7, self.EDGES),
+            Hypergraph(3, 7, reversed(self.EDGES)),
+            Hypergraph.complete(3, 7),
+            Hypergraph._canonical(3, 7, tuple(self.EDGES)),
+            read_hypergraph(path),
+        ):
+            assert "edge_array" not in vars(h)
+
+    def test_the_cache_is_invisible(self):
+        built, fresh = Hypergraph(3, 7, self.EDGES), Hypergraph(3, 7, self.EDGES)
+        built.edge_array
+        assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+        for back in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+            assert back == fresh and "edge_array" not in vars(back)
+            assert not back.edge_array.flags.writeable
+        replaced = dataclasses.replace(built, n=8)
+        assert replaced == dataclasses.replace(fresh, n=8) and "edge_array" not in vars(replaced)
+        assert replaced.edge_array.dtype == np.uint8
+
+    def test_a_sub_hypergraph_takes_the_rows_it_is_given(self):
+        base = Hypergraph.complete(3, 7)
+        keep = np.array([sum(e) % 3 == 0 for e in base.edges])
+        rows = base.edge_array[keep]
+        sub = Hypergraph._canonical(3, 7, tuple(itertools.compress(base.edges, keep)), rows)
+        assert sub.edge_array is rows and not rows.flags.writeable
+        assert np.array_equal(rows, Hypergraph(3, 7, sub.edges).edge_array)
 
 
 def same_as_reference(k: int, n: int, make_edges) -> bool:
@@ -489,6 +553,14 @@ class TestIncidence:
 
     def test_vertex_masks(self):
         assert vertex_masks([(0, 2), (), (1, 3, 4)]) == [0b101, 0, 0b11010]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64, np.int8, np.intp])
+    def test_vertex_masks_of_an_integer_array_signed_or_not(self, dtype):
+        # Vertices 0..61 are taken whole in int64; 62 and 63 are read as ints.
+        for top in (61, 63):
+            sets = [(0, 2, 5), (1, 3, top), (7, 8, 60)]
+            masks = vertex_masks(np.array(sets, dtype))
+            assert masks == vertex_masks(sets) and all(type(m) is int for m in masks)
 
 
 class TestDegrees:

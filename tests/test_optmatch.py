@@ -620,6 +620,35 @@ class TestArrayRoutes:
         with pytest.raises(AssertionError, match=re.escape(f"cover misses edge {missed}")):
             _check_lp_pair(h, tampered)
 
+    @ROUTES
+    def test_tampered_integral_cover_names_the_first_missed_edge(self, monkeypatch, cut):
+        # A vertex is in the cover as the set of its vertices says: v - n is
+        # no vertex, though numpy would read it as one, and 1.0 is vertex 1.
+        monkeypatch.setattr(optmatch, "_ARRAY_CUT", cut)
+        for k, n in ((2, 9), (3, 12), (4, 14), (5, 12)):
+            h = seeded_edge_set(k, n, 0.6, [k, n])
+            matching, cover = maximum_matching(h), minimum_cover(h)
+            optmatch._verify_integral(h, matching, [float(v) for v in cover])
+            for tampered in (cover[1:], [v - n for v in cover], [*cover[:-1], cover[-1] - n]):
+                missed = next(e for e in h.edges if set(tampered).isdisjoint(e))
+                with pytest.raises(AssertionError, match=re.escape(f"cover certificate misses edge {missed}")):
+                    optmatch._verify_integral(h, matching, tampered)
+
+    def test_a_large_answer_converts_its_edges_once(self, monkeypatch):
+        # The solver and every per-edge pass read the one cached edge array;
+        # the only other array built from Python values is the cover's.
+        h = seeded_edge_set(4, 14, 0.8, [4, 14, 8])
+        assert h.num_edges * h.k >= optmatch._ARRAY_CUT
+        expected = report_fields(fractional_optimum(Hypergraph(h.k, h.n, h.edges)))
+        built, given = [], []
+        fromiter = np.fromiter
+        monkeypatch.setattr(np, "fromiter", lambda *a: built.append(np.dtype(a[1])) or fromiter(*a))
+        solve = optmatch.solve_unit_packing
+        monkeypatch.setattr(optmatch, "solve_unit_packing", lambda n, cols: given.append(cols) or solve(n, cols))
+        assert report_fields(fractional_optimum(h)) == expected
+        assert built == [np.uint8, np.bool_]
+        assert len(given) == 1 and given[0] is h.edge_array
+
     def test_bound_forced_to_zero_names_the_same_edges(self, monkeypatch):
         monkeypatch.setattr(optmatch, "_ARRAY_CUT", 0)
         named = {}

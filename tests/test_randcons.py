@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hypermatch import hypercore, randcons, thresholds
+from hypermatch import hypercore, optmatch, randcons, thresholds
 from hypermatch.hypercore import Hypergraph
 from hypermatch.randcons import (
     RoundOnePlan,
@@ -196,7 +196,7 @@ class TestExactBands:
             plan = RoundOnePlan(base, 1, 1.0, 1)
             subsets = randcons._sample_subsets(plan)
             assert subsets == (tuple(range(6)),)
-            _, degrees = randcons._check_edges(plan, subsets, randcons._edge_array(plan.base))
+            _, degrees = randcons._check_edges(plan, subsets)
             assert degrees.witnesses == witnesses
             assert degrees == oracles.check_induced_degrees(plan, subsets)
 
@@ -230,7 +230,7 @@ class TestRoundOneAuditsMatchOracles:
         for trial in range(40):
             plan = random_plan(rng, k, d, seed=trial)
             subsets = randcons._sample_subsets(plan)
-            multiplicity, degrees = randcons._check_edges(plan, subsets, randcons._edge_array(plan.base))
+            multiplicity, degrees = randcons._check_edges(plan, subsets)
             # Equal reprs: the same types too, ints rather than numpy scalars.
             assert repr(multiplicity) == repr(oracles.check_edge_multiplicity(plan, subsets))
             assert repr(degrees) == repr(oracles.check_induced_degrees(plan, subsets))
@@ -244,7 +244,7 @@ class TestRoundOneAuditsMatchOracles:
         # if not, so every vertex keeps more than half.
         plan = RoundOnePlan(Hypergraph.complete(3, 60), 4, 0.5, 1, seed=7)
         subsets = randcons._sample_subsets(plan)
-        multiplicity, degrees = randcons._check_edges(plan, subsets, randcons._edge_array(plan.base))
+        multiplicity, degrees = randcons._check_edges(plan, subsets)
         assert multiplicity.violations == 2974
         assert multiplicity == oracles.check_edge_multiplicity(plan, subsets)
         assert degrees.passed
@@ -310,18 +310,25 @@ class TestRoundMatchings:
         (matching,) = outcome.matchings
         assert sum(w for _, w in matching.support()) == Fraction(2)
 
-    def test_sampling_with_matchings_builds_the_edge_array_once(self, monkeypatch):
-        # The checks and the round LPs share one array, and the outcome
-        # returned does not keep it.
-        plan = RoundOnePlan(Hypergraph.complete(3, 9), 4, 0.7, 1, seed=2)
-        expected = compute_round_matchings(sample_rounds(plan))
+    def test_sampling_with_matchings_converts_only_the_base(self, monkeypatch):
+        # The checks read the base's edge array, and every round LP, each
+        # past optmatch's array cut at this seed, reads its rows of it: the
+        # edges are turned into an array once.
+        base = Hypergraph.complete(3, 24)
+        expected = compute_round_matchings(sample_rounds(RoundOnePlan(base, 4, 0.5, 1, seed=9)))
+        plan = RoundOnePlan(Hypergraph(3, 24, base.edges), 4, 0.5, 1, seed=9)
         calls = []
-        build = randcons._edge_array
-        monkeypatch.setattr(randcons, "_edge_array", lambda base: calls.append(base) or build(base))
+        fromiter = np.fromiter
+        monkeypatch.setattr(np, "fromiter", lambda *a: calls.append(a[1]) or fromiter(*a))
         outcome = sample_rounds(plan, with_matchings=True)
-        assert calls == [plan.base]
+        assert calls == [np.uint8]
         assert outcome == expected and outcome.matchings == expected.matchings
-        assert "_edges" not in vars(outcome)
+        induced = [m.hypergraph for m in outcome.matchings]
+        assert all(h.num_edges * h.k >= optmatch._ARRAY_CUT for h in induced)
+        for h in induced:
+            rows = vars(h)["edge_array"]
+            assert rows.dtype == np.uint8 and not rows.flags.writeable
+            assert rows.tolist() == list(map(list, h.edges))
 
     def test_imperfect_round_is_skipped(self):
         plan = RoundOnePlan(TWO_TRIPLES, 1, 0.5, 1)
@@ -624,7 +631,7 @@ class TestKeptEdgeRoutes:
             Hypergraph.complete(3, 6), [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 3)]
         )
         plan = outcome.plan
-        multiplicity, _ = randcons._check_edges(plan, outcome.subsets, randcons._edge_array(plan.base))
+        multiplicity, _ = randcons._check_edges(plan, outcome.subsets)
         assert not multiplicity.passed
         assert outcome._draw_plan.order is not None
         builds = self.assert_builds_match_oracle(outcome)

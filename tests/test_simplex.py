@@ -560,6 +560,69 @@ def test_mixed_widths_and_numpy_rows_price_on_packed_integers(monkeypatch):
         assert passes == []
 
 
+def equal_width_lps():
+    """(n_rows, columns) of one nonzero width on both pricing paths, each also
+    with row 0 left untouched, so that the gather looks its rows up."""
+    corpus = [(n, edges) for n, edges in random_k_graphs() if edges]
+    corpus += [(n, edges) for n, edges in wide_k_graphs() if edges]
+    corpus += ONE_ROW_AND_WIDTH_ONE
+    corpus += [(32, gather_sized_columns(60)), blocks_of_pairs(0)]
+    return corpus + [(n_rows + 1, [[r + 1 for r in col] for col in columns]) for n_rows, columns in corpus]
+
+
+@pytest.mark.parametrize("cut", [None, 0, 1 << 40], ids=["default", "gather", "packed"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.intp])
+def test_an_integer_array_solves_like_its_tuples(monkeypatch, cut, dtype):
+    # The array's own checks and set-up, the lists' on the packed path: the
+    # same optimum, its integers and its pivots, whatever the layout.
+    corpus = equal_width_lps()
+    if cut is not None:
+        monkeypatch.setattr(simplex, "_PACKED_PRICING_CUT", cut)
+    for n_rows, columns in corpus:
+        expected = solve_unit_packing(n_rows, [tuple(col) for col in columns])
+        array = np.array(columns, dtype)
+        for given in (array, np.asfortranarray(array)):
+            result = solve_unit_packing(n_rows, given)
+            assert result == expected
+            assert (result.denom, result.x, result.y, result.z) == (
+                expected.denom, expected.x, expected.y, expected.z
+            )
+
+
+def outcome(n_rows, columns):
+    """The solver's result, or the type and message of its refusal."""
+    try:
+        return solve_unit_packing(n_rows, columns)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def with_last(dtype, last) -> np.ndarray:
+    return np.array(gather_sized_columns(60) + [last], dtype)
+
+
+@pytest.mark.parametrize("cut", [0, 1 << 40], ids=["gather", "packed"])
+@pytest.mark.parametrize(
+    "array",
+    [
+        with_last(np.intp, [0, -1, 5]),
+        with_last(np.uint8, [0, 1, 32]),
+        with_last(np.uint64, [0, 1, (1 << 64) - 1]),
+        with_last(np.uint8, [5, 9, 5]),
+        np.array(gather_sized_columns(60), float),
+        np.array(gather_sized_columns(60)) > 9,
+        np.arange(5),
+        np.zeros((600, 0), np.intp),
+    ],
+    ids=["negative", "past-n-rows", "past-intp", "repeat", "float", "bool", "one-dimensional", "zero-width"],
+)
+def test_a_faulty_array_is_named_like_its_lists(monkeypatch, cut, array):
+    monkeypatch.setattr(simplex, "_PACKED_PRICING_CUT", cut)
+    expected = outcome(32, array.tolist())
+    assert isinstance(expected, tuple)
+    assert outcome(32, array) == expected
+
+
 def wide_k_graphs():
     """Seeded k-graphs, k = 2..5, some priced with the gather by default
     and some on packed integers."""
